@@ -35,6 +35,11 @@ class BlockSpec:
             raise InvalidInput(f"block sizes must be positive, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
 
+    @classmethod
+    def coerce(cls, blocks) -> "BlockSpec":
+        """blocks itself if it is a BlockSpec, else the BlockSpec of its sizes."""
+        return blocks if isinstance(blocks, cls) else cls(tuple(blocks))
+
     @property
     def K(self) -> int:
         return len(self.sizes)
@@ -343,10 +348,7 @@ def sparsest_basis(
     """
     tol = tol or Tolerance.default()
     M = as_matrix(M)
-    if blocks is None:
-        blocks = BlockSpec((M.shape[1],))
-    elif not isinstance(blocks, BlockSpec):
-        blocks = BlockSpec(tuple(blocks))
+    blocks = BlockSpec((M.shape[1],)) if blocks is None else BlockSpec.coerce(blocks)
     if blocks.total != M.shape[1]:
         raise InvalidInput(
             f"block sizes {blocks.sizes} do not cover {M.shape[1]} columns"
@@ -427,8 +429,7 @@ def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResul
     """rho+ (cheapest block-respecting basis) vs rho- (cheapest basis forced to
     mix); the factors are Type S independent iff rho+ < rho-."""
     tol = tol or Tolerance.default()
-    if not isinstance(blocks, BlockSpec):
-        blocks = BlockSpec(tuple(blocks))
+    blocks = BlockSpec.coerce(blocks)
     if blocks.K < 2:
         raise InvalidInput("the sparsity gap needs at least two blocks")
     respecting = sparsest_basis(M, blocks, "blockRespecting", tol)
@@ -449,8 +450,7 @@ def pairwise_sparsity_gap(
     submatrix of blocks i and j; the diagonal is vacuously True."""
     tol = tol or Tolerance.default()
     M = as_matrix(M)
-    if not isinstance(blocks, BlockSpec):
-        blocks = BlockSpec(tuple(blocks))
+    blocks = BlockSpec.coerce(blocks)
     if blocks.K < 2:
         raise InvalidInput("pairwise gaps need at least two blocks")
     if blocks.total != M.shape[1]:

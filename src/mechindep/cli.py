@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .basis import BlockSpec
@@ -54,7 +54,6 @@ class AnalysisRequest:
     seed: int = 0
     draws: int = 200
     out: str | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _blockspec(request: AnalysisRequest) -> BlockSpec:

@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
     SizeError,
 )
-from .graphs import rank_additive_partitions
+from .graphs import finest_rank_additive_partition
 
 RHO_MINUS_NOTE = (
     "rhoMinus from stratified search: every mixing-minimal support stratum is "
@@ -54,8 +54,7 @@ H_SPLIT_NOTE = (
 def _prepare(J, blocks, tol):
     tol = tol or Tolerance.default()
     M = as_matrix(J)
-    if not isinstance(blocks, BlockSpec):
-        blocks = BlockSpec(tuple(blocks))
+    blocks = BlockSpec.coerce(blocks)
     if blocks.total != M.shape[1]:
         raise InvalidInput(
             f"block sizes {blocks.sizes} do not cover {M.shape[1]} columns"
@@ -70,6 +69,15 @@ def _cross_pairs(blocks: BlockSpec):
             for a in ranges[i]:
                 for b in ranges[j]:
                     yield i, j, a, b
+
+
+def _first_split(cols):
+    """Column 2-partitions (A, B) with cols[0] in A, by size of A, then in
+    combinations order."""
+    for size in range(1, len(cols)):
+        for rest in combinations(cols[1:], size - 1):
+            part_a = [cols[0], *rest]
+            yield part_a, [c for c in cols if c not in set(part_a)]
 
 
 def _supports_payload(supports: list[SupportMask]) -> list[list[int]]:
@@ -274,8 +282,7 @@ def check_type_h(tensor, blocks, n: int = 2, tol: Tolerance | None = None) -> Ce
     tol = tol or Tolerance.default()
     if n not in (2, 3):
         raise InvalidInput(f"order must be 2 or 3, got {n}")
-    if not isinstance(blocks, BlockSpec):
-        blocks = BlockSpec(tuple(blocks))
+    blocks = BlockSpec.coerce(blocks)
     T = _as_tensor(tensor, n, blocks.total)
     digest = inputs_digest(T, blocks, n)
     criterion = f"H{n}"
@@ -329,8 +336,7 @@ def check_type_h_irreducible(
     tol = tol or Tolerance.default()
     if n not in (2, 3):
         raise InvalidInput(f"order must be 2 or 3, got {n}")
-    if not isinstance(blocks, BlockSpec):
-        blocks = BlockSpec(tuple(blocks))
+    blocks = BlockSpec.coerce(blocks)
     if not 1 <= block_index <= blocks.K:
         raise InvalidInput(f"block index {block_index} outside 1..{blocks.K}")
     T = _as_tensor(tensor, n, blocks.total)
@@ -347,26 +353,20 @@ def check_type_h_irreducible(
             notes=(H_SPLIT_NOTE,),
             inputs_digest=digest,
         )
-    for size in range(1, len(cols)):
-        for A in combinations(cols[1:], size - 1):
-            part_a = [cols[0], *A]
-            part_b = [c for c in cols if c not in set(part_a)]
-            cross_ab = T[np.ix_(range(T.shape[0]), part_a, part_b)]
-            cross_ba = T[np.ix_(range(T.shape[0]), part_b, part_a)]
-            if max(np.abs(cross_ab).max(), np.abs(cross_ba).max()) <= thr:
-                return Certificate(
-                    criterion=criterion,
-                    holds=False,
-                    witness={
-                        "block": block_index,
-                        "split": [
-                            [c + 1 for c in part_a],
-                            [c + 1 for c in part_b],
-                        ],
-                    },
-                    notes=(H_SPLIT_NOTE,),
-                    inputs_digest=digest,
-                )
+    for part_a, part_b in _first_split(cols):
+        cross_ab = T[np.ix_(range(T.shape[0]), part_a, part_b)]
+        cross_ba = T[np.ix_(range(T.shape[0]), part_b, part_a)]
+        if max(np.abs(cross_ab).max(), np.abs(cross_ba).max()) <= thr:
+            return Certificate(
+                criterion=criterion,
+                holds=False,
+                witness={
+                    "block": block_index,
+                    "split": [[c + 1 for c in part_a], [c + 1 for c in part_b]],
+                },
+                notes=(H_SPLIT_NOTE,),
+                inputs_digest=digest,
+            )
     return Certificate(
         criterion=criterion,
         holds=True,
@@ -386,8 +386,7 @@ def check_separability(
     tol = tol or Tolerance.default()
     if n not in (2, 3):
         raise InvalidInput(f"order must be 2 or 3, got {n}")
-    if not isinstance(blocks, BlockSpec):
-        blocks = BlockSpec(tuple(blocks))
+    blocks = BlockSpec.coerce(blocks)
     if len(tensors) != n:
         raise InvalidInput(f"need derivative tensors of orders 1..{n}, got {len(tensors)}")
     d_s = blocks.total
@@ -448,7 +447,10 @@ def check_type_d_irreducible(
 ) -> Certificate:
     """D-irreducibility of one block: its column submatrix admits no
     rank-additive row 2-partition (no invertible within-block reparametrization
-    can split its rows into independent mechanisms)."""
+    can split its rows into independent mechanisms), i.e. the finest such
+    partition has one group.  Otherwise every union of its c > 1 groups that
+    omits the first is one side of a 2-partition, 2^(c-1) - 1 in all, and the
+    witness reports the first group against the rest."""
     M, blocks, tol = _prepare(J, blocks, tol)
     if not 1 <= block_index <= blocks.K:
         raise InvalidInput(f"block index {block_index} outside 1..{blocks.K}")
@@ -465,16 +467,15 @@ def check_type_d_irreducible(
             notes=("one-dimensional block with nonzero column is always irreducible",),
             inputs_digest=digest,
         )
-    partitions = rank_additive_partitions(sub, 2, tol)
-    if partitions:
-        first = partitions[0]
+    groups = finest_rank_additive_partition(sub, tol).groups
+    if len(groups) > 1:
         return Certificate(
             criterion="D-irreducible",
             holds=False,
             witness={
                 "block": block_index,
-                "rowSplit": [list(g) for g in first.groups],
-                "splitCount": len(partitions),
+                "rowSplit": [list(groups[0]), sorted(r for g in groups[1:] for r in g)],
+                "splitCount": 2 ** (len(groups) - 1) - 1,
             },
             inputs_digest=digest,
         )
@@ -508,22 +509,17 @@ def check_type_m_irreducible(
             notes=("one-dimensional blocks are always irreducible",),
             inputs_digest=digest,
         )
-    for size in range(1, len(cols)):
-        for A in combinations(cols[1:], size - 1):
-            part_a = [cols[0], *A]
-            part_b = [c for c in cols if c not in set(part_a)]
-            if all(
-                pitchfork(supports[a], supports[b]) for a in part_a for b in part_b
-            ):
-                return Certificate(
-                    criterion="M-irreducible",
-                    holds=False,
-                    witness={
-                        "block": block_index,
-                        "split": [[c + 1 for c in part_a], [c + 1 for c in part_b]],
-                    },
-                    inputs_digest=digest,
-                )
+    for part_a, part_b in _first_split(cols):
+        if all(pitchfork(supports[a], supports[b]) for a in part_a for b in part_b):
+            return Certificate(
+                criterion="M-irreducible",
+                holds=False,
+                witness={
+                    "block": block_index,
+                    "split": [[c + 1 for c in part_a], [c + 1 for c in part_b]],
+                },
+                inputs_digest=digest,
+            )
     return Certificate(
         criterion="M-irreducible",
         holds=True,
@@ -550,29 +546,22 @@ def check_type_s_irreducible(
             notes=("one-dimensional blocks are always irreducible",),
             inputs_digest=digest,
         )
-    sub = M[:, cols]
-    for size in range(1, len(cols)):
-        for A in combinations(range(1, len(cols)), size - 1):
-            pos_a = [0, *A]
-            pos_b = [p for p in range(len(cols)) if p not in set(pos_a)]
-            arranged = sub[:, pos_a + pos_b]
-            gap = sparsity_gap(arranged, BlockSpec((len(pos_a), len(pos_b))), tol)
-            if gap.independent:
-                return Certificate(
-                    criterion="S-irreducible",
-                    holds=False,
-                    witness={
-                        "block": block_index,
-                        "split": [
-                            [cols[p] + 1 for p in pos_a],
-                            [cols[p] + 1 for p in pos_b],
-                        ],
-                        "rhoPlus": gap.rho_plus,
-                        "rhoMinus": gap.rho_minus,
-                    },
-                    notes=(RHO_MINUS_NOTE,),
-                    inputs_digest=digest,
-                )
+    for part_a, part_b in _first_split(cols):
+        arranged = M[:, part_a + part_b]
+        gap = sparsity_gap(arranged, BlockSpec((len(part_a), len(part_b))), tol)
+        if gap.independent:
+            return Certificate(
+                criterion="S-irreducible",
+                holds=False,
+                witness={
+                    "block": block_index,
+                    "split": [[c + 1 for c in part_a], [c + 1 for c in part_b]],
+                    "rhoPlus": gap.rho_plus,
+                    "rhoMinus": gap.rho_minus,
+                },
+                notes=(RHO_MINUS_NOTE,),
+                inputs_digest=digest,
+            )
     return Certificate(
         criterion="S-irreducible",
         holds=True,
@@ -670,10 +659,8 @@ def extract_assignment(
     B = as_matrix(B)
     if B.shape[0] != B.shape[1]:
         raise InvalidInput(f"B must be square, got {B.shape}")
-    if not isinstance(src_blocks, BlockSpec):
-        src_blocks = BlockSpec(tuple(src_blocks))
-    if not isinstance(tgt_blocks, BlockSpec):
-        tgt_blocks = BlockSpec(tuple(tgt_blocks))
+    src_blocks = BlockSpec.coerce(src_blocks)
+    tgt_blocks = BlockSpec.coerce(tgt_blocks)
     if src_blocks.total != B.shape[0] or tgt_blocks.total != B.shape[1]:
         raise InvalidInput(
             f"blocks {src_blocks.sizes}/{tgt_blocks.sizes} do not cover B {B.shape}"
@@ -716,8 +703,7 @@ def compositional_contrast(J, blocks) -> float:
     """Sum over rows of the products of cross-block row-segment norms; zero
     exactly when no row loads two different blocks."""
     M = as_matrix(J)
-    if not isinstance(blocks, BlockSpec):
-        blocks = BlockSpec(tuple(blocks))
+    blocks = BlockSpec.coerce(blocks)
     if blocks.total != M.shape[1]:
         raise InvalidInput("block sizes do not cover the columns")
     norms = [np.linalg.norm(M[:, cols], axis=1) for cols in blocks.ranges()]

@@ -12,16 +12,13 @@ a bug by construction and raises InternalError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .basis import BlockSpec
 from .certificates import Certificate, inputs_digest
-from .core import SupportMask, Tolerance, as_matrix, column_supports, null_space, pitchfork, rank
-from .errors import DegenerateColumn, InternalError, InvalidInput, RankError, SizeError
-
-PARTITION_CAP = 16
+from .core import Tolerance, as_matrix, column_supports, null_space, pitchfork, rank
+from .errors import DegenerateColumn, InternalError, InvalidInput, RankError
 
 
 @dataclass(frozen=True)
@@ -31,15 +28,6 @@ class FactorGraph:
     kind: str  # "D" | "M" | "H2"
     n: int
     edges: frozenset  # of (i, j) pairs with i < j
-
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
 
 
 @dataclass(frozen=True)
@@ -145,76 +133,38 @@ def _partition_with_zeros(parts0: list[list[int]], zero_rows: list[int]) -> RowP
     return RowPartition(tuple(tuple(r + 1 for r in p) for p in groups))
 
 
-def _two_splits(M: np.ndarray, rows: list[int], tol: Tolerance, thr: float):
-    """Yield rank-additive 2-partitions (P1, P2) of the given nonzero rows."""
-    total = rank(M[rows, :], tol, thr=thr)
-    head, rest = rows[0], rows[1:]
-    for size in range(0, len(rest)):
-        for extra in combinations(rest, size):
-            P1 = [head, *extra]
-            in1 = set(P1)
-            P2 = [r for r in rows if r not in in1]
-            if not P2:
-                continue
-            r1 = rank(M[P1, :], tol, thr=thr)
-            r2 = rank(M[P2, :], tol, thr=thr)
-            if r1 + r2 == total:
-                yield P1, P2
+def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartition:
+    """The unique finest rank-additive row partition (zero rows in group one).
 
-
-def rank_additive_partitions(
-    M, parts: int = 2, tol: Tolerance | None = None, cap: int = PARTITION_CAP
-) -> list[RowPartition]:
-    """Row partitions P with rank(M) equal to the sum of the parts' ranks.
-
-    parts == 2 enumerates every 2-partition of the nonzero rows (capped).
-    parts > 2 returns the unique finest partition found by recursive splitting,
-    as a single-element list (rank-additive splits commute, so the recursion
-    order cannot change the result).  Zero rows join the first group.
+    Its groups are the connected components of the row matroid of M, and the
+    fundamental circuits of one row basis connect them (Krogdahl 1977; Oxley,
+    Matroid Theory, ch. 4).  A greedy pass over the nonzero rows grows the
+    basis B; each row e that B already spans joins every b in B whose exchange
+    B - b + e is again a basis.  That takes at most m + (m - r) * r
+    eliminations for rank r.  Zero rows are loops and join group one.
     """
     tol = tol or Tolerance.default()
     M = as_matrix(M)
-    if parts < 2:
-        raise InvalidInput("parts must be >= 2")
     thr = tol.matrix_threshold(M)
     nz = _nonzero_rows(M, thr)
     zero_rows = [r for r in range(M.shape[0]) if r not in set(nz)]
-    if len(nz) > cap:
-        raise SizeError(f"partition search capped at {cap} nonzero rows, got {len(nz)}")
-    if len(nz) < 2:
-        return []
-    if parts == 2:
-        return [
-            _partition_with_zeros([P1, P2], zero_rows)
-            for P1, P2 in _two_splits(M, nz, tol, thr)
-        ]
-    finest = _finest_groups(M, nz, tol, thr)
-    if len(finest) < 2:
-        return []
-    return [_partition_with_zeros(finest, zero_rows)]
-
-
-def _finest_groups(M: np.ndarray, rows: list[int], tol: Tolerance, thr: float) -> list[list[int]]:
-    for P1, P2 in _two_splits(M, rows, tol, thr):
-        return _finest_groups(M, P1, tol, thr) + _finest_groups(M, P2, tol, thr)
-    return [rows]
-
-
-def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartition:
-    """The unique finest rank-additive row partition (zero rows in group one)."""
-    tol = tol or Tolerance.default()
-    M = as_matrix(M)
-    thr = tol.matrix_threshold(M)
-    nz = _nonzero_rows(M, thr)
-    zero_rows = [r for r in range(M.shape[0]) if r not in set(nz)]
-    if len(nz) > PARTITION_CAP:
-        raise SizeError(
-            f"partition search capped at {PARTITION_CAP} nonzero rows, got {len(nz)}"
-        )
     if not nz:
-        return RowPartition((tuple(r + 1 for r in zero_rows),)) if zero_rows else RowPartition(())
-    groups = _finest_groups(M, nz, tol, thr)
-    return _partition_with_zeros(groups, zero_rows)
+        return RowPartition((tuple(r + 1 for r in zero_rows),))
+    uf = _UnionFind(M.shape[0])
+    basis: list[int] = []
+    for e in nz:
+        if rank(M[basis + [e], :], tol, thr=thr) > len(basis):
+            basis.append(e)
+            continue
+        # e's circuit lies in the basis so far, so later basis rows cannot join it
+        for i, b in enumerate(basis):
+            exchanged = basis[:i] + [e] + basis[i + 1 :]
+            if rank(M[exchanged, :], tol, thr=thr) == len(basis):
+                uf.union(b, e)
+    groups: dict[int, list[int]] = {}
+    for r in nz:
+        groups.setdefault(uf.find(r), []).append(r)
+    return _partition_with_zeros(list(groups.values()), zero_rows)
 
 
 def block_structure_audit(

@@ -136,8 +136,7 @@ def random_mixing(blocks, kind: str, seed: int = 0) -> MixingDraw:
     within-size-class block permutation with block-diagonal mixing; full is
     unstructured.  Draws with condition number above 1e6 are redrawn.
     """
-    if not isinstance(blocks, BlockSpec):
-        blocks = BlockSpec(tuple(blocks))
+    blocks = BlockSpec.coerce(blocks)
     if kind not in ("blockDiagonal", "full", "blockPermuted"):
         raise InvalidInput(f"unknown mixing kind {kind!r}")
     rng = np.random.default_rng(seed)

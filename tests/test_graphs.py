@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from mechindep.basis import BlockSpec
-from mechindep.errors import DegenerateColumn, InternalError, InvalidInput, SizeError
+from mechindep.criteria import check_type_d_irreducible
+from mechindep.errors import DegenerateColumn
 from mechindep.graphs import (
     block_structure_audit,
     blocks_from_components,
     build_graph,
     components,
     finest_rank_additive_partition,
-    rank_additive_partitions,
     to_dot,
 )
+from mechindep.synth import OverlapTemplate, gen_overlap_jacobian
 
 from golden import GOLDEN, MAT_DISJOINT
 from oracles import oracle_components, oracle_finest_partition
@@ -83,16 +84,18 @@ def test_h2_graph_components():
 
 
 def test_two_partitions_of_diagonal():
-    parts = rank_additive_partitions(np.diag([1.0, 2.0, 3.0]), 2)
-    groups = sorted(tuple(tuple(g) for g in p.groups) for p in parts)
-    assert groups == [((1,), (2, 3)), ((1, 2), (3,)), ((1, 3), (2,))]
+    cert = check_type_d_irreducible(np.diag([1.0, 2.0, 3.0]), (3,), 1)
+    assert not cert.holds
+    # three singleton groups: {1}|{2,3}, {1,2}|{3}, {1,3}|{2}
+    assert cert.witness["splitCount"] == 3
+    assert cert.witness["rowSplit"] == [[1], [2, 3]]
 
 
 def test_golden_a_admits_no_partition():
     A = np.array(GOLDEN["A"]["matrix"], dtype=float)
-    assert rank_additive_partitions(A, 2) == []
     fin = finest_rank_additive_partition(A)
-    assert len(fin.groups) == GOLDEN["A"]["finest_parts"]
+    assert len(fin.groups) == GOLDEN["A"]["finest_parts"] == 1
+    assert check_type_d_irreducible(A, (2,), 1).holds
 
 
 def test_finest_partition_matches_oracle():
@@ -120,10 +123,15 @@ def test_zero_rows_join_first_group():
 
 
 def test_partition_guards():
-    with pytest.raises(InvalidInput):
-        rank_additive_partitions(np.eye(2), 1)
-    with pytest.raises(SizeError):
-        rank_additive_partitions(np.eye(17), 2)
+    # no row cap: the partition costs at most m + (m - r) * r eliminations
+    fin = finest_rank_additive_partition(np.eye(17))
+    assert fin.groups == tuple((r,) for r in range(1, 18))
+    M, _, _ = gen_overlap_jacobian(
+        OverlapTemplate(K=4, slot_dim=3, slot_out=15, overlap_ratio=0.0, seed=0)
+    )
+    assert M.shape == (60, 12)
+    cert = block_structure_audit(M, 4)
+    assert cert.holds and cert.witness["maxComponents"] == 4
 
 
 def test_audit_single_block_golden():
