@@ -12,15 +12,20 @@ mixing vector itself ranges over the enumerated mixing-minimal supports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from .core import SupportMask, Tolerance, as_matrix, null_space, rank
+from .core import SupportMask, Tolerance, as_matrix, null_space, rank, rank_many
 from .errors import InvalidInput, InternalError, RankError, SizeError
 
 MAX_ROWS = 20
 MAX_COLS = 8
+
+# Row subsets per batched elimination.  It bounds the largest stack, the
+# closure test's CHUNK * m slices of at most MAX_COLS x MAX_COLS, to 1.3 MB
+# whatever C(m, k) is.  The row partition in graphs caps its stacks with it.
+CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -159,6 +164,55 @@ def _normalized_vector(M: np.ndarray, c: np.ndarray, tol: Tolerance) -> Subspace
     )
 
 
+def _bits(members) -> int:
+    """Bitmask of 1-based row indices: row i sets bit i - 1."""
+    return sum(1 << (i - 1) for i in members)
+
+
+def _members(bits: int) -> tuple[int, ...]:
+    """The sorted 1-based row indices of a bitmask."""
+    return tuple(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+def _inclusion_minimal(masks, m: int) -> list[int]:
+    """The distinct bitmasks over m rows that have no other of the masks as a
+    proper subset.
+
+    below[x] says whether one of the masks lies inside x: a sum over subsets,
+    one pass per row over all 2^m row sets.  A mask t has a proper subset
+    among the masks iff t minus one of its rows has one inside it.
+    """
+    masks = np.fromiter(masks, dtype=np.int64)
+    below = np.zeros(1 << m, dtype=bool)
+    below[masks] = True
+    for i in range(m):
+        halves = below.reshape(-1, 2, 1 << i)
+        halves[:, 1] |= halves[:, 0]
+    proper = np.zeros(masks.size, dtype=bool)
+    for i in range(m):
+        proper |= ((masks >> i) & 1 == 1) & below[masks ^ (1 << i)]
+    return masks[~proper].tolist()
+
+
+def _subset_chunks(m: int, k: int):
+    """The k-subsets of range(m) in combinations order, as (C, k) index
+    arrays of at most CHUNK subsets."""
+    subsets = combinations(range(m), k)
+    while chunk := list(islice(subsets, CHUNK)):
+        yield np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+
+
+def _closed_rows(M: np.ndarray, subs: np.ndarray, thr: float) -> np.ndarray:
+    """(C, m) mask: row j of M is in the span of the k rows subs[c], i.e.
+    stacking it under them keeps the rank at k."""
+    C, k, n = subs.shape
+    m = M.shape[0]
+    stack = np.empty((C, m, k + 1, n))
+    stack[:, :, :k] = subs[:, None]
+    stack[:, :, k] = M
+    return (rank_many(stack.reshape(C * m, k + 1, n), thr) == k).reshape(C, m)
+
+
 def achievable(M, T, tol: Tolerance | None = None) -> bool:
     """Can some nonzero column-space vector have its support inside T?
 
@@ -197,25 +251,20 @@ def minimal_supports(M, tol: Tolerance | None = None) -> list[SubspaceVector]:
     m, n = M.shape
     thr = tol.matrix_threshold(M)
 
-    by_mask: dict[tuple[int, ...], SubspaceVector] = {}
-    for R in combinations(range(m), n - 1):
-        sub = M[list(R), :]
-        if R and rank(sub, tol, thr=thr) < n - 1:
-            continue
-        N = null_space(sub, tol, thr=thr) if R else np.eye(n)
-        if N.shape[1] != 1:
-            continue
-        vec = _normalized_vector(M, N[:, 0], tol)
-        if vec is None:
-            continue
-        by_mask.setdefault(vec.mask.members, vec)
+    by_mask: dict[int, SubspaceVector] = {}
+    for R in _subset_chunks(m, n - 1):
+        for rows in R[rank_many(M[R], thr) == n - 1]:
+            N = null_space(M[rows], tol, thr=thr)
+            if N.shape[1] != 1:
+                continue
+            vec = _normalized_vector(M, N[:, 0], tol)
+            if vec is None:
+                continue
+            by_mask.setdefault(_bits(vec.mask.members), vec)
 
-    masks = list(by_mask)
-    minimal = [
-        t for t in masks if not any(set(s) < set(t) for s in masks if s != t)
-    ]
-    minimal.sort(key=lambda t: (len(t), t))
-    return [by_mask[t] for t in minimal]
+    minimal = [by_mask[t] for t in _inclusion_minimal(by_mask, m)]
+    minimal.sort(key=lambda v: (v.support_size, v.mask.members))
+    return minimal
 
 
 def _sort_key(vec: SubspaceVector, blocks: BlockSpec | None, tol: Tolerance):
@@ -256,43 +305,30 @@ def _mixing_strata(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
     """
     m, n = M.shape
     thr = tol.matrix_threshold(M)
-    ranges = blocks.ranges()
-    seen: dict[tuple[int, ...], np.ndarray] = {}
+    outsides = [[j for j in range(n) if j not in cols] for cols in blocks.ranges()]
+    bit = 1 << np.arange(m)
+    seen: dict[int, np.ndarray] = {}
     for k in range(n):
-        for R in combinations(range(m), k):
-            sub = M[list(R), :]
-            if R and rank(sub, tol, thr=thr) < k:
-                continue
-            N = null_space(sub, tol, thr=thr) if R else np.eye(n)
-            if N.shape[1] != n - k:
-                continue
-            if R:
-                # closure of R: rows already in the span of M_R (stacking them
-                # does not raise the rank)
-                closure = [
-                    j
-                    for j in range(m)
-                    if rank(np.vstack([sub, M[j : j + 1, :]]), tol, thr=thr) == k
-                ]
-            else:
-                closure = [j for j in range(m) if np.abs(M[j]).max() <= thr]
-            T = tuple(sorted(set(range(m)) - set(closure)))
-            if not T or T in seen:
-                continue
-            thr_c = tol.threshold(np.abs(N).max())
-            confined = False
-            for cols in ranges:
-                outside = [j for j in range(n) if j not in cols]
-                if not outside or np.abs(N[outside, :]).max() <= thr_c:
-                    confined = True
-                    break
-            if confined:
-                continue
-            seen[T] = N
-    masks = list(seen)
-    minimal = [t for t in masks if not any(set(s) < set(t) for s in masks if s != t)]
-    minimal.sort(key=lambda t: (len(t), t))
-    return [(tuple(i + 1 for i in t), seen[t]) for t in minimal]
+        for R in _subset_chunks(m, k):
+            R = R[rank_many(M[R], thr) == k]
+            # complement of the closure of each subset; its first subset wins
+            open_bits = (~_closed_rows(M, M[R], thr) * bit).sum(axis=1).tolist()
+            for rows, T in zip(R, open_bits):
+                if not T or T in seen:
+                    continue
+                N = null_space(M[rows], tol, thr=thr)
+                if N.shape[1] != n - k:
+                    continue
+                thr_c = tol.threshold(np.abs(N).max())
+                if any(
+                    not outside or np.abs(N[outside, :]).max() <= thr_c
+                    for outside in outsides
+                ):
+                    continue
+                seen[T] = N
+    minimal = _inclusion_minimal(seen, m)
+    minimal.sort(key=lambda t: (t.bit_count(), _members(t)))
+    return [(_members(t), seen[t]) for t in minimal]
 
 
 def _stratum_representative(

@@ -158,6 +158,50 @@ def rank(M, tol: Tolerance | None = None, thr: float | None = None) -> int:
     return r
 
 
+def rank_many(stack, thr) -> np.ndarray:
+    """Ranks of every slice of a (B, r, n) stack, each equal to rank(stack[b], thr=thr[b]).
+
+    thr is a frozen threshold, scalar or one per slice.  Every slice runs the
+    same complete-pivoting elimination as rank: the row-major first maximum of
+    the trailing block is the pivot, and the update is the same division and
+    the same elementwise products, so each rank is bit-identical to rank's.
+    Only the trailing block is updated, the one part later steps read.  A
+    slice retires once its pivot is at or below its threshold.
+    """
+    A = np.array(stack, dtype=float)
+    if A.ndim != 3:
+        raise InvalidInput(f"rank_many expects a (B, r, n) stack, got ndim={A.ndim}")
+    B, m, n = A.shape
+    thr = np.asarray(thr, dtype=float)
+    ranks = np.full(B, min(m, n), dtype=np.intp)
+    live = np.arange(B)
+    for r in range(min(m, n) if B else 0):
+        sub = np.abs(A[:, r:, r:]).reshape(live.size, -1)
+        flat = sub.argmax(axis=1)
+        idx = np.arange(live.size)
+        done = sub[idx, flat] <= thr
+        if done.any():
+            ranks[live[done]] = r
+            keep = ~done
+            live, A, flat = live[keep], A[keep], flat[keep]
+            thr = thr[keep] if thr.ndim else thr
+            if not live.size:
+                break
+            idx = np.arange(live.size)
+        pi, pj = np.divmod(flat, n - r)
+        pi += r
+        pj += r
+        row = A[idx, pi, :]
+        A[idx, pi, :] = A[:, r, :]
+        A[:, r, :] = row
+        col = A[idx, :, pj]
+        A[idx, :, pj] = A[:, :, r]
+        A[:, :, r] = col
+        below = A[:, r + 1 :, r] / A[:, r, r, None]
+        A[:, r + 1 :, r + 1 :] -= below[:, :, None] * A[:, None, r, r + 1 :]
+    return ranks
+
+
 def null_space(M, tol: Tolerance | None = None, thr: float | None = None) -> np.ndarray:
     """Basis (columns) of the null space, by Gauss-Jordan elimination.
 

@@ -15,9 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BlockSpec
+from .basis import CHUNK, BlockSpec
 from .certificates import Certificate, inputs_digest
-from .core import Tolerance, as_matrix, column_supports, null_space, pitchfork, rank
+from .core import (
+    Tolerance,
+    as_matrix,
+    column_supports,
+    null_space,
+    pitchfork,
+    rank,
+    rank_many,
+)
 from .errors import DegenerateColumn, InternalError, InvalidInput, RankError
 
 
@@ -140,8 +148,10 @@ def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartit
     fundamental circuits of one row basis connect them (Krogdahl 1977; Oxley,
     Matroid Theory, ch. 4).  A greedy pass over the nonzero rows grows the
     basis B; each row e that B already spans joins every b in B whose exchange
-    B - b + e is again a basis.  That takes at most m + (m - r) * r
-    eliminations for rank r.  Zero rows are loops and join group one.
+    B - b + e is again a basis.  For rank r that takes at most m eliminations
+    plus (m - r) * r exchange tests, batched over the spanned rows that met
+    the same basis, at most max(CHUNK, r) slices per call.  Zero rows are
+    loops and join group one.
     """
     tol = tol or Tolerance.default()
     M = as_matrix(M)
@@ -152,15 +162,23 @@ def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartit
         return RowPartition((tuple(r + 1 for r in zero_rows),))
     uf = _UnionFind(M.shape[0])
     basis: list[int] = []
+    spanned: dict[int, list[int]] = {}  # basis size when each spanned row came
     for e in nz:
         if rank(M[basis + [e], :], tol, thr=thr) > len(basis):
             basis.append(e)
-            continue
-        # e's circuit lies in the basis so far, so later basis rows cannot join it
-        for i, b in enumerate(basis):
-            exchanged = basis[:i] + [e] + basis[i + 1 :]
-            if rank(M[exchanged, :], tol, thr=thr) == len(basis):
-                uf.union(b, e)
+        else:
+            # e's circuit lies in the basis so far, so later basis rows cannot join it
+            spanned.setdefault(len(basis), []).append(e)
+    for r, rows in spanned.items():
+        step = max(1, CHUNK // r)
+        for i in range(0, len(rows), step):
+            es = rows[i : i + step]
+            # slice (e, j) is the basis with e in place of its j-th row
+            exchanged = np.broadcast_to(M[basis[:r]], (len(es), r, r, M.shape[1])).copy()
+            exchanged[:, np.arange(r), np.arange(r)] = M[es][:, None, :]
+            ranks = rank_many(exchanged.reshape(-1, r, M.shape[1]), thr).reshape(len(es), r)
+            for ei, j in zip(*np.nonzero(ranks == r)):
+                uf.union(basis[j], es[ei])
     groups: dict[int, list[int]] = {}
     for r in nz:
         groups.setdefault(uf.find(r), []).append(r)

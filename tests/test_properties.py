@@ -1,17 +1,28 @@
-"""Property tests: the row-matroid partition against the exact oracles, and its
-invariance under row permutation and power-of-two row scaling.
+"""Property tests: the batched rank kernel against the scalar one; the
+row-matroid partition and the row-subset searches (minimal supports, rho+ and
+rho-) against the exact oracles; and their invariance under row permutation
+and power-of-two row scaling.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mechindep.basis import minimal_supports, sparsity_gap
+from mechindep.core import Tolerance, rank, rank_many
 from mechindep.criteria import check_type_d_irreducible
 from mechindep.graphs import finest_rank_additive_partition
 
-from oracles import oracle_2partitions, oracle_finest_partition
+from oracles import (
+    exact_rank,
+    oracle_2partitions,
+    oracle_finest_partition,
+    oracle_minimal_supports,
+    oracle_mixing_cost,
+    oracle_respecting_cost,
+)
 
 PINNED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -99,3 +110,96 @@ def test_partition_ignores_power_of_two_row_scaling(case):
     assert finest_rank_additive_partition(scaled) == finest_rank_additive_partition(
         M.astype(float)
     )
+
+
+@st.composite
+def _stacks(draw):
+    """(B, r, n) stacks of sparse integers, where equal pivot magnitudes
+    exercise the first-maximum rule, with duplicated rows, all-zero slices and
+    a scalar or per-slice threshold.  A threshold above the entries' scale
+    makes the rank depend on the size of each later pivot, so a kernel that
+    picks other pivots gives other ranks."""
+    B, r, n = draw(st.integers(1, 20)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    S = draw(arrays(np.int64, (B, r, n), elements=_ENTRY, fill=st.nothing())).astype(float)
+    for b in draw(st.lists(st.integers(0, B - 1), max_size=3)):
+        S[b] = 0.0
+    if r > 1:
+        for b in draw(st.lists(st.integers(0, B - 1), max_size=3)):
+            S[b, draw(st.integers(1, r - 1))] = S[b, 0]
+    levels = st.sampled_from([Tolerance().threshold(2.0), 0.5, 1.0, 1.5, 2.5])
+    scalar = draw(st.booleans())
+    thr = draw(levels) if scalar else np.array(draw(st.lists(levels, min_size=B, max_size=B)))
+    return S, thr
+
+
+@PINNED
+@given(_stacks())
+def test_rank_many_equals_rank(case):
+    S, thr = case
+    per_slice = np.broadcast_to(thr, (S.shape[0],))
+    expected = [rank(S[b], thr=per_slice[b]) for b in range(S.shape[0])]
+    assert rank_many(S, thr).tolist() == expected
+
+
+def _gap_cases(max_rows=7, max_cols=4):
+    """Sparse integer matrices with 2 to 4 columns and a split of the
+    columns into two or three blocks; the tests assume full column rank."""
+
+    def with_blocks(M):
+        n = M.shape[1]
+        cuts = st.lists(st.integers(1, n - 1), min_size=1, max_size=2, unique=True)
+        return st.tuples(
+            st.just(M),
+            cuts.map(lambda c: tuple(np.diff([0, *sorted(c), n]).tolist())),
+        )
+
+    return _int_matrices(max_rows, max_cols, min_cols=2).flatmap(with_blocks)
+
+
+SEARCH = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+def _full_rank(M):
+    assume(exact_rank(M.tolist()) == M.shape[1])
+
+
+@SEARCH
+@given(_int_matrices(7, 4))
+def test_minimal_supports_equal_oracle(M):
+    _full_rank(M)
+    got = {frozenset(i - 1 for i in v.mask.members) for v in minimal_supports(M.astype(float))}
+    assert got == oracle_minimal_supports(M.tolist())
+
+
+@SEARCH
+@given(_gap_cases())
+def test_sparsity_gap_equals_oracle(case):
+    M, blocks = case
+    _full_rank(M)
+    gap = sparsity_gap(M.astype(float), blocks)
+    assert gap.rho_plus == oracle_respecting_cost(M.tolist(), blocks)
+    assert gap.rho_minus == oracle_mixing_cost(M.tolist(), blocks)
+
+
+def _gap_summary(M, blocks):
+    gap = sparsity_gap(M, blocks)
+    return gap.rho_plus, gap.rho_minus, gap.independent
+
+
+@SEARCH
+@given(
+    _gap_cases().flatmap(
+        lambda case: st.tuples(
+            st.just(case),
+            st.permutations(range(case[0].shape[0])),
+            st.lists(st.integers(-4, 4), min_size=case[0].shape[0], max_size=case[0].shape[0]),
+        )
+    )
+)
+def test_sparsity_gap_ignores_row_permutation_and_scaling(case):
+    (M, blocks), perm, exponents = case
+    _full_rank(M)
+    before = _gap_summary(M.astype(float), blocks)
+    assert _gap_summary(M[list(perm)].astype(float), blocks) == before
+    scaled = M.astype(float) * np.ldexp(1.0, exponents)[:, None]
+    assert _gap_summary(scaled, blocks) == before
