@@ -49,6 +49,10 @@ class Tolerance:
     def matrix_threshold(self, M: np.ndarray) -> float:
         return self.threshold(np.max(np.abs(M)) if M.size else 0.0)
 
+    def stack_thresholds(self, S: np.ndarray) -> np.ndarray:
+        """matrix_threshold of every slice of a (B, r, n) stack, as the same floats."""
+        return np.maximum(self.abs, self.rel * np.abs(S).max(axis=(1, 2)))
+
 
 @dataclass(frozen=True)
 class SupportMask:

@@ -185,6 +185,66 @@ def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartit
     return _partition_with_zeros(list(groups.values()), zero_rows)
 
 
+def component_counts(stack, thr) -> np.ndarray:
+    """Component counts of the disjointness graphs of every slice of a
+    (B, m, n) stack, each equal to len(components(build_graph(stack[b], "D")))
+    when thr[b] is that slice's matrix threshold (scalar or one per slice).
+
+    Two columns are adjacent iff their supports share a row.  Adjacency plus
+    the identity, squared ceil(log2 n) times as a boolean matrix, is
+    reachability; a column is its component's representative iff it is the
+    first column it reaches.
+    """
+    S = (np.abs(stack) > np.asarray(thr, dtype=float)[..., None, None]).astype(float)
+    n = S.shape[2]
+    reach = (S.transpose(0, 2, 1) @ S > 0) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        walk = reach.astype(float)
+        reach = walk @ walk > 0
+    return np.count_nonzero(reach.argmax(axis=2) == np.arange(n), axis=1)
+
+
+def _sampled_counts(M: np.ndarray, F: int, tol: Tolerance, draws: int, seed: int) -> np.ndarray:
+    """Route d of the audit: the D-graph component counts of M R for the
+    first `draws` invertible R of the seeded standard-normal stream, in order.
+
+    Draws come CHUNK at a time from one standard_normal call, the same stream
+    as one (n, n) draw after another.  Each chunk is ranked by one rank_many
+    call and counted by one component_counts call.  A singular draw is
+    skipped, as a redraw; 101 singular draws in a row, counted across chunks,
+    raise.  Errors come in stream order: a non-finite M R, a count above F,
+    then a failed redraw.
+    """
+    n = M.shape[1]
+    rng = np.random.default_rng(seed)
+    found = [np.zeros(0, dtype=np.intp)]
+    done = singular = 0  # singular: draws since the last invertible one
+    while done < draws:
+        Rs = rng.standard_normal((min(CHUNK, draws - done), n, n))
+        ok = rank_many(Rs, tol.stack_thresholds(Rs)) == n
+        at = np.arange(len(Rs))
+        run = at - np.maximum.accumulate(np.where(ok, at, -1 - singular))
+        failed = np.flatnonzero(run > 100)
+        kept = np.flatnonzero(ok[: failed[0] if failed.size else len(Rs)])
+        Cs = M @ Rs[kept]
+        counts = component_counts(Cs, tol.stack_thresholds(Cs))
+        finite = np.isfinite(Cs).all(axis=(1, 2))
+        bad = np.flatnonzero(~finite | (counts > F))
+        if bad.size:
+            d = bad[0]
+            if not finite[d]:
+                raise InvalidInput("matrix contains non-finite entries")
+            raise InternalError(
+                f"sampled mixing produced {counts[d]} components, exceeding the maximum {F}"
+            )
+        if failed.size:
+            raise InternalError("could not draw an invertible mixing")
+        found.append(counts)
+        done += kept.size
+        singular = int(run[-1])
+    return np.concatenate(found)
+
+
 def block_structure_audit(
     M,
     K: int,
@@ -200,6 +260,8 @@ def block_structure_audit(
     Route c: the disjointness graph of M in that basis has F components.
     Route d (sampling): over seeded invertible mixings, the component count
         never exceeds F (it can under-count; the witness basis attains F).
+        It is one batched pass over chunks of draws (_sampled_counts);
+        route c counts with build_graph and components, independently of it.
     The certificate holds iff F == K.  Any disagreement among the routes
     raises InternalError.
     """
@@ -207,6 +269,8 @@ def block_structure_audit(
     M = as_matrix(M)
     if K < 1:
         raise InvalidInput("K must be >= 1")
+    if draws < 0:
+        raise InvalidInput("draws must be >= 0")
     n = M.shape[1]
     if rank(M, tol) < n:
         raise RankError("block-structure audit needs full column rank")
@@ -249,22 +313,7 @@ def block_structure_audit(
         )
 
     # route d: randomized invertible mixings can only under-count
-    rng = np.random.default_rng(seed)
-    sampled_max = 0
-    for _ in range(draws):
-        R = rng.standard_normal((n, n))
-        attempts = 0
-        while rank(R, tol) < n:
-            R = rng.standard_normal((n, n))
-            attempts += 1
-            if attempts > 100:
-                raise InternalError("could not draw an invertible mixing")
-        count = len(components(build_graph(M @ R, "D", tol)))
-        if count > F:
-            raise InternalError(
-                f"sampled mixing produced {count} components, exceeding the maximum {F}"
-            )
-        sampled_max = max(sampled_max, count)
+    sampled_max = _sampled_counts(M, F, tol, draws, seed).max(initial=0)
 
     row_order = [r for g in partition.groups for r in g]
     return Certificate(

@@ -240,6 +240,13 @@ def test_usage_errors_exit_two(workdir, capsys):
     capsys.readouterr()
 
 
+def test_audit_rejects_negative_draws(workdir, capsys):
+    assert main(["audit", "--k", "2", "--draws", "-5", str(workdir / "D.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mechindep: error:") and "draws" in captured.err
+
+
 def test_analyze_with_hessian_criteria(workdir, tmp_path):
     H = np.zeros((4, 2, 2))
     H[0, 0, 0] = 1.0

@@ -5,8 +5,10 @@ import pytest
 
 from mechindep.basis import BlockSpec
 from mechindep.criteria import check_type_d_irreducible
-from mechindep.errors import DegenerateColumn
+from mechindep.core import Tolerance, rank
+from mechindep.errors import DegenerateColumn, InternalError, InvalidInput
 from mechindep.graphs import (
+    _sampled_counts,
     block_structure_audit,
     blocks_from_components,
     build_graph,
@@ -175,6 +177,92 @@ def test_audit_seed_determinism():
     a = block_structure_audit(M, 2, seed=5)
     b = block_structure_audit(M, 2, seed=5)
     assert a.to_dict() == b.to_dict()
+
+
+def test_audit_rejects_negative_draws():
+    M = np.eye(2)
+    with pytest.raises(InvalidInput, match="draws"):
+        block_structure_audit(M, 2, draws=-5)
+    cert = block_structure_audit(M, 2, draws=0)
+    assert cert.holds and cert.witness["sampledMax"] == 0 and cert.witness["draws"] == 0
+
+
+def _reference_route_d(M, F, tol, draws, seed):
+    """Route d as the loop of one scalar rank and one graph per draw that the
+    batched pass replaced, verbatim apart from recording every count."""
+    n = M.shape[1]
+    counts = []
+
+    # route d: randomized invertible mixings can only under-count
+    rng = np.random.default_rng(seed)
+    sampled_max = 0
+    for _ in range(draws):
+        R = rng.standard_normal((n, n))
+        attempts = 0
+        while rank(R, tol) < n:
+            R = rng.standard_normal((n, n))
+            attempts += 1
+            if attempts > 100:
+                raise InternalError("could not draw an invertible mixing")
+        count = len(components(build_graph(M @ R, "D", tol)))
+        counts.append(count)
+        if count > F:
+            raise InternalError(
+                f"sampled mixing produced {count} components, exceeding the maximum {F}"
+            )
+        sampled_max = max(sampled_max, count)
+    return counts
+
+
+def _outcome(route, M, F, tol, draws, seed):
+    try:
+        return list(route(M, F, tol, draws, seed))
+    except (InternalError, InvalidInput) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _route_d_cases():
+    """(M, F, tol, draws, seed): planted instances at their maximum F, one
+    with 300 draws, more than one chunk; np.eye(3) under tolerances at which
+    many draws are singular (hundreds of redraws in 200 draws at rel 0.3 and
+    0.6); at rel 0.8 and 0.9 a run of 101 singular draws comes after some
+    invertible ones, and at rel 0.99 before any.  F below the counts makes the
+    count error race the redraw error: at rel 0.9 with seed 5 the count error
+    comes first in the chunk of the failed redraw, and with seed 9 only draws
+    after the failed redraw, in its chunk, exceed F = 2.  Last, M R overflows."""
+    cases = []
+    for seed, (K, d, o, ov) in enumerate([(2, 2, 4, 0.0), (3, 1, 3, 0.25), (4, 2, 4, 0.0),
+                                          (2, 1, 6, 0.25), (5, 1, 3, 0.0)]):
+        M, _, _ = gen_overlap_jacobian(
+            OverlapTemplate(K=K, slot_dim=d, slot_out=o, overlap_ratio=ov, seed=seed)
+        )
+        F = len(finest_rank_additive_partition(M).groups)
+        cases.append((M, F, Tolerance(), 300 if seed == 0 else 200, seed))
+    for rel, seed in ((0.2, 0), (0.3, 0), (0.6, 0), (0.6, 4), (0.8, 0), (0.9, 2), (0.9, 5),
+                      (0.9, 9), (0.99, 0)):
+        for F in (3, 2, 0):
+            cases.append((np.eye(3), F, Tolerance(rel=rel), 200, seed))
+    cases.append((1e308 * np.eye(2), 2, Tolerance(), 200, 0))
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_route_d_equals_reference_loop():
+    outcomes = []
+    for M, F, tol, draws, seed in _route_d_cases():
+        want = _outcome(_reference_route_d, M, F, tol, draws, seed)
+        assert _outcome(_sampled_counts, M, F, tol, draws, seed) == want
+        outcomes.append(want)
+    # every exit of the loop is exercised
+    errors = {o[1].split()[0] for o in outcomes if isinstance(o, tuple)}
+    assert errors == {"sampled", "could", "matrix"}
+    assert sum(isinstance(o, list) for o in outcomes) >= 9
+    # the audit reports the maximum of the counts
+    for rel, want in ((0.2, 2), (0.3, 3), (0.6, 3)):
+        cert = block_structure_audit(np.eye(3), 3, Tolerance(rel=rel))
+        assert cert.witness["sampledMax"] == want
+    with pytest.raises(InternalError, match="could not draw an invertible mixing"):
+        block_structure_audit(np.eye(3), 3, Tolerance(rel=0.99))
 
 
 def test_to_dot_grammar():

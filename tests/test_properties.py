@@ -1,4 +1,5 @@
 """Property tests: the batched rank kernel against the scalar one; the
+batched D-graph component counter against build_graph and components; the
 row-matroid partition and the row-subset searches (minimal supports, rho+ and
 rho-) against the exact oracles; and their invariance under row permutation
 and power-of-two row scaling.
@@ -13,7 +14,12 @@ from hypothesis.extra.numpy import arrays
 from mechindep.basis import minimal_supports, sparsity_gap
 from mechindep.core import Tolerance, rank, rank_many
 from mechindep.criteria import check_type_d_irreducible
-from mechindep.graphs import finest_rank_additive_partition
+from mechindep.graphs import (
+    build_graph,
+    component_counts,
+    components,
+    finest_rank_additive_partition,
+)
 
 from oracles import (
     exact_rank,
@@ -139,6 +145,36 @@ def test_rank_many_equals_rank(case):
     per_slice = np.broadcast_to(thr, (S.shape[0],))
     expected = [rank(S[b], thr=per_slice[b]) for b in range(S.shape[0])]
     assert rank_many(S, thr).tolist() == expected
+
+
+@st.composite
+def _graph_stacks(draw):
+    """(B, m, n) stacks of sparse integers with all-zero columns and all-zero
+    slices, a slice whose columns form a path in shuffled order (the longest
+    walk the squarings must cover), and a tolerance whose per-slice
+    thresholds can exceed an entry of magnitude 1 in one slice and not in
+    another."""
+    B, m, n = draw(st.integers(1, 20)), draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    S = draw(arrays(np.int64, (B, m, n), elements=_ENTRY, fill=st.nothing())).astype(float)
+    if draw(st.booleans()):
+        b, order = draw(st.integers(0, B - 1)), draw(st.permutations(range(n)))
+        S[b] = 0.0
+        for i in range(min(m, n - 1)):
+            S[b, i, [order[i], order[i + 1]]] = 1.0
+    for b in draw(st.lists(st.integers(0, B - 1), max_size=3)):
+        S[b, :, draw(st.integers(0, n - 1))] = 0.0
+    for b in draw(st.lists(st.integers(0, B - 1), max_size=2)):
+        S[b] = 0.0
+    tol = Tolerance(rel=draw(st.sampled_from([1e-9, 0.4, 0.6, 0.9])))
+    return S, tol
+
+
+@PINNED
+@given(_graph_stacks())
+def test_component_counts_equal_graph_components(case):
+    S, tol = case
+    expected = [len(components(build_graph(C, "D", tol))) for C in S]
+    assert component_counts(S, tol.stack_thresholds(S)).tolist() == expected
 
 
 def _gap_cases(max_rows=7, max_cols=4):
