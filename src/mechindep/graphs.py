@@ -26,7 +26,7 @@ from .core import (
     rank,
     rank_many,
 )
-from .errors import DegenerateColumn, InternalError, InvalidInput, RankError
+from .errors import DegenerateColumn, GenerationError, InternalError, InvalidInput, RankError
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,9 @@ def _sampled_counts(M: np.ndarray, F: int, tol: Tolerance, draws: int, seed: int
     as one (n, n) draw after another.  Each chunk is ranked by one rank_many
     call and counted by one component_counts call.  A singular draw is
     skipped, as a redraw; 101 singular draws in a row, counted across chunks,
-    raise.  Errors come in stream order: a non-finite M R, a count above F,
-    then a failed redraw.
+    raise GenerationError.  Errors come in stream order: a non-finite M R
+    (a finite M too large to mix, InvalidInput), a count above F
+    (InternalError), then a failed redraw.
     """
     n = M.shape[1]
     rng = np.random.default_rng(seed)
@@ -226,19 +227,23 @@ def _sampled_counts(M: np.ndarray, F: int, tol: Tolerance, draws: int, seed: int
         run = at - np.maximum.accumulate(np.where(ok, at, -1 - singular))
         failed = np.flatnonzero(run > 100)
         kept = np.flatnonzero(ok[: failed[0] if failed.size else len(Rs)])
-        Cs = M @ Rs[kept]
+        with np.errstate(over="ignore"):  # reported below as InvalidInput
+            Cs = M @ Rs[kept]
         counts = component_counts(Cs, tol.stack_thresholds(Cs))
         finite = np.isfinite(Cs).all(axis=(1, 2))
         bad = np.flatnonzero(~finite | (counts > F))
         if bad.size:
             d = bad[0]
             if not finite[d]:
-                raise InvalidInput("matrix contains non-finite entries")
+                raise InvalidInput(
+                    "random mixing M R overflowed to non-finite entries; "
+                    "the matrix is too large in scale to mix, rescale it"
+                )
             raise InternalError(
                 f"sampled mixing produced {counts[d]} components, exceeding the maximum {F}"
             )
         if failed.size:
-            raise InternalError("could not draw an invertible mixing")
+            raise GenerationError("could not draw an invertible mixing")
         found.append(counts)
         done += kept.size
         singular = int(run[-1])

@@ -247,6 +247,36 @@ def test_audit_rejects_negative_draws(workdir, capsys):
     assert captured.err.startswith("mechindep: error:") and "draws" in captured.err
 
 
+def test_audit_mixing_failures_exit_two(tmp_path, capsys):
+    # at rel 0.99 almost every random 3x3 mixing is singular; 1e308 I is
+    # finite but overflows once mixed
+    write_matrix_csv(tmp_path / "eye3.csv", np.eye(3))
+    write_matrix_csv(tmp_path / "huge.csv", 1e308 * np.eye(2))
+    for argv, words in (
+        (["audit", "--k", "3", "--tol", "0.99", str(tmp_path / "eye3.csv")], "invertible mixing"),
+        (["audit", "--k", "2", str(tmp_path / "huge.csv")], "random mixing M R"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mechindep: error:") and words in captured.err
+
+
+def test_topology_rejects_non_integer_region_values(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for payload in (
+        {"dims": [2, 2], "occupied": [[1.7, 1]]},
+        {"dims": [2, 2], "occupied": [[None, 1]]},
+        {"dims": [2, 2], "occupied": [[True, 1]]},
+        {"dims": 3, "occupied": [[1]]},
+    ):
+        path.write_text(json.dumps(payload))
+        assert main(["topology", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mechindep: error:")
+
+
 def test_analyze_with_hessian_criteria(workdir, tmp_path):
     H = np.zeros((4, 2, 2))
     H[0, 0, 0] = 1.0

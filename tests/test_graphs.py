@@ -6,7 +6,7 @@ import pytest
 from mechindep.basis import BlockSpec
 from mechindep.criteria import check_type_d_irreducible
 from mechindep.core import Tolerance, rank
-from mechindep.errors import DegenerateColumn, InternalError, InvalidInput
+from mechindep.errors import DegenerateColumn, GenerationError, InternalError, InvalidInput
 from mechindep.graphs import (
     _sampled_counts,
     block_structure_audit,
@@ -189,7 +189,9 @@ def test_audit_rejects_negative_draws():
 
 def _reference_route_d(M, F, tol, draws, seed):
     """Route d as the loop of one scalar rank and one graph per draw that the
-    batched pass replaced, verbatim apart from recording every count."""
+    batched pass replaced, verbatim apart from recording every count, a failed
+    redraw raising GenerationError, and an overflowing M R getting its own
+    message."""
     n = M.shape[1]
     counts = []
 
@@ -203,7 +205,12 @@ def _reference_route_d(M, F, tol, draws, seed):
             R = rng.standard_normal((n, n))
             attempts += 1
             if attempts > 100:
-                raise InternalError("could not draw an invertible mixing")
+                raise GenerationError("could not draw an invertible mixing")
+        if not np.isfinite(M @ R).all():
+            raise InvalidInput(
+                "random mixing M R overflowed to non-finite entries; "
+                "the matrix is too large in scale to mix, rescale it"
+            )
         count = len(components(build_graph(M @ R, "D", tol)))
         counts.append(count)
         if count > F:
@@ -217,7 +224,7 @@ def _reference_route_d(M, F, tol, draws, seed):
 def _outcome(route, M, F, tol, draws, seed):
     try:
         return list(route(M, F, tol, draws, seed))
-    except (InternalError, InvalidInput) as exc:
+    except (GenerationError, InternalError, InvalidInput) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -255,14 +262,16 @@ def test_route_d_equals_reference_loop():
         outcomes.append(want)
     # every exit of the loop is exercised
     errors = {o[1].split()[0] for o in outcomes if isinstance(o, tuple)}
-    assert errors == {"sampled", "could", "matrix"}
+    assert errors == {"sampled", "could", "random"}
     assert sum(isinstance(o, list) for o in outcomes) >= 9
     # the audit reports the maximum of the counts
     for rel, want in ((0.2, 2), (0.3, 3), (0.6, 3)):
         cert = block_structure_audit(np.eye(3), 3, Tolerance(rel=rel))
         assert cert.witness["sampledMax"] == want
-    with pytest.raises(InternalError, match="could not draw an invertible mixing"):
+    with pytest.raises(GenerationError, match="could not draw an invertible mixing"):
         block_structure_audit(np.eye(3), 3, Tolerance(rel=0.99))
+    with pytest.raises(InvalidInput, match="random mixing M R overflowed"):
+        block_structure_audit(1e308 * np.eye(2), 2)
 
 
 def test_to_dot_grammar():

@@ -2,7 +2,8 @@
 batched D-graph component counter against build_graph and components; the
 row-matroid partition and the row-subset searches (minimal supports, rho+ and
 rho-) against the exact oracles; and their invariance under row permutation
-and power-of-two row scaling.
+and power-of-two row scaling.  The grid connectivity kernel against the
+flood-fill oracle, slice by slice.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -20,6 +21,7 @@ from mechindep.graphs import (
     components,
     finest_rank_additive_partition,
 )
+from mechindep.topology import GridRegion
 
 from oracles import (
     exact_rank,
@@ -29,6 +31,7 @@ from oracles import (
     oracle_mixing_cost,
     oracle_respecting_cost,
 )
+from regions import assert_matches_oracle
 
 PINNED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -175,6 +178,23 @@ def test_component_counts_equal_graph_components(case):
     S, tol = case
     expected = [len(components(build_graph(C, "D", tol))) for C in S]
     assert component_counts(S, tol.stack_thresholds(S)).tolist() == expected
+
+
+@st.composite
+def _grid_regions(draw):
+    """Random occupancy masks: K = 1..4 axes of length 1..6, each cell kept
+    with a probability of 0.1..0.9; at least one cell."""
+    dims = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    density = draw(st.floats(0.1, 0.9))
+    mask = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(dims) < density
+    mask.flat[draw(st.integers(0, mask.size - 1))] = True
+    return GridRegion(dims, frozenset(map(tuple, np.argwhere(mask).tolist())))
+
+
+@PINNED
+@given(_grid_regions())
+def test_grid_connectivity_equals_flood_fill_oracle(r):
+    assert_matches_oracle(r)
 
 
 def _gap_cases(max_rows=7, max_cols=4):

@@ -1,10 +1,13 @@
 """Grid-region connectivity, k-slice reports, and the premise certificate."""
 
+import json
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from mechindep.errors import InvalidInput
+from mechindep.io import read_region_json
 from mechindep.topology import (
     GridRegion,
     is_connected,
@@ -13,16 +16,20 @@ from mechindep.topology import (
     slices_connected,
 )
 
-from oracles import oracle_grid_components, oracle_slices_all_connected
 from regions import (
+    assert_matches_oracle,
     bracket_mask,
+    checkerboard_mask,
     hollow_cube_mask,
     offset_squares_mask,
+    serpentine_mask,
     slab_with_corners_mask,
 )
 
+BIG = 2**63  # one past the int64 range
 
-def test_region_validation():
+
+def test_region_validation(tmp_path):
     with pytest.raises(InvalidInput):
         GridRegion((0, 2), frozenset())
     with pytest.raises(InvalidInput):
@@ -30,7 +37,48 @@ def test_region_validation():
     with pytest.raises(InvalidInput):
         GridRegion((2, 2), frozenset({(0,)}))
     with pytest.raises(InvalidInput):
+        GridRegion((2, 2), frozenset({(0.5, 1)}))
+    with pytest.raises(InvalidInput):
         is_connected(GridRegion((2, 2), frozenset()))
+    # file values are never truncated or coerced: non-integers, strings, bools,
+    # nulls, scalar dims and integers beyond int64 are all invalid input
+    bad = [
+        ([2, 2], [[1.7, 1]]),
+        ([2, 2], [[1.0, 1]]),
+        ([2.9, 3], [[1, 1]]),
+        ([2, 2], [["1", 1]]),
+        (["2", 2], [[1, 1]]),
+        ([2, 2], [[True, 1]]),
+        ([2, 2], [[True, True]]),
+        ([True, 2], [[1, 1]]),
+        ([2, 2], [[None, 1]]),
+        ([None, 2], [[1, 1]]),
+        (3, [[1]]),
+        ("3", [[1]]),
+        ([2, 2], [[BIG, 1]]),
+        ([2, 2], [[-BIG - 1, 1]]),
+        ([BIG, 2], [[1, 1]]),
+        ([2, 2], [[1, 2, 1]]),
+        ([2, 2], [[1, 2], [1]]),
+        ([2, 2], [[[1], [2]]]),
+        ([2, 2], [1, 2]),
+        ([2, 2], 5),
+        ([2, 2], None),
+        ([2, 2], [[0, 1]]),
+        ([2, 2], [[3, 1]]),
+        ([], []),
+    ]
+    for dims, occupied in bad:
+        with pytest.raises(InvalidInput):
+            GridRegion.from_occupied(dims, occupied)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"dims": dims, "occupied": occupied}))
+        with pytest.raises(InvalidInput):
+            read_region_json(path)
+    # the largest int64 axis length is fine, and nothing of its volume is built
+    r = GridRegion.from_occupied([BIG - 1, 2], [[BIG - 1, 2], [BIG - 1, 1]])
+    assert r.cells == frozenset({(BIG - 2, 1), (BIG - 2, 0)})
+    assert is_connected(r)
 
 
 def test_from_occupied_is_one_based():
@@ -155,8 +203,6 @@ def test_premise_report_single_axis():
 
 
 def test_flood_fill_matches_oracle_on_random_masks():
-    import numpy as np
-
     rng = np.random.default_rng(19)
     for _ in range(40):
         dims = tuple(int(d) for d in rng.integers(2, 4, size=int(rng.integers(2, 4))))
@@ -164,9 +210,58 @@ def test_flood_fill_matches_oracle_on_random_masks():
         keep = [c for c in all_cells if rng.random() < 0.6]
         if not keep:
             continue
-        r = GridRegion(dims, frozenset(keep))
-        occ1 = [[c + 1 for c in cell] for cell in keep]
-        assert is_connected(r) == (len(oracle_grid_components(dims, occ1)) == 1)
-        for k in range(1, len(dims)):
-            ok, _bad = oracle_slices_all_connected(dims, occ1, k)
-            assert slices_connected(r, k).all_connected == ok
+        assert_matches_oracle(GridRegion(dims, frozenset(keep)))
+
+
+def test_serpentine_path_is_connected():
+    r = serpentine_mask()
+    assert len(r.cells) == 8 * 15 + 7
+    assert is_connected(r)
+    assert_matches_oracle(r)
+    # rows along x are whole or single cells; every column along y has gaps
+    rep = slices_connected(r, 1)
+    assert {v.spec.fixed for v in rep.failing()} == {((0, x),) for x in range(15)}
+    cut = GridRegion(r.dims, r.cells - {(7, 8)})
+    assert not is_connected(cut)
+    assert_matches_oracle(cut)
+
+
+def test_checkerboard_cells_are_separate_components():
+    r = checkerboard_mask()
+    assert not is_connected(r)
+    for k in (1, 2):
+        rep = slices_connected(r, k)
+        assert all(v.connected == (v.cell_count == 1) for v in rep.verdicts)
+    assert_matches_oracle(r)
+
+
+def test_single_cell_region():
+    for dims in ((1,), (3,), (3, 3), (2, 3, 4)):
+        r = GridRegion(dims, frozenset({tuple(d - 1 for d in dims)}))
+        assert is_connected(r)
+        assert premise_report(r).holds
+        for k in range(1, r.K):
+            rep = slices_connected(r, k)
+            assert rep.all_connected
+            assert [v.cell_count for v in rep.verdicts] == [1] * len(rep.verdicts)
+
+
+def test_huge_grid_runs_on_occupied_cells_only():
+    dims = (2**40, 2**40, 3)
+    r = GridRegion.from_occupied(dims, [[1, 1, 1], [1, 1, 2], [2**40, 2**40, 3]])
+    assert not is_connected(r)
+    rep = slices_connected(r, 1)
+    assert [(v.spec.fixed, v.spec.free_axes, v.cell_count) for v in rep.verdicts] == [
+        (((1, 0), (2, 0)), (0,), 1),
+        (((1, 0), (2, 1)), (0,), 1),
+        (((1, 2**40 - 1), (2, 2)), (0,), 1),
+        (((0, 0), (2, 0)), (1,), 1),
+        (((0, 0), (2, 1)), (1,), 1),
+        (((0, 2**40 - 1), (2, 2)), (1,), 1),
+        (((0, 0), (1, 0)), (2,), 2),
+        (((0, 2**40 - 1), (1, 2**40 - 1)), (2,), 1),
+    ]
+    assert rep.all_connected
+    assert_matches_oracle(r)
+    cert = premise_report(r)
+    assert not cert.holds and cert.witness["slicesAllConnected"]
