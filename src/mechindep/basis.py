@@ -16,15 +16,16 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .core import SupportMask, Tolerance, as_matrix, null_space, rank, rank_many
+from .core import SupportMask, Tolerance, as_matrix, null_space_many, rank, rank_many
 from .errors import InvalidInput, InternalError, RankError, SizeError
 
 MAX_ROWS = 20
 MAX_COLS = 8
 
-# Row subsets per batched elimination.  It bounds the largest stack, the
-# closure test's CHUNK * m slices of at most MAX_COLS x MAX_COLS, to 1.3 MB
-# whatever C(m, k) is.  The row partition in graphs caps its stacks with it.
+# Row subsets per batched elimination, and forced-mixing strata per lockstep
+# greedy.  It bounds the largest stack, the closure test's CHUNK * m slices of
+# at most MAX_COLS x MAX_COLS, to 1.3 MB whatever C(m, k) is.  The row
+# partition in graphs caps its stacks with it.
 CHUNK = 128
 
 
@@ -241,8 +242,10 @@ def minimal_supports(M, tol: Tolerance | None = None) -> list[SubspaceVector]:
 
     Enumeration: the complement of a minimal achievable support is a closed row
     set of rank cols-1, so every minimal support arises as supp(M c) with c the
-    null vector of some independent (cols-1)-row subset.  Candidates are then
-    filtered to the inclusion-minimal ones.
+    null vector of some independent (cols-1)-row subset.  Each chunk of row
+    subsets is ranked by one rank_many call, and the null vectors of its
+    independent subsets come from one null_space_many call.  Candidates are
+    then filtered to the inclusion-minimal ones.
     """
     tol = tol or Tolerance.default()
     M = as_matrix(M)
@@ -253,8 +256,7 @@ def minimal_supports(M, tol: Tolerance | None = None) -> list[SubspaceVector]:
 
     by_mask: dict[int, SubspaceVector] = {}
     for R in _subset_chunks(m, n - 1):
-        for rows in R[rank_many(M[R], thr) == n - 1]:
-            N = null_space(M[rows], tol, thr=thr)
+        for N in null_space_many(M[R[rank_many(M[R], thr) == n - 1]], thr):
             if N.shape[1] != 1:
                 continue
             vec = _normalized_vector(M, N[:, 0], tol)
@@ -274,24 +276,49 @@ def _sort_key(vec: SubspaceVector, blocks: BlockSpec | None, tol: Tolerance):
     return (vec.support_size, vec.mask.members, purity)
 
 
-def _greedy_complete(
+def _greedy_many(
+    starts: list[list[SubspaceVector]],
     candidates: list[SubspaceVector],
     n: int,
     tol: Tolerance,
-    forced: list[SubspaceVector] | None = None,
-) -> list[SubspaceVector] | None:
-    picked = list(forced or [])
-    if picked:
-        V = np.column_stack([v.value_array() for v in picked])
-        if rank(V, tol) < len(picked):
-            return None
+) -> list[list[SubspaceVector] | None]:
+    """Complete every start (a list of at most n forced vectors) greedily to
+    n independent vectors from the nonempty candidates, taken in order.  A
+    start's entry is None if its forced vectors are dependent or it cannot be
+    completed.
+
+    The starts run in lockstep: round i tests candidate i against the picks
+    of every start that is not yet full, by the rank of [forced..., picks...,
+    candidate] at that matrix's own threshold.  So each start makes the same
+    tests in the same order as completing it alone would, on the same floats.
+    Starts holding the same number of vectors share one rank_many call.
+    """
+    picked = [list(s) for s in starts]
+    count = np.array([len(s) for s in starts], dtype=np.intp)
+    V = np.empty((len(starts), len(candidates[0].value), n))
+    for s, vecs in enumerate(picked):
+        for j, v in enumerate(vecs):
+            V[s, :, j] = v.value
+    alive = np.ones(len(starts), dtype=bool)
+    for p in set(count[count > 0].tolist()):
+        g = np.flatnonzero(count == p)
+        forced = V[g, :, :p]
+        alive[g] = rank_many(forced, tol.stack_thresholds(forced)) == p
     for cand in candidates:
-        if len(picked) == n:
+        open_ = np.flatnonzero(alive & (count < n))
+        if not open_.size:
             break
-        trial = [v.value_array() for v in picked] + [cand.value_array()]
-        if rank(np.column_stack(trial), tol) == len(picked) + 1:
-            picked.append(cand)
-    return picked if len(picked) == n else None
+        held = count[open_]
+        for p in set(held.tolist()):
+            g = open_[held == p]
+            trial = V[g, :, : p + 1]
+            trial[:, :, p] = cand.value
+            g = g[rank_many(trial, tol.stack_thresholds(trial)) == p + 1]
+            V[g, :, p] = cand.value
+            count[g] += 1
+            for s in g.tolist():
+                picked[s].append(cand)
+    return [vecs if ok and len(vecs) == n else None for vecs, ok in zip(picked, alive)]
 
 
 def _mixing_strata(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
@@ -300,7 +327,9 @@ def _mixing_strata(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
     Closed row sets are enumerated as closures of independent row subsets of
     size < cols; a complement T is a mixing stratum iff the coefficient null
     space is not confined to a single block (it then cannot be covered by the
-    finitely many block subspaces without lying inside one).
+    finitely many block subspaces without lying inside one).  Each chunk's
+    subsets with an open complement not yet seen get their null spaces from
+    one null_space_many call; the chunk is then walked in subset order.
     Returns [(members_1based, null_basis)] sorted by (size, mask).
     """
     m, n = M.shape
@@ -313,11 +342,10 @@ def _mixing_strata(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
             R = R[rank_many(M[R], thr) == k]
             # complement of the closure of each subset; its first subset wins
             open_bits = (~_closed_rows(M, M[R], thr) * bit).sum(axis=1).tolist()
-            for rows, T in zip(R, open_bits):
-                if not T or T in seen:
-                    continue
-                N = null_space(M[rows], tol, thr=thr)
-                if N.shape[1] != n - k:
+            fresh = [i for i, T in enumerate(open_bits) if T and T not in seen]
+            for i, N in zip(fresh, null_space_many(M[R[fresh]], thr)):
+                T = open_bits[i]
+                if T in seen or N.shape[1] != n - k:
                     continue
                 thr_c = tol.threshold(np.abs(N).max())
                 if any(
@@ -380,7 +408,10 @@ def sparsest_basis(
     pure-before-mixing) is optimal by a matroid exchange argument.  For
     forceMixing, each mixing-minimal support stratum is forced in turn and the
     completion is greedy; per-stratum attainment of the joint optimum is
-    assumed (see the note attached to certificates reporting rho-).
+    assumed (see the note attached to certificates reporting rho-).  Every
+    mode completes through _greedy_many, whose tests are batched rank_many
+    calls; forceMixing completes the strata in chunks, one lockstep greedy per
+    chunk, keeping only the cheapest completion so far.
     """
     tol = tol or Tolerance.default()
     M = as_matrix(M)
@@ -396,7 +427,7 @@ def sparsest_basis(
     if mode == "unconstrained":
         ground = minimal_supports(M, tol)
         ground.sort(key=lambda v: _sort_key(v, blocks, tol))
-        picked = _greedy_complete(ground, n, tol)
+        (picked,) = _greedy_many([[]], ground, n, tol)
         assert picked is not None, "ground set always spans a full-column-rank space"
         return BasisSearchResult(
             mode=mode,
@@ -411,7 +442,7 @@ def sparsest_basis(
             sub = M[:, cols]
             ground = minimal_supports(sub, tol)
             ground.sort(key=lambda v: (v.support_size, v.mask.members))
-            picked = _greedy_complete(ground, len(cols), tol)
+            (picked,) = _greedy_many([[]], ground, len(cols), tol)
             assert picked is not None, "block submatrix keeps full column rank"
             for v in picked:
                 coeff = np.zeros(n)
@@ -429,25 +460,30 @@ def sparsest_basis(
     if mode == "forceMixing":
         if blocks.K < 2:
             raise InvalidInput("forceMixing needs at least two blocks")
-        ground = minimal_supports(M, tol)
-        ground.sort(key=lambda v: _sort_key(v, blocks, tol))
-        best: tuple[int, int, list[SubspaceVector]] | None = None
+        # the strata search runs first, so its working set and the ground set
+        # are never held at once
         strata = _mixing_strata(M, blocks, tol)
         if not strata:
             raise InternalError("no mixing stratum found despite K >= 2")
-        for idx, (members, N) in enumerate(strata):
-            rep = _stratum_representative(M, blocks, N, tol)
-            if set(rep.mask.members) != set(members):
-                raise InternalError(
-                    f"stratum support {members} not attained by representative "
-                    f"{rep.mask.members}"
-                )
-            picked = _greedy_complete(ground, n, tol, forced=[rep])
-            if picked is None:
-                continue
-            cost = sum(v.support_size for v in picked)
-            if best is None or (cost, idx) < (best[0], best[1]):
-                best = (cost, idx, picked)
+        ground = minimal_supports(M, tol)
+        ground.sort(key=lambda v: _sort_key(v, blocks, tol))
+        best: tuple[int, int, list[SubspaceVector]] | None = None
+        for first in range(0, len(strata), CHUNK):
+            starts = []
+            for members, N in strata[first : first + CHUNK]:
+                rep = _stratum_representative(M, blocks, N, tol)
+                if set(rep.mask.members) != set(members):
+                    raise InternalError(
+                        f"stratum support {members} not attained by representative "
+                        f"{rep.mask.members}"
+                    )
+                starts.append([rep])
+            for idx, picked in enumerate(_greedy_many(starts, ground, n, tol), first):
+                if picked is None:
+                    continue
+                cost = sum(v.support_size for v in picked)
+                if best is None or (cost, idx) < (best[0], best[1]):
+                    best = (cost, idx, picked)
         if best is None:
             raise InternalError("forced-mixing completion failed on every stratum")
         picked = best[2]

@@ -78,9 +78,6 @@ class SupportMask:
     def as_set(self) -> set[int]:
         return set(self.members)
 
-    def subset_of(self, other: "SupportMask") -> bool:
-        return set(self.members) <= set(other.members)
-
     def intersects(self, other: "SupportMask") -> bool:
         return bool(set(self.members) & set(other.members))
 
@@ -211,41 +208,72 @@ def null_space(M, tol: Tolerance | None = None, thr: float | None = None) -> np.
 
     A zero-row matrix is allowed and yields the identity.  thr overrides the
     pivot threshold when the caller classifies against a larger parent matrix.
+    The one-slice case of null_space_many.
     """
     tol = tol or Tolerance.default()
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise InvalidInput("null_space expects a 2-D array")
-    rows, cols = A.shape
-    if rows == 0:
-        return np.eye(cols)
-    A = A.copy()
     if thr is None:
         thr = tol.matrix_threshold(A)
-    piv_rows: list[int] = []
-    piv_cols: list[int] = []
-    r = 0
+    return null_space_many(A[None], thr)[0]
+
+
+def null_space_many(stack, thr) -> list[np.ndarray]:
+    """Null-space bases of every slice of a (B, r, n) stack, each equal to
+    null_space(stack[b], thr=thr[b]).
+
+    thr is a frozen threshold, scalar or one per slice.  Every slice runs the
+    same Gauss-Jordan elimination column by column: the pivot is the first
+    maximum of |A[r_b:, c]| (rows above the slice's own r_b are masked out),
+    the pivot row is divided by a copy of the pivot value, and every other
+    row gets the same elementwise product and subtraction (no matrix
+    product), so each basis is bit-identical to the one-slice result.  The
+    pivot row, and every row of a slice whose pivot is at or below its
+    threshold or that has run out of rows, is left untouched for that column.
+    Each basis is a C-ordered (n, free columns) array of its own, with a 1 in
+    each free column's own row and the negated reduced entries in the pivot
+    columns' rows.
+    """
+    A = np.array(stack, dtype=float)
+    if A.ndim != 3:
+        raise InvalidInput(f"null_space_many expects a (B, r, n) stack, got ndim={A.ndim}")
+    B, rows, cols = A.shape
+    if rows == 0:
+        return [np.eye(cols) for _ in range(B)]
+    thr = np.asarray(thr, dtype=float)
+    r = np.zeros(B, dtype=np.intp)
+    piv_row = np.full((B, cols), -1, dtype=np.intp)
+    row_ids = np.arange(rows)
     for c in range(cols):
-        if r >= rows:
+        if c >= rows and (r == rows).all():
             break
-        pi = int(np.argmax(np.abs(A[r:, c]))) + r
-        if np.abs(A[pi, c]) <= thr:
+        mag = np.abs(A[:, :, c])
+        mag[row_ids < r[:, None]] = -np.inf
+        pi = mag.argmax(axis=1)
+        b = np.flatnonzero(~(mag.max(axis=1) <= thr))
+        if not b.size:
             continue
-        if pi != r:
-            A[[r, pi], :] = A[[pi, r], :]
-        A[r, :] /= A[r, c]
-        others = [i for i in range(rows) if i != r]
-        A[others, :] -= np.outer(A[others, c], A[r, :])
-        piv_rows.append(r)
-        piv_cols.append(c)
-        r += 1
-    free_cols = [c for c in range(cols) if c not in piv_cols]
-    basis = np.zeros((cols, len(free_cols)))
-    for k, fc in enumerate(free_cols):
-        basis[fc, k] = 1.0
-        for pr, pc in zip(piv_rows, piv_cols):
-            basis[pc, k] = -A[pr, fc]
-    return basis
+        rb, pb, i = r[b], pi[b], np.arange(b.size)
+        S = A if b.size == B else A[b]
+        prow = S[i, pb]
+        S[i, pb] = S[i, rb]
+        prow = prow / prow[:, c, None]
+        S[i, rb] = prow
+        others = (row_ids != rb[:, None])[:, :, None]
+        np.subtract(S, S[:, :, c, None] * prow[:, None, :], out=S, where=others)
+        if S is not A:
+            A[b] = S
+        piv_row[b, c] = rb
+        r[b] += 1
+    # X[b, :, j] is the basis vector of free column j; pivot columns' are unused
+    X = np.zeros((B, cols, cols))
+    sb, sc = np.nonzero(piv_row >= 0)
+    X[sb, sc] = -A[sb, piv_row[sb, sc]]
+    free = piv_row < 0
+    fb, fc = np.nonzero(free)
+    X[fb, fc, fc] = 1.0
+    return [np.compress(free[b], X[b], axis=1) for b in range(B)]
 
 
 def face_split(A, B) -> np.ndarray:

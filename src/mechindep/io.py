@@ -55,7 +55,11 @@ def write_matrix_csv(path, M) -> None:
 
 
 def read_tensor_json(path) -> np.ndarray:
-    """Tensor format: {"dims": [...], "entries": [row-major flat list]}."""
+    """Tensor format: {"dims": [...], "entries": [row-major flat list]}.
+
+    dims must be a nonempty list of positive integers and entries a flat list
+    of JSON numbers; a scalar, bool, string, null or nested value in either
+    is InvalidInput naming the dims or the first bad entry."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -65,14 +69,28 @@ def read_tensor_json(path) -> np.ndarray:
         raise InvalidInput(f"{path}: tensor JSON needs 'dims' and 'entries'")
     dims = data["dims"]
     entries = data["entries"]
-    if not dims or any(not isinstance(d, int) or d < 1 for d in dims):
-        raise InvalidInput(f"{path}: dims must be positive integers, got {dims}")
+    if (
+        not isinstance(dims, list)
+        or not dims
+        or any(type(d) is not int or d < 1 for d in dims)
+    ):
+        raise InvalidInput(f"{path}: dims must be positive integers, got {dims!r}")
+    if not isinstance(entries, list):
+        raise InvalidInput(
+            f"{path}: entries must be a flat list of numbers, got {type(entries).__name__}"
+        )
+    for i, e in enumerate(entries):
+        if type(e) not in (int, float):
+            raise InvalidInput(f"{path}: entry {i} is not a number: {e!r}")
     expected = math.prod(dims)
     if len(entries) != expected:
         raise InvalidInput(
             f"{path}: dims {dims} need {expected} entries, got {len(entries)}"
         )
-    T = np.array(entries, dtype=float).reshape(dims)
+    try:
+        T = np.array(entries, dtype=float).reshape(dims)
+    except OverflowError:
+        raise InvalidInput(f"{path}: non-finite tensor entries")
     if not np.all(np.isfinite(T)):
         raise InvalidInput(f"{path}: non-finite tensor entries")
     return T

@@ -64,6 +64,39 @@ def test_tensor_json_round_trip(tmp_path):
         read_tensor_json(path)
 
 
+@pytest.mark.parametrize(
+    "payload, words",
+    [
+        ({"dims": 3, "entries": [1, 2, 3]}, "dims"),
+        ({"dims": [True, 2], "entries": [1, 2]}, "dims"),
+        ({"dims": [2.0], "entries": [1, 2]}, "dims"),
+        ({"dims": [], "entries": []}, "dims"),
+        ({"dims": [0], "entries": []}, "dims"),
+        ({"dims": "2", "entries": [1, 2]}, "dims"),
+        ({"dims": [2], "entries": [1, "2"]}, "entry 1 is not a number: '2'"),
+        ({"dims": [2], "entries": [1, True]}, "entry 1 is not a number: True"),
+        ({"dims": [2], "entries": [None, 1]}, "entry 0 is not a number: None"),
+        ({"dims": [2, 1], "entries": [[1], [2]]}, "entry 0 is not a number: [1]"),
+        ({"dims": [2], "entries": {"0": 1, "1": 2}}, "entries must be a flat list"),
+        ({"dims": [1], "entries": 5}, "entries must be a flat list"),
+        ({"dims": [1], "entries": [10**400]}, "non-finite"),
+    ],
+)
+def test_tensor_validation(tmp_path, capsys, payload, words):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidInput) as info:
+        read_tensor_json(path)
+    assert words in str(info.value)
+    if payload["dims"] == 3:
+        write_matrix_csv(tmp_path / "m.csv", np.eye(2))
+        argv = ["analyze", "--criteria", "h2", "--blocks", "1,1", "--hessian", str(path)]
+        assert main(argv + [str(tmp_path / "m.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mechindep: error:") and "dims" in captured.err
+
+
 def test_region_json_round_trip(tmp_path):
     r = GridRegion((2, 3), frozenset({(0, 0), (1, 2)}))
     path = tmp_path / "r.json"

@@ -1,4 +1,6 @@
 """Property tests: the batched rank kernel against the scalar one; the
+batched Gauss-Jordan null-space kernel and the lockstep greedy completion
+against verbatim copies of the scalar code they replaced; the
 batched D-graph component counter against build_graph and components; the
 row-matroid partition and the row-subset searches (minimal supports, rho+ and
 rho-) against the exact oracles; and their invariance under row permutation
@@ -12,9 +14,10 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mechindep.basis import minimal_supports, sparsity_gap
-from mechindep.core import Tolerance, rank, rank_many
+from mechindep.basis import SubspaceVector, _greedy_many, minimal_supports, sparsity_gap
+from mechindep.core import Tolerance, null_space, null_space_many, rank, rank_many
 from mechindep.criteria import check_type_d_irreducible
+from mechindep.errors import InvalidInput
 from mechindep.graphs import (
     build_graph,
     component_counts,
@@ -148,6 +151,136 @@ def test_rank_many_equals_rank(case):
     per_slice = np.broadcast_to(thr, (S.shape[0],))
     expected = [rank(S[b], thr=per_slice[b]) for b in range(S.shape[0])]
     assert rank_many(S, thr).tolist() == expected
+
+
+# The scalar Gauss-Jordan elimination that null_space_many replaced, verbatim:
+# the reference every slice must match byte for byte.
+def scalar_null_space(M, tol: Tolerance | None = None, thr: float | None = None) -> np.ndarray:
+    """Basis (columns) of the null space, by Gauss-Jordan elimination.
+
+    A zero-row matrix is allowed and yields the identity.  thr overrides the
+    pivot threshold when the caller classifies against a larger parent matrix.
+    """
+    tol = tol or Tolerance.default()
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 2:
+        raise InvalidInput("null_space expects a 2-D array")
+    rows, cols = A.shape
+    if rows == 0:
+        return np.eye(cols)
+    A = A.copy()
+    if thr is None:
+        thr = tol.matrix_threshold(A)
+    piv_rows: list[int] = []
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pi = int(np.argmax(np.abs(A[r:, c]))) + r
+        if np.abs(A[pi, c]) <= thr:
+            continue
+        if pi != r:
+            A[[r, pi], :] = A[[pi, r], :]
+        A[r, :] /= A[r, c]
+        others = [i for i in range(rows) if i != r]
+        A[others, :] -= np.outer(A[others, c], A[r, :])
+        piv_rows.append(r)
+        piv_cols.append(c)
+        r += 1
+    free_cols = [c for c in range(cols) if c not in piv_cols]
+    basis = np.zeros((cols, len(free_cols)))
+    for k, fc in enumerate(free_cols):
+        basis[fc, k] = 1.0
+        for pr, pc in zip(piv_rows, piv_cols):
+            basis[pc, k] = -A[pr, fc]
+    return basis
+
+
+@st.composite
+def _null_stacks(draw):
+    """The rank kernel's stacks (equal pivot magnitudes, duplicated rows,
+    all-zero slices, thresholds above the entries' scale), with all-zero rows
+    added.  Half of them get their columns scaled by Gaussian factors, which
+    keeps the zero and duplicated rows and the ranks while every division and
+    product rounds."""
+    S, thr = draw(_stacks())
+    B, r, n = S.shape
+    for b in draw(st.lists(st.integers(0, B - 1), max_size=3)):
+        S[b, draw(st.integers(0, r - 1))] = 0.0
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        S = S * rng.standard_normal((B, 1, n))
+    return S, thr
+
+
+def _same_bytes(N, expected):
+    return N.shape == expected.shape and N.flags.c_contiguous and N.tobytes() == expected.tobytes()
+
+
+@PINNED
+@given(_null_stacks())
+def test_null_space_many_equals_scalar_gauss_jordan(case):
+    S, thr = case
+    per_slice = np.broadcast_to(thr, (S.shape[0],))
+    expected = [scalar_null_space(S[b], thr=per_slice[b]) for b in range(S.shape[0])]
+    got = null_space_many(S, thr)
+    assert len(got) == len(expected)
+    assert all(_same_bytes(N, E) for N, E in zip(got, expected))
+    assert all(_same_bytes(null_space(S[b], thr=per_slice[b]), E) for b, E in enumerate(expected))
+    assert _same_bytes(null_space(S[0]), scalar_null_space(S[0]))
+
+
+# The per-start greedy that _greedy_many replaced, verbatim: the reference
+# every start must match pick for pick.
+def scalar_greedy_complete(
+    candidates: list[SubspaceVector],
+    n: int,
+    tol: Tolerance,
+    forced: list[SubspaceVector] | None = None,
+) -> list[SubspaceVector] | None:
+    picked = list(forced or [])
+    if picked:
+        V = np.column_stack([v.value_array() for v in picked])
+        if rank(V, tol) < len(picked):
+            return None
+    for cand in candidates:
+        if len(picked) == n:
+            break
+        trial = [v.value_array() for v in picked] + [cand.value_array()]
+        if rank(np.column_stack(trial), tol) == len(picked) + 1:
+            picked.append(cand)
+    return picked if len(picked) == n else None
+
+
+@st.composite
+def _greedy_cases(draw):
+    """A ground set from minimal_supports of a sparse integer or a Gaussian
+    matrix of full column rank up to 9x6, in a drawn order, and 1-40 starts
+    of up to n ground vectors each, drawn with replacement, so that some
+    starts are dependent and the starts differ in length."""
+    if draw(st.booleans()):
+        M = draw(_int_matrices(9, 6)).astype(float)
+    else:
+        m = draw(st.integers(1, 9))
+        n = draw(st.integers(1, min(m, 6)))
+        M = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((m, n))
+    assume(rank(M) == M.shape[1])
+    ground = minimal_supports(M)
+    ground = [ground[i] for i in draw(st.permutations(range(len(ground))))]
+    n = M.shape[1]
+    pick = st.lists(st.integers(0, len(ground) - 1), max_size=n)
+    starts = [[ground[i] for i in s] for s in draw(st.lists(pick, min_size=1, max_size=40))]
+    return ground, n, starts
+
+
+@PINNED
+@given(_greedy_cases())
+def test_greedy_many_equals_scalar_greedy(case):
+    ground, n, starts = case
+    tol = Tolerance()
+    expected = [scalar_greedy_complete(ground, n, tol, forced=s) for s in starts]
+    assert _greedy_many(starts, ground, n, tol) == expected
 
 
 @st.composite
