@@ -21,21 +21,40 @@ from .graphs import (
 )
 from .io import (
     _jsonable,
+    certificate_lines,
     emit_report,
     read_matrix_csv,
     read_region_json,
     read_tensor_json,
+    render,
     write_matrix_csv,
 )
 from .synth import OverlapTemplate, gen_overlap_jacobian
 from .topology import premise_report, slices_connected
 from . import criteria as cr
 
-CRITERIA_CODES = ("d", "m", "s", "o", "s-pairwise", "h2", "h3", "contrast", "hierarchy")
+# criterion code -> (checker, the tensor option it needs).  Each checker takes
+# the Jacobian, the blocks, the tolerance and the tensors read from --hessian
+# and --third, and looks its function up in the criteria module when called,
+# so a function replaced there (as a profiler does) is the one that runs.
+CRITERIA = {
+    "d": (lambda M, b, tol, t: cr.check_type_d(M, b, tol), None),
+    "m": (lambda M, b, tol, t: cr.check_type_m(M, b, tol), None),
+    "s": (lambda M, b, tol, t: cr.check_type_s(M, b, tol), None),
+    "o": (lambda M, b, tol, t: cr.check_type_o(M, b, tol), None),
+    "s-pairwise": (lambda M, b, tol, t: cr.check_type_s_pairwise(M, b, tol), None),
+    "h2": (lambda M, b, tol, t: cr.check_type_h(t["hessian"], b, 2, tol), "hessian"),
+    "h3": (lambda M, b, tol, t: cr.check_type_h(t["third"], b, 3, tol), "third"),
+    "contrast": (lambda M, b, tol, t: cr.contrast_certificate(M, b, tol), None),
+    "hierarchy": (lambda M, b, tol, t: cr.hierarchy_audit(M, b, t["hessian"], tol), None),
+}
 
 
 @dataclass
 class AnalysisRequest:
+    """One command and its options; the command-line parser's destinations
+    are these field names."""
+
     command: str
     input_path: str | None = None
     blocks: tuple | None = None
@@ -65,37 +84,18 @@ def _blockspec(request: AnalysisRequest) -> BlockSpec:
 def _analyze_one(path: str, request: AnalysisRequest) -> list:
     M = read_matrix_csv(path)
     blocks = _blockspec(request)
-    tol = request.tol
-    hessian = read_tensor_json(request.hessian_path) if request.hessian_path else None
-    third = read_tensor_json(request.third_path) if request.third_path else None
+    tensors = {
+        "hessian": read_tensor_json(request.hessian_path) if request.hessian_path else None,
+        "third": read_tensor_json(request.third_path) if request.third_path else None,
+    }
     certs = []
     for code in request.criteria:
-        if code == "d":
-            certs.append(cr.check_type_d(M, blocks, tol))
-        elif code == "m":
-            certs.append(cr.check_type_m(M, blocks, tol))
-        elif code == "s":
-            certs.append(cr.check_type_s(M, blocks, tol))
-        elif code == "o":
-            certs.append(cr.check_type_o(M, blocks, tol))
-        elif code == "s-pairwise":
-            certs.append(cr.check_type_s_pairwise(M, blocks, tol))
-        elif code == "h2":
-            if hessian is None:
-                raise InvalidInput("criterion h2 needs --hessian")
-            certs.append(cr.check_type_h(hessian, blocks, 2, tol))
-        elif code == "h3":
-            if third is None:
-                raise InvalidInput("criterion h3 needs --third")
-            certs.append(cr.check_type_h(third, blocks, 3, tol))
-        elif code == "contrast":
-            certs.append(cr.contrast_certificate(M, blocks, tol))
-        elif code == "hierarchy":
-            certs.append(cr.hierarchy_audit(M, blocks, hessian, tol))
-        else:
-            raise InvalidInput(
-                f"unknown criterion {code!r}; choose from {', '.join(CRITERIA_CODES)}"
-            )
+        if code not in CRITERIA:
+            raise InvalidInput(f"unknown criterion {code!r}; choose from {', '.join(CRITERIA)}")
+        check, needs = CRITERIA[code]
+        if needs and tensors[needs] is None:
+            raise InvalidInput(f"criterion {code} needs --{needs}")
+        certs.append(check(M, blocks, request.tol, tensors))
     return certs
 
 
@@ -112,60 +112,50 @@ def _run_analyze(request: AnalysisRequest):
         "criteria": ",".join(request.criteria),
     }
     header.update(_tol_header(request.tol))
-    if request.batch:
-        directory = Path(request.input_path)
-        if not directory.is_dir():
-            raise InvalidInput(f"--batch needs a directory, got {request.input_path}")
-        files = sorted(p for p in directory.iterdir() if p.suffix == ".csv")
-        if not files:
-            raise InvalidInput(f"no .csv files in {directory}")
-        sections = [(str(p.name), _analyze_one(str(p), request)) for p in files]
-        all_hold = all(c.holds for _, certs in sections for c in certs)
-        if request.fmt == "json":
-            payload = {
-                "header": _jsonable(header),
-                "files": [
-                    {"input": name, "certificates": [_jsonable(c.to_dict()) for c in certs]}
-                    for name, certs in sections
-                ],
-            }
-            body = (json.dumps(payload, indent=2) + "\n").encode()
-        else:
-            parts = [f"# {k}: {v}".encode() for k, v in header.items()]
-            for name, certs in sections:
-                parts.append(f"## file: {name}".encode())
-                parts.append(emit_report(certs, "text").rstrip(b"\n"))
-            body = b"\n".join(parts) + b"\n"
-        return (0 if all_hold else 1), body
-    certs = _analyze_one(request.input_path, request)
-    body = emit_report(certs, request.fmt, header)
-    return (0 if all(c.holds for c in certs) else 1), body
+    if not request.batch:
+        certs = _analyze_one(request.input_path, request)
+        body = emit_report(certs, request.fmt, header)
+        return (0 if all(c.holds for c in certs) else 1), body
+    directory = Path(request.input_path)
+    if not directory.is_dir():
+        raise InvalidInput(f"--batch needs a directory, got {request.input_path}")
+    files = sorted(p for p in directory.iterdir() if p.suffix == ".csv")
+    if not files:
+        raise InvalidInput(f"no .csv files in {directory}")
+    sections = [(str(p.name), _analyze_one(str(p), request)) for p in files]
+    all_hold = all(c.holds for _, certs in sections for c in certs)
+    payload = {
+        "files": [
+            {"input": name, "certificates": [c.to_dict() for c in certs]}
+            for name, certs in sections
+        ]
+    }
+
+    def lines():
+        for name, certs in sections:
+            yield f"## file: {name}"
+            yield from certificate_lines(certs)
+
+    return (0 if all_hold else 1), render(request.fmt, header, payload, lines)
 
 
 def _run_decompose(request: AnalysisRequest):
     M = read_matrix_csv(request.input_path)
     graph = build_graph(M, "D", request.tol)
+    if request.fmt == "dot":
+        return 0, to_dot(graph).encode()
     comps = components(graph)
     inferred = blocks_from_components(comps)
     header = {"command": "decompose", "input": request.input_path}
     header.update(_tol_header(request.tol))
-    if request.fmt == "dot":
-        return 0, to_dot(graph).encode()
-    if request.fmt == "json":
-        payload = {
-            "header": _jsonable(header),
-            "components": [list(c) for c in comps],
-            "blocks": list(inferred.sizes) if inferred else None,
-        }
-        return 0, (json.dumps(payload, indent=2) + "\n").encode()
-    lines = [f"# {k}: {v}" for k, v in header.items()]
-    for i, comp in enumerate(comps, start=1):
-        lines.append(f"component {i}: {{{', '.join(str(v) for v in comp)}}}")
-    if inferred:
-        lines.append(f"blocks: {','.join(str(s) for s in inferred.sizes)}")
-    else:
-        lines.append("blocks: not contiguous")
-    return 0, ("\n".join(lines) + "\n").encode()
+    payload = {"components": comps, "blocks": inferred.sizes if inferred else None}
+
+    def lines():
+        for i, comp in enumerate(comps, start=1):
+            yield f"component {i}: {{{', '.join(str(v) for v in comp)}}}"
+        yield "blocks: " + (",".join(map(str, inferred.sizes)) if inferred else "not contiguous")
+
+    return 0, render(request.fmt, header, payload, lines)
 
 
 def _run_gap(request: AnalysisRequest):
@@ -181,29 +171,27 @@ def _run_gap(request: AnalysisRequest):
     }
     header.update(_tol_header(request.tol))
     code = 0 if all(c.holds for c in certs) else 1
-    if request.fmt == "json":
-        return code, emit_report(certs, "json", header)
-    lines = [f"# {k}: {v}" for k, v in header.items()]
-    s_cert = certs[0]
-    lines.append(f"rhoPlus={s_cert.witness['rhoPlus']}")
-    lines.append(f"rhoMinus={s_cert.witness['rhoMinus']}")
-    lines.append(f"independent={'true' if s_cert.holds else 'false'}")
-    if request.pairwise:
-        table = certs[1].witness["table"]
-        for i, row in enumerate(table, start=1):
-            cells = " ".join("T" if x else "F" for x in row)
-            lines.append(f"pairwise {i}: {cells}")
-    return code, ("\n".join(lines) + "\n").encode()
+
+    def lines():
+        s_cert = certs[0]
+        yield f"rhoPlus={s_cert.witness['rhoPlus']}"
+        yield f"rhoMinus={s_cert.witness['rhoMinus']}"
+        yield f"independent={'true' if s_cert.holds else 'false'}"
+        if request.pairwise:
+            for i, row in enumerate(certs[1].witness["table"], start=1):
+                yield f"pairwise {i}: {' '.join('T' if x else 'F' for x in row)}"
+
+    return code, emit_report(certs, request.fmt, header, lines)
 
 
 def _run_topology(request: AnalysisRequest):
     region = read_region_json(request.input_path)
     cert = premise_report(region)
     header = {"command": "topology", "input": request.input_path}
-    slice_detail = None
+    payload = {"certificates": [cert.to_dict()]}
     if request.slices is not None:
         rep = slices_connected(region, request.slices)
-        slice_detail = {
+        payload["slices"] = {
             "k": rep.k,
             "allConnected": rep.all_connected,
             "slices": [
@@ -215,29 +203,20 @@ def _run_topology(request: AnalysisRequest):
                 for v in rep.verdicts
             ],
         }
-    code = 0 if cert.holds else 1
-    if request.fmt == "json":
-        payload = {
-            "header": _jsonable(header),
-            "certificates": [_jsonable(cert.to_dict())],
-        }
-        if slice_detail is not None:
-            payload["slices"] = _jsonable(slice_detail)
-        return code, (json.dumps(payload, indent=2) + "\n").encode()
-    body = emit_report([cert], "text", header).decode()
-    if slice_detail is not None:
-        lines = [
-            f"slice k={slice_detail['k']} allConnected="
-            f"{'true' if slice_detail['allConnected'] else 'false'}"
-        ]
-        for entry in slice_detail["slices"]:
-            fixed = ",".join(f"{a}={c}" for a, c in sorted(entry["fixed"].items()))
-            lines.append(
-                f"  slice [{fixed}]: {'connected' if entry['connected'] else 'DISCONNECTED'}"
-                f" ({entry['cells']} cells)"
+
+    def lines():
+        yield from certificate_lines([cert])
+        if request.slices is None:
+            return
+        yield f"slice k={rep.k} allConnected={'true' if rep.all_connected else 'false'}"
+        for v in rep.verdicts:
+            fixed = ",".join(f"{a}={c}" for a, c in sorted(v.spec.fixed_1based().items()))
+            yield (
+                f"  slice [{fixed}]: {'connected' if v.connected else 'DISCONNECTED'}"
+                f" ({v.cell_count} cells)"
             )
-        body += "\n".join(lines) + "\n"
-    return code, body.encode()
+
+    return (0 if cert.holds else 1), render(request.fmt, header, payload, lines)
 
 
 def _run_synth(request: AnalysisRequest):
@@ -265,18 +244,12 @@ def _run_synth(request: AnalysisRequest):
         "slotOut": request.slot_out,
         "overlap": request.overlap,
     }
-    if request.fmt == "json":
-        payload = {
-            "header": _jsonable(header),
-            "wrote": [csv_path, json_path],
-            "rows": int(M.shape[0]),
-            "cols": int(M.shape[1]),
-        }
-        return 0, (json.dumps(payload, indent=2) + "\n").encode()
-    lines = [f"# {k}: {v}" for k, v in header.items()]
-    lines.append(f"wrote {csv_path} ({M.shape[0]}x{M.shape[1]})")
-    lines.append(f"wrote {json_path}")
-    return 0, ("\n".join(lines) + "\n").encode()
+    rows, cols = M.shape
+    payload = {"wrote": [csv_path, json_path], "rows": rows, "cols": cols}
+    return 0, render(
+        request.fmt, header, payload,
+        lambda: [f"wrote {csv_path} ({rows}x{cols})", f"wrote {json_path}"],
+    )
 
 
 def _run_audit(request: AnalysisRequest):
@@ -326,6 +299,19 @@ def _parse_blocks(text: str) -> tuple:
     return sizes
 
 
+def _parse_tol(text: str) -> Tolerance:
+    try:
+        return Tolerance(rel=float(text), abs=DEFAULT_ABS)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    except InvalidInput as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}")
+
+
+def _parse_criteria(text: str) -> tuple:
+    return tuple(c.strip() for c in text.split(",") if c.strip())
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mechindep",
@@ -335,19 +321,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_input=True):
         if needs_input:
-            p.add_argument("input", help="input file")
-        p.add_argument("--tol", type=float, default=None,
+            p.add_argument("input_path", metavar="input", help="input file")
+        p.add_argument("--tol", type=_parse_tol, default=None,
                        help="relative tolerance (overrides MECHINDEP_TOL)")
         p.add_argument("--format", dest="fmt", default="text",
                        choices=["json", "text", "dot"])
 
     p = sub.add_parser("analyze", help="run criteria checkers on a Jacobian CSV")
     common(p)
-    p.add_argument("--criteria", default="d,m,s",
-                   help="comma list from: " + ",".join(CRITERIA_CODES))
+    p.add_argument("--criteria", type=_parse_criteria, default="d,m,s",
+                   help="comma list from: " + ",".join(CRITERIA))
     p.add_argument("--blocks", type=_parse_blocks, default=None)
-    p.add_argument("--hessian", default=None, help="Hessian tensor JSON for h2")
-    p.add_argument("--third", default=None, help="order-3 tensor JSON for h3")
+    p.add_argument("--hessian", dest="hessian_path", metavar="HESSIAN", default=None,
+                   help="Hessian tensor JSON for h2")
+    p.add_argument("--third", dest="third_path", metavar="THIRD", default=None,
+                   help="order-3 tensor JSON for h3")
     p.add_argument("--batch", action="store_true",
                    help="treat input as a directory of CSV files")
 
@@ -381,48 +369,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _request_from_args(args: argparse.Namespace) -> AnalysisRequest:
-    tol = None
-    if args.tol is not None:
-        tol = Tolerance(rel=args.tol, abs=DEFAULT_ABS)
-    request = AnalysisRequest(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        fmt=args.fmt,
-        tol=tol,
-    )
-    if hasattr(args, "blocks") and args.blocks:
-        request.blocks = args.blocks
-    if hasattr(args, "criteria"):
-        request.criteria = tuple(c.strip() for c in args.criteria.split(",") if c.strip())
-    for attr, name in [
-        ("hessian", "hessian_path"),
-        ("third", "third_path"),
-        ("batch", "batch"),
-        ("pairwise", "pairwise"),
-        ("slices", "slices"),
-        ("k", "k"),
-        ("slot_dim", "slot_dim"),
-        ("slot_out", "slot_out"),
-        ("overlap", "overlap"),
-        ("seed", "seed"),
-        ("draws", "draws"),
-        ("out", "out"),
-    ]:
-        if hasattr(args, attr):
-            setattr(request, name, getattr(args, attr))
-    return request
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    request = _request_from_args(args)
     try:
-        code, body = run(request)
+        code, body = run(AnalysisRequest(**vars(args)))
     except InternalError:
         raise
     except (MechIndepError, OSError) as exc:

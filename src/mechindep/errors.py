@@ -25,10 +25,6 @@ class DegenerateColumn(MechIndepError):
     """A column with empty support where the criterion needs nonempty supports."""
 
 
-class InfeasibleError(MechIndepError):
-    """A constrained basis search has no feasible solution."""
-
-
 class InternalError(MechIndepError):
     """Two characterizations that must agree disagreed; indicates a bug, not bad input."""
 

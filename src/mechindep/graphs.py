@@ -27,13 +27,14 @@ from .core import (
     rank_many,
 )
 from .errors import DegenerateColumn, GenerationError, InternalError, InvalidInput, RankError
+from .topology import _roots
 
 
 @dataclass(frozen=True)
 class FactorGraph:
     """Undirected graph on 1-based column (or coordinate) indices."""
 
-    kind: str  # "D" | "M" | "H2"
+    kind: str  # "D" | "M" | "H2", or "H3" for a block's order-3 graph
     n: int
     edges: frozenset  # of (i, j) pairs with i < j
 
@@ -43,22 +44,6 @@ class RowPartition:
     """Disjoint 1-based row groups covering the rows, sorted by smallest member."""
 
     groups: tuple[tuple[int, ...], ...]
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 def build_graph(obj, kind: str = "D", tol: Tolerance | None = None) -> FactorGraph:
@@ -102,14 +87,15 @@ def build_graph(obj, kind: str = "D", tol: Tolerance | None = None) -> FactorGra
 
 
 def components(g: FactorGraph) -> list[tuple[int, ...]]:
-    """Connected components as sorted vertex tuples, ordered by smallest vertex."""
-    uf = _UnionFind(g.n + 1)
-    for a, b in g.edges:
-        uf.union(a, b)
+    """Connected components as sorted vertex tuples, ordered by smallest vertex.
+
+    All edges are hooked in one union-find (topology._roots), whose root of a
+    vertex is the smallest vertex of its component."""
+    edges = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2) - 1
     comps: dict[int, list[int]] = {}
-    for v in range(1, g.n + 1):
-        comps.setdefault(uf.find(v), []).append(v)
-    return sorted((tuple(sorted(c)) for c in comps.values()), key=lambda c: c[0])
+    for v, root in enumerate(_roots(g.n, [(edges[:, 0], edges[:, 1])]).tolist(), start=1):
+        comps.setdefault(root, []).append(v)
+    return [tuple(c) for c in comps.values()]
 
 
 def to_dot(g: FactorGraph, name: str = "factors") -> str:
@@ -150,7 +136,8 @@ def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartit
     basis B; each row e that B already spans joins every b in B whose exchange
     B - b + e is again a basis.  For rank r that takes at most m eliminations
     plus (m - r) * r exchange tests, batched over the spanned rows that met
-    the same basis, at most max(CHUNK, r) slices per call.  Zero rows are
+    the same basis, at most max(CHUNK, r) slices per call.  The joined pairs
+    are hooked at the end in one union-find (topology._roots).  Zero rows are
     loops and join group one.
     """
     tol = tol or Tolerance.default()
@@ -160,7 +147,7 @@ def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartit
     zero_rows = [r for r in range(M.shape[0]) if r not in set(nz)]
     if not nz:
         return RowPartition((tuple(r + 1 for r in zero_rows),))
-    uf = _UnionFind(M.shape[0])
+    circuits: list[tuple[int, int]] = []  # (basis row, spanned row) pairs to join
     basis: list[int] = []
     spanned: dict[int, list[int]] = {}  # basis size when each spanned row came
     for e in nz:
@@ -178,10 +165,12 @@ def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartit
             exchanged[:, np.arange(r), np.arange(r)] = M[es][:, None, :]
             ranks = rank_many(exchanged.reshape(-1, r, M.shape[1]), thr).reshape(len(es), r)
             for ei, j in zip(*np.nonzero(ranks == r)):
-                uf.union(basis[j], es[ei])
+                circuits.append((basis[j], es[ei]))
+    pairs = np.array(circuits, dtype=np.intp).reshape(-1, 2)
+    roots = _roots(M.shape[0], [(pairs[:, 0], pairs[:, 1])]).tolist()
     groups: dict[int, list[int]] = {}
     for r in nz:
-        groups.setdefault(uf.find(r), []).append(r)
+        groups.setdefault(roots[r], []).append(r)
     return _partition_with_zeros(list(groups.values()), zero_rows)
 
 

@@ -139,27 +139,43 @@ def _jsonable(obj):
     return obj
 
 
-def emit_report(certs, fmt: str = "json", header: dict | None = None) -> bytes:
-    """Render certificates deterministically; JSON round-trips, text is ordered
-    criterion, verdict, witness, notes."""
-    if not certs:
-        raise InvalidInput("no certificates to report")
+def render(fmt: str, header: dict, payload: dict, text_lines) -> bytes:
+    """One report, deterministically.  JSON is {"header": header, **payload}
+    (no "header" key when header is empty) and round-trips.  Text is one
+    "# key: value" line per header entry, then the lines text_lines() returns;
+    it is called for text output only."""
     if fmt == "json":
-        payload = {}
-        if header:
-            payload["header"] = _jsonable(header)
-        payload["certificates"] = [_jsonable(c.to_dict()) for c in certs]
-        return (json.dumps(payload, indent=2) + "\n").encode()
+        doc = {"header": header} if header else {}
+        doc.update(payload)
+        return (json.dumps(_jsonable(doc), indent=2) + "\n").encode()
     if fmt == "text":
-        lines = []
-        for key, value in (header or {}).items():
-            lines.append(f"# {key}: {value}")
-        for c in certs:
-            lines.append(f"{c.criterion}: {'PASS' if c.holds else 'FAIL'}")
-            witness = _jsonable(c.witness)
-            if witness:
-                lines.append(f"  witness: {json.dumps(witness)}")
-            for note in c.notes:
-                lines.append(f"  note: {note}")
+        lines = [f"# {key}: {value}" for key, value in (header or {}).items()]
+        lines.extend(text_lines())
         return ("\n".join(lines) + "\n").encode()
     raise InvalidInput(f"unknown report format {fmt!r}")
+
+
+def certificate_lines(certs) -> list[str]:
+    """Each certificate as text: criterion and verdict, then its witness and
+    notes, indented."""
+    if not certs:
+        raise InvalidInput("no certificates to report")
+    lines = []
+    for c in certs:
+        lines.append(f"{c.criterion}: {'PASS' if c.holds else 'FAIL'}")
+        witness = _jsonable(c.witness)
+        if witness:
+            lines.append(f"  witness: {json.dumps(witness)}")
+        for note in c.notes:
+            lines.append(f"  note: {note}")
+    return lines
+
+
+def emit_report(certs, fmt: str = "json", header: dict | None = None, text_lines=None) -> bytes:
+    """The certificate case of render.  JSON lists the certificates under
+    "certificates"; text gives each its criterion, verdict, witness and notes,
+    in that order, unless text_lines supplies the text."""
+    if not certs:
+        raise InvalidInput("no certificates to report")
+    payload = {"certificates": [c.to_dict() for c in certs]}
+    return render(fmt, header, payload, text_lines or (lambda: certificate_lines(certs)))

@@ -167,12 +167,13 @@ class SliceReport:
 
 
 def _roots(n: int, edges) -> np.ndarray:
-    """Components of the graph on n cells with the given (lo, hi) edges: a
-    boolean mask that holds for exactly one cell of each component.
+    """Components of the graph on vertices 0..n-1 with the given edges, a
+    list of (lo, hi) integer index arrays: each vertex's root, the smallest
+    vertex of its component.  A vertex is a root iff it is its own root.
 
     Min-root hooking with pointer jumping (Shiloach & Vishkin 1982): hook every
     root onto the smallest root an edge joins it to, then jump pointers until
-    each cell points at its root; repeat until no edge joins two roots."""
+    each vertex points at its root; repeat until no edge joins two roots."""
     lo = np.concatenate([e[0] for e in edges])
     hi = np.concatenate([e[1] for e in edges])
     parent = np.arange(n, dtype=np.int32)
@@ -180,7 +181,7 @@ def _roots(n: int, edges) -> np.ndarray:
         a, b = parent[lo], parent[hi]
         cross = a != b
         if not cross.any():
-            return parent == np.arange(n, dtype=np.int32)
+            return parent
         # A parent is never larger than its cell, so hooking makes no cycle;
         # each round hooks at least one root onto a smaller index, so the
         # number of roots falls every round and the loop ends.  Edges inside
@@ -198,7 +199,8 @@ def is_connected(region: GridRegion) -> bool:
     """One orthogonal-adjacency component covers every occupied cell."""
     if not region.cells:
         raise InvalidInput("empty region")
-    return int(np.count_nonzero(_roots(len(region.coords), region._axis_edges))) == 1
+    # connected iff every cell's root is cell 0
+    return not _roots(len(region.coords), region._axis_edges).any()
 
 
 def slices_connected(region: GridRegion, k: int) -> SliceReport:
@@ -219,7 +221,8 @@ def slices_connected(region: GridRegion, k: int) -> SliceReport:
         fixed_axes = [a for a in range(K) if a not in free]
         # edges along the free axes never leave a slice, so each slice's
         # component count is the number of roots among its cells
-        roots = _roots(len(coords), [region._axis_edges[a] for a in free])
+        parent = _roots(len(coords), [region._axis_edges[a] for a in free])
+        roots = parent == np.arange(len(coords))
         order = np.lexsort(coords[:, fixed_axes[::-1]].T)
         keys = coords[order][:, fixed_axes]
         first = np.ones(len(keys), dtype=bool)

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, report formats, determinism, and the
 thin-adapter property (CLI verdicts equal direct library verdicts)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -271,6 +272,12 @@ def test_usage_errors_exit_two(workdir, capsys):
     assert main(["analyze", "--criteria", "h2", "--blocks", "2,2",
                  str(workdir / "D.csv")]) == 2
     capsys.readouterr()
+    for tol in ("-1", "nan"):
+        assert main(["analyze", "--tol", tol, "--criteria", "d", "--blocks", "2,2",
+                     str(workdir / "D.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --tol: tolerances must be nonnegative" in captured.err
 
 
 def test_audit_rejects_negative_draws(workdir, capsys):
@@ -331,3 +338,92 @@ def test_analyze_with_hessian_criteria(workdir, tmp_path):
     doc = json.loads(body)
     verdicts = {c["criterion"]: c["holds"] for c in doc["certificates"]}
     assert verdicts == {"D": True, "H2": True, "hierarchy": True}
+
+
+ALL = "analyze --criteria d,m,s,o,s-pairwise,contrast,hierarchy --blocks 2,2 --hessian h.json"
+SYNTH = "synth --k 2 --slot-dim 2 --slot-out 4 --seed 6 --out planted"
+BATCH = "analyze --criteria d,m --blocks 2,2 --batch"
+H23 = "analyze --criteria h2,h3 --blocks 2,2 --hessian h.json --third t3.json"
+EMPTY = hashlib.sha256(b"").hexdigest()[:32]
+
+# (command line, exit code, sha256 prefix of stdout), recorded before the
+# report renderer, the criteria table and the option map were each folded
+# into one; the --help digests under Python 3.11's argparse
+PINNED_RUNS = [
+    (ALL + " --format text D.csv", 1, "4c32a783db8f4eed18b65194f0eeef98"),
+    (H23 + " --format text D.csv", 1, "b009d7ae293718a6fd5400b937d2af09"),
+    (BATCH + " --format text batch", 1, "9e5fb9be3e0772e7386173a3dabebd7d"),
+    ("decompose --format text A.csv", 0, "a48c23531f6d36b331b07588ac8e5319"),
+    ("decompose --format text D.csv", 0, "71bb7959831206392d9578f6f0536981"),
+    ("gap --blocks 1,1,1 --pairwise --format text B.csv", 1, "d204c6f1b601a71897ac1eaa9db1ac99"),
+    ("topology --slices 1 --format text bracket.json", 1, "e7d5f061bc122c93948996f306661036"),
+    (SYNTH + " --format text", 0, "bde6fe871c2d465118907541a7148b20"),
+    ("audit --k 2 --draws 20 --format text planted.csv", 0, "a31d5bb2a76b31d86d4cd33a0c6e1124"),
+    (ALL + " --format json D.csv", 1, "a339f957d40d20d64a6025512a0d1e6b"),
+    (H23 + " --format json D.csv", 1, "d11b0d5d7dee39fe6635d462b1b0c62e"),
+    (BATCH + " --format json batch", 1, "e618b896eb914d39769b7e9a8d96637e"),
+    ("decompose --format json A.csv", 0, "2385db2d9cd1574643d459bffe056307"),
+    ("decompose --format json D.csv", 0, "95a28b10f052e48b6d912f05e51fe52e"),
+    ("gap --blocks 1,1,1 --pairwise --format json B.csv", 1, "78da2d2685acef858b34f1f5442394ba"),
+    ("topology --slices 1 --format json bracket.json", 1, "d8da1931477c219a4074617e28dfbc62"),
+    (SYNTH + " --format json", 0, "09114da6adfb4e36726dfac90c1fcda4"),
+    ("audit --k 2 --draws 20 --format json planted.csv", 0, "429b665b20c5b59e53d7e9869d27aa0b"),
+    (ALL + " --format dot D.csv", 2, EMPTY),
+    (H23 + " --format dot D.csv", 2, EMPTY),
+    (BATCH + " --format dot batch", 2, EMPTY),
+    ("decompose --format dot A.csv", 0, "918af1fafbd8e87bf71f0ae9c2a353fd"),
+    ("decompose --format dot D.csv", 0, "420286bf6f2ea67f98ff9bb195fb0694"),
+    ("gap --blocks 1,1,1 --pairwise --format dot B.csv", 2, EMPTY),
+    ("topology --slices 1 --format dot bracket.json", 2, EMPTY),
+    (SYNTH + " --format dot", 2, EMPTY),
+    ("audit --k 2 --draws 20 --format dot planted.csv", 2, EMPTY),
+    ("analyze --tol 0.3 --criteria d,m --blocks 2,2 D.csv", 1, "9a28b21446450a3d6172c0523e119b71"),
+    ("analyze --criteria d,bogus --blocks 2,2 D.csv", 2, EMPTY),
+    ("analyze --criteria h3 --blocks 2,2 D.csv", 2, EMPTY),
+    ("gap --blocks 1,1,1 B.csv", 1, "8b4f13f1a5defa8a0d3d3efb41c47daf"),
+    ("gap B.csv", 2, EMPTY),
+    ("topology bracket.json", 1, "67c8cf8f9eef77a56a25e4bf532a6988"),
+    ("audit --k 1 planted.csv", 1, "e6f5d5119d33107cc685f34e72fbd728"),
+    ("--help", 0, "8ad0d784b1212ca773105375098d6e11"),
+    ("analyze --help", 0, "d3f3d56d2d754d6b4834fff06ee36dcd"),
+    ("decompose --help", 0, "2d59809ec3f302113ff2f6a355335f4d"),
+    ("gap --help", 0, "91ed3cac77bf50052a4967d4e423179b"),
+    ("topology --help", 0, "317949a214512d6ca5109251b524041b"),
+    ("synth --help", 0, "2ca6c72dab613bea4efa2e12da3b8305"),
+    ("audit --help", 0, "6bc6d2e58d0220831a8b16bd2f7e879d"),
+]
+
+
+def _pinned_fixtures(root):
+    """Beside workdir's matrices and region: a Hessian and an order-3 tensor
+    for the 4-column D, and a directory of two CSVs for --batch."""
+    H = np.zeros((2, 4, 4))
+    H[0, 0, 1] = H[0, 1, 0] = 1.0
+    H[1, 2, 3] = 2.0
+    H[1, 3, 3] = -1.0
+    write_tensor_json(root / "h.json", H)
+    T3 = np.zeros((2, 4, 4, 4))
+    T3[0, 0, 0, 2] = 1.0
+    T3[1, 1, 2, 3] = -3.0
+    T3[1, 3, 2, 0] = 0.5
+    write_tensor_json(root / "t3.json", T3)
+    (root / "batch").mkdir()
+    D = np.array(GOLDEN["D"]["matrix"], float)
+    write_matrix_csv(root / "batch" / "one.csv", D)
+    write_matrix_csv(root / "batch" / "two.csv", 2.0 * D[:, ::-1])
+
+
+@pytest.mark.parametrize("line, code, digest", PINNED_RUNS, ids=[r[0] for r in PINNED_RUNS])
+def test_stdout_bytes_and_exit_codes_pinned(workdir, monkeypatch, capsysbinary, line, code, digest):
+    """Every command in text, JSON and dot, and each --help.  Relative paths
+    keep the temporary directory out of the headers; --help is laid out for
+    80 columns."""
+    monkeypatch.chdir(workdir)
+    monkeypatch.delenv("MECHINDEP_TOL", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    _pinned_fixtures(workdir)
+    if line.startswith("audit"):
+        assert main(SYNTH.split()) == 0
+        capsysbinary.readouterr()
+    assert main(line.split()) == code
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest()[:32] == digest

@@ -5,7 +5,9 @@ batched D-graph component counter against build_graph and components; the
 row-matroid partition and the row-subset searches (minimal supports, rho+ and
 rho-) against the exact oracles; and their invariance under row permutation
 and power-of-two row scaling.  The grid connectivity kernel against the
-flood-fill oracle, slice by slice.
+flood-fill oracle, slice by slice; graph components against the BFS oracle;
+and the M- and H_n-irreducibility checks against verbatim copies of the split
+searches they replaced.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -14,11 +16,35 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mechindep.basis import SubspaceVector, _greedy_many, minimal_supports, sparsity_gap
-from mechindep.core import Tolerance, null_space, null_space_many, rank, rank_many
-from mechindep.criteria import check_type_d_irreducible
-from mechindep.errors import InvalidInput
+from mechindep.basis import (
+    BlockSpec,
+    SubspaceVector,
+    _greedy_many,
+    minimal_supports,
+    sparsity_gap,
+)
+from mechindep.certificates import Certificate, inputs_digest
+from mechindep.core import (
+    Tolerance,
+    column_supports,
+    null_space,
+    null_space_many,
+    pitchfork,
+    rank,
+    rank_many,
+)
+from mechindep.criteria import (
+    H_SPLIT_NOTE,
+    _as_tensor,
+    _first_split,
+    _prepare,
+    check_type_d_irreducible,
+    check_type_h_irreducible,
+    check_type_m_irreducible,
+)
+from mechindep.errors import DegenerateColumn, InvalidInput, MechIndepError
 from mechindep.graphs import (
+    FactorGraph,
     build_graph,
     component_counts,
     components,
@@ -29,6 +55,7 @@ from mechindep.topology import GridRegion
 from oracles import (
     exact_rank,
     oracle_2partitions,
+    oracle_components,
     oracle_finest_partition,
     oracle_minimal_supports,
     oracle_mixing_cost,
@@ -328,6 +355,187 @@ def _grid_regions(draw):
 @given(_grid_regions())
 def test_grid_connectivity_equals_flood_fill_oracle(r):
     assert_matches_oracle(r)
+
+
+@st.composite
+def _edge_graphs(draw):
+    """Graphs on 1-20 vertices with up to 2n random edges, often none, and
+    half of them with a path through every vertex in shuffled order, which
+    min-root hooking joins over several rounds."""
+    n = draw(st.integers(1, 20))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    edges = {tuple(sorted(p)) for p in draw(st.lists(pair, max_size=2 * n))}
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(1, n + 1)))
+        edges |= {tuple(sorted(p)) for p in zip(order, order[1:])}
+    return FactorGraph(kind="D", n=n, edges=frozenset(edges))
+
+
+@PINNED
+@given(_edge_graphs())
+def test_components_equal_oracle(g):
+    expected = oracle_components(g.n, [(a - 1, b - 1) for a, b in g.edges])
+    assert components(g) == [tuple(sorted(v + 1 for v in c)) for c in expected]
+
+
+# The split searches that check_type_m_irreducible and
+# check_type_h_irreducible replaced with one components computation on the
+# block's induced graph, verbatim: the references their certificates must match.
+def reference_m_irreducible(
+    J, blocks, block_index: int, tol: Tolerance | None = None
+) -> Certificate:
+    """M-irreducibility of one block: no 2-partition of its columns has every
+    cross pair mutually non-included."""
+    M, blocks, tol = _prepare(J, blocks, tol)
+    if not 1 <= block_index <= blocks.K:
+        raise InvalidInput(f"block index {block_index} outside 1..{blocks.K}")
+    cols = blocks.ranges()[block_index - 1]
+    digest = inputs_digest(M, blocks, block_index)
+    supports = column_supports(M, tol)
+    empty = [c + 1 for c in cols if len(supports[c]) == 0]
+    if empty:
+        raise DegenerateColumn(f"zero columns {empty} in block {block_index}")
+    if len(cols) == 1:
+        return Certificate(
+            criterion="M-irreducible",
+            holds=True,
+            witness={"block": block_index},
+            notes=("one-dimensional blocks are always irreducible",),
+            inputs_digest=digest,
+        )
+    for part_a, part_b in _first_split(cols):
+        if all(pitchfork(supports[a], supports[b]) for a in part_a for b in part_b):
+            return Certificate(
+                criterion="M-irreducible",
+                holds=False,
+                witness={
+                    "block": block_index,
+                    "split": [[c + 1 for c in part_a], [c + 1 for c in part_b]],
+                },
+                inputs_digest=digest,
+            )
+    return Certificate(
+        criterion="M-irreducible",
+        holds=True,
+        witness={"block": block_index},
+        inputs_digest=digest,
+    )
+
+
+def reference_h_irreducible(
+    tensor, blocks, block_index: int, n: int = 2, tol: Tolerance | None = None
+) -> Certificate:
+    """H_n irreducibility of one block: the within-block derivative is nonzero
+    and no coordinate 2-partition of the block zeroes all cross slices."""
+    tol = tol or Tolerance.default()
+    if n not in (2, 3):
+        raise InvalidInput(f"order must be 2 or 3, got {n}")
+    blocks = BlockSpec.coerce(blocks)
+    if not 1 <= block_index <= blocks.K:
+        raise InvalidInput(f"block index {block_index} outside 1..{blocks.K}")
+    T = _as_tensor(tensor, n, blocks.total)
+    digest = inputs_digest(T, blocks, n, block_index)
+    criterion = f"H{n}-irreducible"
+    cols = blocks.ranges()[block_index - 1]
+    thr = tol.threshold(np.abs(T).max())
+    within = T[np.ix_(range(T.shape[0]), cols, cols)]
+    if np.abs(within).max() <= thr:
+        return Certificate(
+            criterion=criterion,
+            holds=False,
+            witness={"reason": "zeroWithinBlockDerivative", "block": block_index},
+            notes=(H_SPLIT_NOTE,),
+            inputs_digest=digest,
+        )
+    for part_a, part_b in _first_split(cols):
+        cross_ab = T[np.ix_(range(T.shape[0]), part_a, part_b)]
+        cross_ba = T[np.ix_(range(T.shape[0]), part_b, part_a)]
+        if max(np.abs(cross_ab).max(), np.abs(cross_ba).max()) <= thr:
+            return Certificate(
+                criterion=criterion,
+                holds=False,
+                witness={
+                    "block": block_index,
+                    "split": [[c + 1 for c in part_a], [c + 1 for c in part_b]],
+                },
+                notes=(H_SPLIT_NOTE,),
+                inputs_digest=digest,
+            )
+    return Certificate(
+        criterion=criterion,
+        holds=True,
+        witness={"block": block_index},
+        notes=(H_SPLIT_NOTE,),
+        inputs_digest=digest,
+    )
+
+
+def _outcome(check, *args):
+    """A certificate's dict, or the error the checker raised."""
+    try:
+        return check(*args).to_dict()
+    except MechIndepError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _irreducibility_cases(draw, order):
+    """A block of 1-7 columns (order 1, a Jacobian) or coordinates (order 2
+    or 3, a derivative tensor) among up to two other blocks of 1-3, and its
+    1-based index.  Entries are sparse integers or masked Gaussians at a
+    drawn density.  Some cases link two of the block's columns only through
+    a column of another block, a path the block's induced graph must not
+    use, and some Jacobians get a zero column outside the block."""
+    sizes = draw(st.lists(st.integers(1, 3), max_size=2))
+    at = draw(st.integers(0, len(sizes)))
+    sizes.insert(at, draw(st.integers(1, 7)))
+    n = sum(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 8)) if order == 1 else draw(st.integers(1, 3)),) + (n,) * order
+    # per entry; an order-3 slice T[:, a, b, :] has n entries, so it is thinned n-fold
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6])) / n ** (order - 2)
+    if draw(st.booleans()):
+        values = rng.choice([1.0, -1.0, 2.0, -2.0], size=shape)
+    else:
+        values = rng.standard_normal(shape)
+    X = values * (rng.random(shape) < density)
+    block = list(range(sum(sizes[:at]), sum(sizes[: at + 1])))
+    if draw(st.integers(0, 3)):  # mostly: no zero column or zero within-block slice
+        for c in block:
+            if order > 1:
+                X[(0, c, c) + (0,) * (order - 2)] = 1.0
+            elif not X[:, c].any():
+                X[rng.integers(shape[0]), c] = 1.0
+    outside = [c for c in range(n) if c not in block]
+    if outside and len(block) > 1 and draw(st.booleans()):
+        a, b = draw(st.permutations(block))[:2]
+        o = draw(st.sampled_from(outside))
+        if order == 1:
+            X[:, o] = np.abs(X[:, a]) + np.abs(X[:, b])  # contains both supports
+        else:
+            X[(slice(None), a, o) + (0,) * (order - 2)] = 1.0
+            X[(slice(None), o, b) + (0,) * (order - 2)] = 1.0
+    if order == 1 and outside and draw(st.booleans()):
+        X[:, draw(st.sampled_from(outside))] = 0.0
+    return X, tuple(sizes), at + 1
+
+
+@settings(PINNED, max_examples=300)
+@given(_irreducibility_cases(order=1))
+def test_m_irreducible_equals_split_search(case):
+    M, blocks, index = case
+    assert _outcome(check_type_m_irreducible, M, blocks, index) == _outcome(
+        reference_m_irreducible, M, blocks, index
+    )
+
+
+@settings(PINNED, max_examples=300)
+@given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(st.just(n), _irreducibility_cases(n))))
+def test_h_irreducible_equals_split_search(case):
+    n, (T, blocks, index) = case
+    assert _outcome(check_type_h_irreducible, T, blocks, index, n) == _outcome(
+        reference_h_irreducible, T, blocks, index, n
+    )
 
 
 def _gap_cases(max_rows=7, max_cols=4):
