@@ -7,6 +7,11 @@ column space decomposes over minimal-support vectors whose supports sit inside
 its own, so a cheapest basis can always be exchanged into the ground set), and
 for forced-mixing bases the same argument applies to the companions while the
 mixing vector itself ranges over the enumerated mixing-minimal supports.
+
+Achievable supports are the complements of the flats of the row matroid, and
+the minimal ones those of its hyperplanes (Oxley, Matroid Theory, ch. 2), so
+one pass over the flats, hyperplanes first, yields both the ground set and
+the mixing strata (_flats).
 """
 
 from __future__ import annotations
@@ -131,10 +136,6 @@ class GapResult:
     mixing: BasisSearchResult
 
 
-def _mask1(universe: int, members0) -> SupportMask:
-    return SupportMask(universe, tuple(sorted(int(i) + 1 for i in members0)))
-
-
 def _check_search_size(M: np.ndarray):
     m, n = M.shape
     if m > MAX_ROWS or n > MAX_COLS:
@@ -161,7 +162,7 @@ def _normalized_vector(M: np.ndarray, c: np.ndarray, tol: Tolerance) -> Subspace
     return SubspaceVector(
         value=tuple(float(x) for x in v),
         coeff=tuple(float(x) for x in c),
-        mask=_mask1(M.shape[0], members),
+        mask=SupportMask(M.shape[0], tuple(int(i) + 1 for i in members)),
     )
 
 
@@ -175,20 +176,23 @@ def _members(bits: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
 
 
-def _inclusion_minimal(masks, m: int) -> list[int]:
-    """The distinct bitmasks over m rows that have no other of the masks as a
-    proper subset.
-
-    below[x] says whether one of the masks lies inside x: a sum over subsets,
-    one pass per row over all 2^m row sets.  A mask t has a proper subset
-    among the masks iff t minus one of its rows has one inside it.
-    """
-    masks = np.fromiter(masks, dtype=np.int64)
+def _below(masks, m: int) -> np.ndarray:
+    """below[x] says whether one of the bitmasks over m rows lies inside the
+    row set x: a sum over subsets, one pass per row over all 2^m row sets."""
     below = np.zeros(1 << m, dtype=bool)
-    below[masks] = True
+    below[np.fromiter(masks, dtype=np.int64)] = True
     for i in range(m):
         halves = below.reshape(-1, 2, 1 << i)
         halves[:, 1] |= halves[:, 0]
+    return below
+
+
+def _inclusion_minimal(masks, m: int) -> list[int]:
+    """The distinct bitmasks over m rows that have no other of the masks as a
+    proper subset: a mask t has one iff t minus one of its rows has one of
+    the masks inside it."""
+    masks = np.fromiter(masks, dtype=np.int64)
+    below = _below(masks, m)
     proper = np.zeros(masks.size, dtype=bool)
     for i in range(m):
         proper |= ((masks >> i) & 1 == 1) & below[masks ^ (1 << i)]
@@ -203,15 +207,18 @@ def _subset_chunks(m: int, k: int):
         yield np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
 
 
-def _closed_rows(M: np.ndarray, subs: np.ndarray, thr: float) -> np.ndarray:
-    """(C, m) mask: row j of M is in the span of the k rows subs[c], i.e.
-    stacking it under them keeps the rank at k."""
-    C, k, n = subs.shape
-    m = M.shape[0]
-    stack = np.empty((C, m, k + 1, n))
-    stack[:, :, :k] = subs[:, None]
-    stack[:, :, k] = M
-    return (rank_many(stack.reshape(C * m, k + 1, n), thr) == k).reshape(C, m)
+def _closed_rows(M: np.ndarray, R: np.ndarray, thr: float) -> np.ndarray:
+    """(C, m) mask: row j of M is in the span of the k independent rows R[c],
+    i.e. stacking it under them keeps the rank at k.  Rows of R[c] are: a
+    copy of one never wins a pivot tie against it and ends exactly zero."""
+    (C, k), (m, n) = R.shape, M.shape
+    closed = np.zeros((C, m), dtype=bool)
+    closed[np.arange(C)[:, None], R] = True
+    stack = np.empty((C, m - k, k + 1, n))
+    stack[:, :, :k] = M[R][:, None]
+    stack[:, :, k] = M[np.nonzero(~closed)[1].reshape(C, m - k)]
+    closed[~closed] = rank_many(stack.reshape(-1, k + 1, n), thr) == k
+    return closed
 
 
 def achievable(M, T, tol: Tolerance | None = None) -> bool:
@@ -237,43 +244,75 @@ def achievable(M, T, tol: Tolerance | None = None) -> bool:
     return rank(M[keep, :], tol, thr=thr) < M.shape[1]
 
 
-def minimal_supports(M, tol: Tolerance | None = None) -> list[SubspaceVector]:
-    """All inclusion-minimal achievable supports with their normalized vectors.
+def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
+    """The ground set and, with blocks, the mixing strata, from one pass
+    over the flats of M's row matroid, hyperplanes first.
 
-    Enumeration: the complement of a minimal achievable support is a closed row
-    set of rank cols-1, so every minimal support arises as supp(M c) with c the
-    null vector of some independent (cols-1)-row subset.  Each chunk of row
-    subsets is ranked by one rank_many call, and the null vectors of its
-    independent subsets come from one null_space_many call.  Candidates are
-    then filtered to the inclusion-minimal ones.
-    """
+    Level k ranks the k-row subsets R chunk by chunk in combinations order;
+    an independent R's null space attains T, the complement of its closure.
+    A flat's rank fixes its level, and each distinct T gets one null space,
+    its first subset's.  At level cols-1 each hyperplane complement gets one
+    normalized vector, keyed by the vector's support; the inclusion-minimal
+    ones, sorted by (size, rows), are the ground set.  With blocks the pass
+    goes on down to level 0: T is a mixing stratum iff its coefficient null
+    space is not confined to one block (it then cannot be covered by the
+    finitely many block subspaces without lying inside one).  A lower level
+    has larger complements, so a T holding an accepted stratum is skipped
+    before its null space; the final inclusion-minimal filter would drop it.
+    Returns (ground, strata), strata as [(members_1based, null_basis)]
+    sorted by (size, rows), None without blocks."""
+    m, n = M.shape
+    thr = tol.matrix_threshold(M)
+    bit = 1 << np.arange(m)
+    outsides = [[j for j in range(n) if j not in c] for c in blocks.ranges()] if blocks else []
+    met: set[int] = set()
+    vectors: dict[int, SubspaceVector] = {}
+    strata: dict[int, np.ndarray] = {}
+    below, counted = None, 0
+    for k in range(n - 1, -1, -1) if blocks else [n - 1]:
+        if len(strata) > counted:
+            below, counted = _below(strata, m), len(strata)
+        for R in _subset_chunks(m, k):
+            R = R[rank_many(M[R], thr) == k]
+            open_bits = (~_closed_rows(M, R, thr) * bit).sum(axis=1).tolist()
+            fresh = []
+            for i, T in enumerate(open_bits):
+                if T and T not in met and (below is None or not below[T]):
+                    met.add(T)
+                    fresh.append(i)
+            for i, N in zip(fresh, null_space_many(M[R[fresh]], thr)):
+                if N.shape[1] != n - k:
+                    continue
+                if k == n - 1:
+                    vec = _normalized_vector(M, N[:, 0], tol)
+                    if vec is not None:
+                        vectors.setdefault(_bits(vec.mask.members), vec)
+                if outsides:
+                    thr_c = tol.threshold(np.abs(N).max())
+                    if not any(
+                        not outside or np.abs(N[outside, :]).max() <= thr_c
+                        for outside in outsides
+                    ):
+                        strata[open_bits[i]] = N
+    ground = [vectors[t] for t in _inclusion_minimal(vectors, m)]
+    ground.sort(key=lambda v: (v.support_size, v.mask.members))
+    if blocks is None:
+        return ground, None
+    minimal = _inclusion_minimal(strata, m)
+    minimal.sort(key=lambda t: (t.bit_count(), _members(t)))
+    return ground, [(_members(t), strata[t]) for t in minimal]
+
+
+def minimal_supports(M, tol: Tolerance | None = None) -> list[SubspaceVector]:
+    """All inclusion-minimal achievable supports with their normalized
+    vectors, sorted by (size, rows): the hyperplane complements of the row
+    matroid, from the first level of _flats, one null space and one vector
+    per distinct hyperplane."""
     tol = tol or Tolerance.default()
     M = as_matrix(M)
     _check_search_size(M)
     _require_full_column_rank(M, tol)
-    m, n = M.shape
-    thr = tol.matrix_threshold(M)
-
-    by_mask: dict[int, SubspaceVector] = {}
-    for R in _subset_chunks(m, n - 1):
-        for N in null_space_many(M[R[rank_many(M[R], thr) == n - 1]], thr):
-            if N.shape[1] != 1:
-                continue
-            vec = _normalized_vector(M, N[:, 0], tol)
-            if vec is None:
-                continue
-            by_mask.setdefault(_bits(vec.mask.members), vec)
-
-    minimal = [by_mask[t] for t in _inclusion_minimal(by_mask, m)]
-    minimal.sort(key=lambda v: (v.support_size, v.mask.members))
-    return minimal
-
-
-def _sort_key(vec: SubspaceVector, blocks: BlockSpec | None, tol: Tolerance):
-    purity = 0
-    if blocks is not None:
-        purity = 0 if not vec.is_mixing(blocks, tol) else 1
-    return (vec.support_size, vec.mask.members, purity)
+    return _flats(M, tol)[0]
 
 
 def _greedy_many(
@@ -321,44 +360,6 @@ def _greedy_many(
     return [vecs if ok and len(vecs) == n else None for vecs, ok in zip(picked, alive)]
 
 
-def _mixing_strata(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
-    """Inclusion-minimal supports achievable by mixing vectors.
-
-    Closed row sets are enumerated as closures of independent row subsets of
-    size < cols; a complement T is a mixing stratum iff the coefficient null
-    space is not confined to a single block (it then cannot be covered by the
-    finitely many block subspaces without lying inside one).  Each chunk's
-    subsets with an open complement not yet seen get their null spaces from
-    one null_space_many call; the chunk is then walked in subset order.
-    Returns [(members_1based, null_basis)] sorted by (size, mask).
-    """
-    m, n = M.shape
-    thr = tol.matrix_threshold(M)
-    outsides = [[j for j in range(n) if j not in cols] for cols in blocks.ranges()]
-    bit = 1 << np.arange(m)
-    seen: dict[int, np.ndarray] = {}
-    for k in range(n):
-        for R in _subset_chunks(m, k):
-            R = R[rank_many(M[R], thr) == k]
-            # complement of the closure of each subset; its first subset wins
-            open_bits = (~_closed_rows(M, M[R], thr) * bit).sum(axis=1).tolist()
-            fresh = [i for i, T in enumerate(open_bits) if T and T not in seen]
-            for i, N in zip(fresh, null_space_many(M[R[fresh]], thr)):
-                T = open_bits[i]
-                if T in seen or N.shape[1] != n - k:
-                    continue
-                thr_c = tol.threshold(np.abs(N).max())
-                if any(
-                    not outside or np.abs(N[outside, :]).max() <= thr_c
-                    for outside in outsides
-                ):
-                    continue
-                seen[T] = N
-    minimal = _inclusion_minimal(seen, m)
-    minimal.sort(key=lambda t: (t.bit_count(), _members(t)))
-    return [(_members(t), seen[t]) for t in minimal]
-
-
 def _stratum_representative(
     M: np.ndarray, blocks: BlockSpec, N: np.ndarray, tol: Tolerance
 ) -> SubspaceVector:
@@ -404,70 +405,44 @@ def sparsest_basis(
     coefficients confined to one block; any all-pure basis counts regardless of
     order), 'forceMixing' (at least one vector must straddle blocks).
 
-    The greedy over minimal-support vectors sorted by (support size, mask,
-    pure-before-mixing) is optimal by a matroid exchange argument.  For
-    forceMixing, each mixing-minimal support stratum is forced in turn and the
-    completion is greedy; per-stratum attainment of the joint optimum is
-    assumed (see the note attached to certificates reporting rho-).  Every
-    mode completes through _greedy_many, whose tests are batched rank_many
-    calls; forceMixing completes the strata in chunks, one lockstep greedy per
-    chunk, keeping only the cheapest completion so far.
+    The greedy over minimal-support vectors sorted by (support size, rows) is
+    optimal by a matroid exchange argument; the supports are distinct, so no
+    tie is left to break.  For forceMixing, each mixing-minimal support
+    stratum is forced in turn and the completion is greedy; per-stratum
+    attainment of the joint optimum is assumed (see the note attached to
+    certificates reporting rho-).  Every mode completes through _greedy_many,
+    whose tests are batched rank_many calls; forceMixing takes its ground set
+    and strata from one _flats pass and completes the strata in chunks, one
+    lockstep greedy per chunk, keeping only the cheapest completion so far.
     """
     tol = tol or Tolerance.default()
     M = as_matrix(M)
     blocks = BlockSpec((M.shape[1],)) if blocks is None else BlockSpec.coerce(blocks)
     if blocks.total != M.shape[1]:
-        raise InvalidInput(
-            f"block sizes {blocks.sizes} do not cover {M.shape[1]} columns"
-        )
+        raise InvalidInput(f"block sizes {blocks.sizes} do not cover {M.shape[1]} columns")
     _check_search_size(M)
     _require_full_column_rank(M, tol)
     n = M.shape[1]
 
     if mode == "unconstrained":
-        ground = minimal_supports(M, tol)
-        ground.sort(key=lambda v: _sort_key(v, blocks, tol))
-        (picked,) = _greedy_many([[]], ground, n, tol)
+        (picked,) = _greedy_many([[]], minimal_supports(M, tol), n, tol)
         assert picked is not None, "ground set always spans a full-column-rank space"
-        return BasisSearchResult(
-            mode=mode,
-            cost=sum(v.support_size for v in picked),
-            vectors=picked,
-            mixing_flags=[v.is_mixing(blocks, tol) for v in picked],
-        )
-
-    if mode == "blockRespecting":
-        vectors: list[SubspaceVector] = []
+    elif mode == "blockRespecting":
+        picked = []
         for cols in blocks.ranges():
-            sub = M[:, cols]
-            ground = minimal_supports(sub, tol)
-            ground.sort(key=lambda v: (v.support_size, v.mask.members))
-            (picked,) = _greedy_many([[]], ground, len(cols), tol)
-            assert picked is not None, "block submatrix keeps full column rank"
-            for v in picked:
+            (pure,) = _greedy_many([[]], minimal_supports(M[:, cols], tol), len(cols), tol)
+            assert pure is not None, "block submatrix keeps full column rank"
+            for v in pure:
                 coeff = np.zeros(n)
                 coeff[cols] = v.coeff_array()
-                vectors.append(
-                    SubspaceVector(value=v.value, coeff=tuple(coeff), mask=v.mask)
-                )
-        return BasisSearchResult(
-            mode=mode,
-            cost=sum(v.support_size for v in vectors),
-            vectors=vectors,
-            mixing_flags=[False] * len(vectors),
-        )
-
-    if mode == "forceMixing":
+                picked.append(SubspaceVector(value=v.value, coeff=tuple(coeff), mask=v.mask))
+    elif mode == "forceMixing":
         if blocks.K < 2:
             raise InvalidInput("forceMixing needs at least two blocks")
-        # the strata search runs first, so its working set and the ground set
-        # are never held at once
-        strata = _mixing_strata(M, blocks, tol)
+        ground, strata = _flats(M, tol, blocks)
         if not strata:
             raise InternalError("no mixing stratum found despite K >= 2")
-        ground = minimal_supports(M, tol)
-        ground.sort(key=lambda v: _sort_key(v, blocks, tol))
-        best: tuple[int, int, list[SubspaceVector]] | None = None
+        best: tuple[int, list[SubspaceVector]] | None = None
         for first in range(0, len(strata), CHUNK):
             starts = []
             for members, N in strata[first : first + CHUNK]:
@@ -478,23 +453,21 @@ def sparsest_basis(
                         f"{rep.mask.members}"
                     )
                 starts.append([rep])
-            for idx, picked in enumerate(_greedy_many(starts, ground, n, tol), first):
-                if picked is None:
-                    continue
+            for picked in filter(None, _greedy_many(starts, ground, n, tol)):
                 cost = sum(v.support_size for v in picked)
-                if best is None or (cost, idx) < (best[0], best[1]):
-                    best = (cost, idx, picked)
+                if best is None or cost < best[0]:  # the first cheapest stratum wins
+                    best = (cost, picked)
         if best is None:
             raise InternalError("forced-mixing completion failed on every stratum")
-        picked = best[2]
-        return BasisSearchResult(
-            mode=mode,
-            cost=best[0],
-            vectors=picked,
-            mixing_flags=[v.is_mixing(blocks, tol) for v in picked],
-        )
-
-    raise InvalidInput(f"unknown mode {mode!r}")
+        picked = best[1]
+    else:
+        raise InvalidInput(f"unknown mode {mode!r}")
+    return BasisSearchResult(
+        mode=mode,
+        cost=sum(v.support_size for v in picked),
+        vectors=picked,
+        mixing_flags=[v.is_mixing(blocks, tol) for v in picked],
+    )
 
 
 def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResult:
@@ -515,8 +488,19 @@ def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResul
     )
 
 
+def request_gap(M: np.ndarray, blocks: BlockSpec, tol: Tolerance, gaps: dict | None) -> GapResult:
+    """sparsity_gap of a validated float matrix, searched once per request:
+    gaps is a dict one request owns (None searches afresh), keyed by the
+    matrix's shape and bytes, the block sizes and the resolved tolerance."""
+    gaps = {} if gaps is None else gaps
+    key = (M.shape, M.tobytes(), blocks.sizes, tol)
+    if key not in gaps:
+        gaps[key] = sparsity_gap(M, blocks, tol)
+    return gaps[key]
+
+
 def pairwise_sparsity_gap(
-    M, blocks: BlockSpec, tol: Tolerance | None = None
+    M, blocks: BlockSpec, tol: Tolerance | None = None, gaps: dict | None = None
 ) -> list[list[bool]]:
     """K x K table: entry (i, j) is the Type S verdict for the two-block
     submatrix of blocks i and j; the diagonal is vacuously True."""
@@ -527,14 +511,10 @@ def pairwise_sparsity_gap(
         raise InvalidInput("pairwise gaps need at least two blocks")
     if blocks.total != M.shape[1]:
         raise InvalidInput("block sizes do not cover the columns")
-    ranges = blocks.ranges()
-    K = blocks.K
+    ranges, K = blocks.ranges(), blocks.K
     table = [[True] * K for _ in range(K)]
-    for i in range(K):
-        for j in range(i + 1, K):
-            sub = M[:, ranges[i] + ranges[j]]
-            pair_blocks = BlockSpec((blocks.sizes[i], blocks.sizes[j]))
-            verdict = sparsity_gap(sub, pair_blocks, tol).independent
-            table[i][j] = verdict
-            table[j][i] = verdict
+    for i, j in combinations(range(K), 2):
+        pair = BlockSpec((blocks.sizes[i], blocks.sizes[j]))
+        sub = M[:, ranges[i] + ranges[j]]
+        table[i][j] = table[j][i] = request_gap(sub, pair, tol, gaps).independent
     return table

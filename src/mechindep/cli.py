@@ -34,19 +34,20 @@ from .topology import premise_report, slices_connected
 from . import criteria as cr
 
 # criterion code -> (checker, the tensor option it needs).  Each checker takes
-# the Jacobian, the blocks, the tolerance and the tensors read from --hessian
-# and --third, and looks its function up in the criteria module when called,
-# so a function replaced there (as a profiler does) is the one that runs.
+# the Jacobian, the blocks, the tolerance, the tensors read from --hessian and
+# --third and the request's gaps (basis.request_gap), and looks its function
+# up in the criteria module when called, so a function replaced there (as a
+# profiler does) is the one that runs.
 CRITERIA = {
-    "d": (lambda M, b, tol, t: cr.check_type_d(M, b, tol), None),
-    "m": (lambda M, b, tol, t: cr.check_type_m(M, b, tol), None),
-    "s": (lambda M, b, tol, t: cr.check_type_s(M, b, tol), None),
-    "o": (lambda M, b, tol, t: cr.check_type_o(M, b, tol), None),
-    "s-pairwise": (lambda M, b, tol, t: cr.check_type_s_pairwise(M, b, tol), None),
-    "h2": (lambda M, b, tol, t: cr.check_type_h(t["hessian"], b, 2, tol), "hessian"),
-    "h3": (lambda M, b, tol, t: cr.check_type_h(t["third"], b, 3, tol), "third"),
-    "contrast": (lambda M, b, tol, t: cr.contrast_certificate(M, b, tol), None),
-    "hierarchy": (lambda M, b, tol, t: cr.hierarchy_audit(M, b, t["hessian"], tol), None),
+    "d": (lambda M, b, tol, t, g: cr.check_type_d(M, b, tol), None),
+    "m": (lambda M, b, tol, t, g: cr.check_type_m(M, b, tol), None),
+    "s": (lambda M, b, tol, t, g: cr.check_type_s(M, b, tol, g), None),
+    "o": (lambda M, b, tol, t, g: cr.check_type_o(M, b, tol), None),
+    "s-pairwise": (lambda M, b, tol, t, g: cr.check_type_s_pairwise(M, b, tol, g), None),
+    "h2": (lambda M, b, tol, t, g: cr.check_type_h(t["hessian"], b, 2, tol), "hessian"),
+    "h3": (lambda M, b, tol, t, g: cr.check_type_h(t["third"], b, 3, tol), "third"),
+    "contrast": (lambda M, b, tol, t, g: cr.contrast_certificate(M, b, tol), None),
+    "hierarchy": (lambda M, b, tol, t, g: cr.hierarchy_audit(M, b, t["hessian"], tol, g), None),
 }
 
 
@@ -81,7 +82,7 @@ def _blockspec(request: AnalysisRequest) -> BlockSpec:
     return BlockSpec(tuple(request.blocks))
 
 
-def _analyze_one(path: str, request: AnalysisRequest) -> list:
+def _analyze_one(path: str, request: AnalysisRequest, gaps: dict) -> list:
     M = read_matrix_csv(path)
     blocks = _blockspec(request)
     tensors = {
@@ -95,7 +96,7 @@ def _analyze_one(path: str, request: AnalysisRequest) -> list:
         check, needs = CRITERIA[code]
         if needs and tensors[needs] is None:
             raise InvalidInput(f"criterion {code} needs --{needs}")
-        certs.append(check(M, blocks, request.tol, tensors))
+        certs.append(check(M, blocks, request.tol, tensors, gaps))
     return certs
 
 
@@ -112,8 +113,9 @@ def _run_analyze(request: AnalysisRequest):
         "criteria": ",".join(request.criteria),
     }
     header.update(_tol_header(request.tol))
+    gaps: dict = {}
     if not request.batch:
-        certs = _analyze_one(request.input_path, request)
+        certs = _analyze_one(request.input_path, request, gaps)
         body = emit_report(certs, request.fmt, header)
         return (0 if all(c.holds for c in certs) else 1), body
     directory = Path(request.input_path)
@@ -122,7 +124,7 @@ def _run_analyze(request: AnalysisRequest):
     files = sorted(p for p in directory.iterdir() if p.suffix == ".csv")
     if not files:
         raise InvalidInput(f"no .csv files in {directory}")
-    sections = [(str(p.name), _analyze_one(str(p), request)) for p in files]
+    sections = [(str(p.name), _analyze_one(str(p), request, gaps)) for p in files]
     all_hold = all(c.holds for _, certs in sections for c in certs)
     payload = {
         "files": [
@@ -161,9 +163,10 @@ def _run_decompose(request: AnalysisRequest):
 def _run_gap(request: AnalysisRequest):
     M = read_matrix_csv(request.input_path)
     blocks = _blockspec(request)
-    certs = [cr.check_type_s(M, blocks, request.tol)]
+    gaps: dict = {}
+    certs = [cr.check_type_s(M, blocks, request.tol, gaps)]
     if request.pairwise:
-        certs.append(cr.check_type_s_pairwise(M, blocks, request.tol))
+        certs.append(cr.check_type_s_pairwise(M, blocks, request.tol, gaps))
     header = {
         "command": "gap",
         "input": request.input_path,

@@ -28,8 +28,9 @@ class Tolerance:
     abs: float = DEFAULT_ABS
 
     def __post_init__(self):
-        if not (self.rel >= 0 and self.abs >= 0):
-            raise InvalidInput("tolerances must be nonnegative")
+        # at rel >= 1 or an infinite abs every entry would count as zero
+        if not (0 <= self.rel < 1 and 0 <= self.abs < np.inf):
+            raise InvalidInput("tolerances must be nonnegative, rel below 1 and abs finite")
 
     @classmethod
     def default(cls) -> "Tolerance":
@@ -38,10 +39,11 @@ class Tolerance:
         if env is None:
             return cls()
         try:
-            rel = float(env)
+            return cls(rel=float(env))
         except ValueError as exc:
             raise InvalidInput(f"{ENV_TOL} must be a float, got {env!r}") from exc
-        return cls(rel=rel)
+        except InvalidInput as exc:
+            raise InvalidInput(f"{ENV_TOL}={env}: {exc}") from exc
 
     def threshold(self, scale: float) -> float:
         return max(self.abs, self.rel * float(scale))

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import BlockSpec, sparsity_gap, pairwise_sparsity_gap
+from .basis import BlockSpec, pairwise_sparsity_gap, request_gap, sparsity_gap
 from .certificates import Certificate, inputs_digest
 from .core import (
     SupportMask,
@@ -221,10 +221,13 @@ def _basis_payload(result) -> dict:
     }
 
 
-def check_type_s(J, blocks, tol: Tolerance | None = None) -> Certificate:
-    """Type S: the sparsity gap rho+ < rho- (block mixing strictly costs)."""
+def check_type_s(
+    J, blocks, tol: Tolerance | None = None, gaps: dict | None = None
+) -> Certificate:
+    """Type S: the sparsity gap rho+ < rho- (block mixing strictly costs);
+    gaps as in basis.request_gap."""
     M, blocks, tol = _prepare(J, blocks, tol)
-    gap = sparsity_gap(M, blocks, tol)
+    gap = request_gap(M, blocks, tol, gaps)
     return Certificate(
         criterion="S",
         holds=gap.independent,
@@ -239,10 +242,12 @@ def check_type_s(J, blocks, tol: Tolerance | None = None) -> Certificate:
     )
 
 
-def check_type_s_pairwise(J, blocks, tol: Tolerance | None = None) -> Certificate:
+def check_type_s_pairwise(
+    J, blocks, tol: Tolerance | None = None, gaps: dict | None = None
+) -> Certificate:
     """Type S restricted to every pair of blocks; the table diagonal is vacuous."""
     M, blocks, tol = _prepare(J, blocks, tol)
-    table = pairwise_sparsity_gap(M, blocks, tol)
+    table = pairwise_sparsity_gap(M, blocks, tol, gaps)
     holds = all(table[i][j] for i in range(blocks.K) for j in range(blocks.K))
     return Certificate(
         criterion="S-pairwise",
@@ -741,7 +746,7 @@ def contrast_certificate(J, blocks, tol: Tolerance | None = None) -> Certificate
 
 
 def hierarchy_audit(
-    J, blocks, hessian=None, tol: Tolerance | None = None
+    J, blocks, hessian=None, tol: Tolerance | None = None, gaps: dict | None = None
 ) -> Certificate:
     """Check the implication arrows among the criteria on one instance:
     D=>M, D=>S, D=>H2 (when a Hessian is supplied), and S=>M evaluated in the
@@ -763,7 +768,7 @@ def hierarchy_audit(
     gap = None
     if blocks.K >= 2:
         try:
-            gap = sparsity_gap(M, blocks, tol)
+            gap = request_gap(M, blocks, tol, gaps)
             verdicts["S"] = gap.independent
         except (SizeError, RankError) as exc:
             verdicts["S"] = None

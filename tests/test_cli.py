@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from mechindep import basis
 from mechindep.basis import BlockSpec
 from mechindep.cli import AnalysisRequest, main, run
 from mechindep.criteria import check_type_d, check_type_m, check_type_s
@@ -182,6 +183,31 @@ def test_gap_pairwise_table(workdir, capsys):
     assert "pairwise 1: T T T" in out
 
 
+@pytest.mark.parametrize("argv, calls", [
+    ("analyze --criteria d,m,s,hierarchy --blocks 2,2 D.csv", 1),
+    ("gap --pairwise --blocks 2,2 D.csv", 1),
+    ("gap --pairwise --blocks 1,1,1 B.csv", 4),
+])
+def test_one_gap_per_instance_per_request(workdir, monkeypatch, capsys, argv, calls):
+    """Checkers of one request that ask for the same gap share one search;
+    a second identical request searches again."""
+    count = []
+    search = basis.sparsity_gap
+
+    def counted(*args, **kwargs):
+        count.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(basis, "sparsity_gap", counted)
+    monkeypatch.chdir(workdir)
+    first = main(argv.split())
+    out = capsys.readouterr().out
+    assert len(count) == calls
+    assert main(argv.split()) == first
+    assert capsys.readouterr().out == out
+    assert len(count) == 2 * calls
+
+
 def test_topology_command(workdir, capsys):
     code = main(["topology", "--slices", "1", str(workdir / "bracket.json")])
     out = capsys.readouterr().out
@@ -278,6 +304,23 @@ def test_usage_errors_exit_two(workdir, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --tol: tolerances must be nonnegative" in captured.err
+    for tol in ("1", "inf"):
+        assert main(["analyze", "--tol", tol, "--criteria", "d", "--blocks", "2,2",
+                     str(workdir / "D.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --tol: tolerances must be nonnegative, rel below 1" in captured.err
+
+
+def test_environment_tolerance_errors_exit_two(workdir, monkeypatch, capsys):
+    write_matrix_csv(workdir / "pair.csv", np.array([[1.0, 1.0], [1.0, 2.0]]))
+    for value in ("1", "inf"):
+        monkeypatch.setenv("MECHINDEP_TOL", value)
+        assert main(["analyze", "--criteria", "d", "--blocks", "1,1",
+                     str(workdir / "pair.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"mechindep: error: MECHINDEP_TOL={value}: ")
 
 
 def test_audit_rejects_negative_draws(workdir, capsys):
@@ -348,7 +391,8 @@ EMPTY = hashlib.sha256(b"").hexdigest()[:32]
 
 # (command line, exit code, sha256 prefix of stdout), recorded before the
 # report renderer, the criteria table and the option map were each folded
-# into one; the --help digests under Python 3.11's argparse
+# into one; the --help digests are the same under the argparse of Python
+# 3.10, 3.11 and 3.12
 PINNED_RUNS = [
     (ALL + " --format text D.csv", 1, "4c32a783db8f4eed18b65194f0eeef98"),
     (H23 + " --format text D.csv", 1, "b009d7ae293718a6fd5400b937d2af09"),

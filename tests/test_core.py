@@ -46,6 +46,19 @@ def test_tolerance_rejects_negative():
         Tolerance(rel=-1.0)
 
 
+def test_tolerance_rejects_every_entry_zero(monkeypatch):
+    # rel >= 1 or an infinite abs would classify every entry as zero
+    for rel, abs_ in ((1.0, DEFAULT_ABS), (2.5, DEFAULT_ABS), (np.inf, DEFAULT_ABS),
+                      (DEFAULT_REL, np.inf)):
+        with pytest.raises(InvalidInput, match="rel below 1 and abs finite"):
+            Tolerance(rel=rel, abs=abs_)
+    assert Tolerance(rel=0.99, abs=1e300).rel == 0.99
+    for value in ("1", "inf"):
+        monkeypatch.setenv("MECHINDEP_TOL", value)
+        with pytest.raises(InvalidInput, match=f"MECHINDEP_TOL={value}: tolerances must"):
+            Tolerance.default()
+
+
 def test_support_masks_are_one_based_and_sorted():
     s = support(np.array([0.0, 3.0, 0.0, -2.0]))
     assert list(s) == [2, 4]

@@ -19,13 +19,22 @@ from hypothesis.extra.numpy import arrays
 from mechindep.basis import (
     BlockSpec,
     SubspaceVector,
+    _bits,
+    _check_search_size,
+    _closed_rows,
+    _flats,
     _greedy_many,
+    _members,
+    _normalized_vector,
+    _require_full_column_rank,
+    _subset_chunks,
     minimal_supports,
     sparsity_gap,
 )
 from mechindep.certificates import Certificate, inputs_digest
 from mechindep.core import (
     Tolerance,
+    as_matrix,
     column_supports,
     null_space,
     null_space_many,
@@ -600,3 +609,180 @@ def test_sparsity_gap_ignores_row_permutation_and_scaling(case):
     assert _gap_summary(M[list(perm)].astype(float), blocks) == before
     scaled = M.astype(float) * np.ldexp(1.0, exponents)[:, None]
     assert _gap_summary(scaled, blocks) == before
+
+
+# The two row-subset loops that the one pass over the flats (basis._flats)
+# replaced, verbatim with the closure test and the inclusion-minimal filter
+# they used: the references its ground set and strata must match byte for
+# byte.
+def reference_closed_rows(M: np.ndarray, subs: np.ndarray, thr: float) -> np.ndarray:
+    """(C, m) mask: row j of M is in the span of the k rows subs[c], i.e.
+    stacking it under them keeps the rank at k."""
+    C, k, n = subs.shape
+    m = M.shape[0]
+    stack = np.empty((C, m, k + 1, n))
+    stack[:, :, :k] = subs[:, None]
+    stack[:, :, k] = M
+    return (rank_many(stack.reshape(C * m, k + 1, n), thr) == k).reshape(C, m)
+
+
+@st.composite
+def _closure_cases(draw):
+    """Sparse integer matrices up to 9x6 with duplicated rows, so that pivots
+    tie, a level k < cols, and a threshold that may exceed the entries'
+    scale."""
+    M = draw(_int_matrices(9, 6)).astype(float)
+    m, n = M.shape
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        M[draw(st.integers(0, m - 1))] = M[i]
+    k = draw(st.integers(0, min(m, n) - 1))
+    return M, k, draw(st.sampled_from([Tolerance().threshold(2.0), 0.5, 1.0, 1.5, 2.5]))
+
+
+@PINNED
+@given(_closure_cases())
+def test_closed_rows_equal_reference(case):
+    M, k, thr = case
+    for R in _subset_chunks(M.shape[0], k):
+        R = R[rank_many(M[R], thr) == k]
+        assert np.array_equal(_closed_rows(M, R, thr), reference_closed_rows(M, M[R], thr))
+
+
+def reference_inclusion_minimal(masks, m: int) -> list[int]:
+    """The distinct bitmasks over m rows that have no other of the masks as a
+    proper subset.
+
+    below[x] says whether one of the masks lies inside x: a sum over subsets,
+    one pass per row over all 2^m row sets.  A mask t has a proper subset
+    among the masks iff t minus one of its rows has one inside it.
+    """
+    masks = np.fromiter(masks, dtype=np.int64)
+    below = np.zeros(1 << m, dtype=bool)
+    below[masks] = True
+    for i in range(m):
+        halves = below.reshape(-1, 2, 1 << i)
+        halves[:, 1] |= halves[:, 0]
+    proper = np.zeros(masks.size, dtype=bool)
+    for i in range(m):
+        proper |= ((masks >> i) & 1 == 1) & below[masks ^ (1 << i)]
+    return masks[~proper].tolist()
+
+
+def reference_minimal_supports(M, tol: Tolerance | None = None) -> list[SubspaceVector]:
+    """All inclusion-minimal achievable supports with their normalized vectors.
+
+    Enumeration: the complement of a minimal achievable support is a closed row
+    set of rank cols-1, so every minimal support arises as supp(M c) with c the
+    null vector of some independent (cols-1)-row subset.  Each chunk of row
+    subsets is ranked by one rank_many call, and the null vectors of its
+    independent subsets come from one null_space_many call.  Candidates are
+    then filtered to the inclusion-minimal ones.
+    """
+    tol = tol or Tolerance.default()
+    M = as_matrix(M)
+    _check_search_size(M)
+    _require_full_column_rank(M, tol)
+    m, n = M.shape
+    thr = tol.matrix_threshold(M)
+
+    by_mask: dict[int, SubspaceVector] = {}
+    for R in _subset_chunks(m, n - 1):
+        for N in null_space_many(M[R[rank_many(M[R], thr) == n - 1]], thr):
+            if N.shape[1] != 1:
+                continue
+            vec = _normalized_vector(M, N[:, 0], tol)
+            if vec is None:
+                continue
+            by_mask.setdefault(_bits(vec.mask.members), vec)
+
+    minimal = [by_mask[t] for t in reference_inclusion_minimal(by_mask, m)]
+    minimal.sort(key=lambda v: (v.support_size, v.mask.members))
+    return minimal
+
+
+def reference_mixing_strata(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
+    """Inclusion-minimal supports achievable by mixing vectors.
+
+    Closed row sets are enumerated as closures of independent row subsets of
+    size < cols; a complement T is a mixing stratum iff the coefficient null
+    space is not confined to a single block (it then cannot be covered by the
+    finitely many block subspaces without lying inside one).  Each chunk's
+    subsets with an open complement not yet seen get their null spaces from
+    one null_space_many call; the chunk is then walked in subset order.
+    Returns [(members_1based, null_basis)] sorted by (size, mask).
+    """
+    m, n = M.shape
+    thr = tol.matrix_threshold(M)
+    outsides = [[j for j in range(n) if j not in cols] for cols in blocks.ranges()]
+    bit = 1 << np.arange(m)
+    seen: dict[int, np.ndarray] = {}
+    for k in range(n):
+        for R in _subset_chunks(m, k):
+            R = R[rank_many(M[R], thr) == k]
+            # complement of the closure of each subset; its first subset wins
+            open_bits = (~reference_closed_rows(M, M[R], thr) * bit).sum(axis=1).tolist()
+            fresh = [i for i, T in enumerate(open_bits) if T and T not in seen]
+            for i, N in zip(fresh, null_space_many(M[R[fresh]], thr)):
+                T = open_bits[i]
+                if T in seen or N.shape[1] != n - k:
+                    continue
+                thr_c = tol.threshold(np.abs(N).max())
+                if any(
+                    not outside or np.abs(N[outside, :]).max() <= thr_c
+                    for outside in outsides
+                ):
+                    continue
+                seen[T] = N
+    minimal = reference_inclusion_minimal(seen, m)
+    minimal.sort(key=lambda t: (t.bit_count(), _members(t)))
+    return [(_members(t), seen[t]) for t in minimal]
+
+
+@st.composite
+def _flat_cases(draw):
+    """Full-column-rank matrices up to 9x6 with two or three blocks:
+    Gaussian, Gaussian with about half the entries zeroed, sparse integer
+    (half of them on a planted block pattern), and Gaussian with rows scaled
+    by powers of ten.
+
+    The scaled rows stay within 10^4 of each other, so every row is at least
+    10^3 above the zero threshold rel * max|M|.  Nearer that threshold the
+    rank test behind a closure and the support test of a normalized vector
+    can disagree: several subsets of one hyperplane then give vectors of
+    different supports, and the reference keeps each support's first vector
+    while the one pass keeps the hyperplane's first.
+    """
+    kind = draw(st.sampled_from(["gaussian", "half-sparse", "integer", "row-scaled"]))
+    if kind == "integer":
+        M = draw(_int_matrices(9, 6, min_cols=2)).astype(float)
+    else:
+        m = draw(st.integers(2, 9))
+        n = draw(st.integers(2, min(m, 6)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        M = rng.standard_normal((m, n))
+        if kind == "half-sparse":
+            M *= rng.random((m, n)) < 0.5
+        elif kind == "row-scaled":
+            M *= 10.0 ** rng.integers(-2, 3, (m, 1))
+    n = M.shape[1]
+    assume(rank(M) == n)
+    cuts = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2, unique=True))
+    return M, BlockSpec(tuple(np.diff([0, *sorted(cuts), n]).tolist()))
+
+
+def _vector_bytes(vectors):
+    return [(np.array(v.value).tobytes(), np.array(v.coeff).tobytes(), v.mask) for v in vectors]
+
+
+@settings(PINNED, max_examples=200)
+@given(_flat_cases())
+def test_flats_equal_the_two_subset_loops(case):
+    M, blocks = case
+    tol = Tolerance()
+    expected = _vector_bytes(reference_minimal_supports(M, tol))
+    assert _vector_bytes(minimal_supports(M, tol)) == expected
+    ground, strata = _flats(M, tol, blocks)
+    assert _vector_bytes(ground) == expected
+    reference = reference_mixing_strata(M, blocks, tol)
+    assert [t for t, _ in strata] == [t for t, _ in reference]
+    assert all(_same_bytes(N, E) for (_, N), (_, E) in zip(strata, reference))
