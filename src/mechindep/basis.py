@@ -41,15 +41,23 @@ class BlockSpec:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise InvalidInput(f"block sizes must be positive, got {sizes}")
-        object.__setattr__(self, "sizes", sizes)
+        """sizes is any iterable of Python or numpy integers >= 1 (not bools);
+        anything else is InvalidInput, never truncated or converted."""
+        try:
+            sizes = tuple(self.sizes)
+        except TypeError:
+            sizes = ()
+        if not sizes or not all(
+            isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1
+            for s in sizes
+        ):
+            raise InvalidInput(f"block sizes must be positive integers, got {self.sizes!r}")
+        object.__setattr__(self, "sizes", tuple(int(s) for s in sizes))
 
     @classmethod
     def coerce(cls, blocks) -> "BlockSpec":
         """blocks itself if it is a BlockSpec, else the BlockSpec of its sizes."""
-        return blocks if isinstance(blocks, cls) else cls(tuple(blocks))
+        return blocks if isinstance(blocks, cls) else cls(blocks)
 
     @property
     def K(self) -> int:
@@ -103,13 +111,7 @@ class SubspaceVector:
 
     def touched_blocks(self, blocks: BlockSpec, tol: Tolerance) -> tuple[int, ...]:
         """1-based indices of the blocks the coefficients touch."""
-        c = np.abs(self.coeff_array())
-        thr = tol.threshold(c.max())
-        touched = []
-        for b, cols in enumerate(blocks.ranges()):
-            if any(c[j] > thr for j in cols):
-                touched.append(b + 1)
-        return tuple(touched)
+        return tuple(b + 1 for b in _touched(self.coeff_array(), blocks, tol))
 
     def is_mixing(self, blocks: BlockSpec, tol: Tolerance) -> bool:
         return len(self.touched_blocks(blocks, tol)) > 1
@@ -134,6 +136,14 @@ class GapResult:
     independent: bool
     respecting: BasisSearchResult
     mixing: BasisSearchResult
+
+
+def _touched(c: np.ndarray, blocks: BlockSpec, tol: Tolerance) -> list[int]:
+    """0-based indices of the blocks a coefficient vector touches: those with
+    an entry above the threshold of the vector's own largest entry."""
+    c = np.abs(c)
+    above = (c > tol.threshold(c.max())).tolist()
+    return [b for b, cols in enumerate(blocks.ranges()) if any(above[j] for j in cols)]
 
 
 def _check_search_size(M: np.ndarray):
@@ -316,33 +326,30 @@ def minimal_supports(M, tol: Tolerance | None = None) -> list[SubspaceVector]:
 
 
 def _greedy_many(
-    starts: list[list[SubspaceVector]],
+    forced: list[SubspaceVector | None],
     candidates: list[SubspaceVector],
     n: int,
     tol: Tolerance,
 ) -> list[list[SubspaceVector] | None]:
-    """Complete every start (a list of at most n forced vectors) greedily to
-    n independent vectors from the nonempty candidates, taken in order.  A
-    start's entry is None if its forced vectors are dependent or it cannot be
+    """Complete every start, no vector (None) or one forced vector, greedily
+    to n independent vectors from the nonempty candidates, taken in order.  A
+    start's entry is None if its forced vector has rank 0 or it cannot be
     completed.
 
     The starts run in lockstep: round i tests candidate i against the picks
-    of every start that is not yet full, by the rank of [forced..., picks...,
+    of every start that is not yet full, by the rank of [forced, picks...,
     candidate] at that matrix's own threshold.  So each start makes the same
     tests in the same order as completing it alone would, on the same floats.
     Starts holding the same number of vectors share one rank_many call.
     """
-    picked = [list(s) for s in starts]
-    count = np.array([len(s) for s in starts], dtype=np.intp)
-    V = np.empty((len(starts), len(candidates[0].value), n))
-    for s, vecs in enumerate(picked):
-        for j, v in enumerate(vecs):
-            V[s, :, j] = v.value
-    alive = np.ones(len(starts), dtype=bool)
-    for p in set(count[count > 0].tolist()):
-        g = np.flatnonzero(count == p)
-        forced = V[g, :, :p]
-        alive[g] = rank_many(forced, tol.stack_thresholds(forced)) == p
+    picked = [[] if f is None else [f] for f in forced]
+    count = np.array([len(p) for p in picked], dtype=np.intp)
+    V = np.empty((len(forced), len(candidates[0].value), n))
+    alive = np.ones(len(forced), dtype=bool)
+    g = np.flatnonzero(count)
+    if g.size:
+        V[g, :, 0] = [forced[s].value for s in g]
+        alive[g] = rank_many(V[g, :, :1], tol.stack_thresholds(V[g, :, :1])) == 1
     for cand in candidates:
         open_ = np.flatnonzero(alive & (count < n))
         if not open_.size:
@@ -365,22 +372,15 @@ def _stratum_representative(
 ) -> SubspaceVector:
     """A mixing vector from the stratum's coefficient space."""
     cols = [N[:, j] for j in range(N.shape[1])]
-
-    def touched(c):
-        thr_c = tol.threshold(np.abs(c).max())
-        return [
-            b for b, r in enumerate(blocks.ranges()) if any(np.abs(c[j]) > thr_c for j in r)
-        ]
-
     for c in cols:
-        if len(touched(c)) > 1:
+        if len(_touched(c, blocks, tol)) > 1:
             vec = _normalized_vector(M, c, tol)
             if vec is not None:
                 return vec
     # every basis vector is pure; two of them live in different blocks
     groups = {}
     for c in cols:
-        t = touched(c)
+        t = _touched(c, blocks, tol)
         if len(t) == 1:
             groups.setdefault(t[0], c)
     picks = list(groups.values())
@@ -425,12 +425,12 @@ def sparsest_basis(
     n = M.shape[1]
 
     if mode == "unconstrained":
-        (picked,) = _greedy_many([[]], minimal_supports(M, tol), n, tol)
+        (picked,) = _greedy_many([None], minimal_supports(M, tol), n, tol)
         assert picked is not None, "ground set always spans a full-column-rank space"
     elif mode == "blockRespecting":
         picked = []
         for cols in blocks.ranges():
-            (pure,) = _greedy_many([[]], minimal_supports(M[:, cols], tol), len(cols), tol)
+            (pure,) = _greedy_many([None], minimal_supports(M[:, cols], tol), len(cols), tol)
             assert pure is not None, "block submatrix keeps full column rank"
             for v in pure:
                 coeff = np.zeros(n)
@@ -452,7 +452,7 @@ def sparsest_basis(
                         f"stratum support {members} not attained by representative "
                         f"{rep.mask.members}"
                     )
-                starts.append([rep])
+                starts.append(rep)
             for picked in filter(None, _greedy_many(starts, ground, n, tol)):
                 cost = sum(v.support_size for v in picked)
                 if best is None or cost < best[0]:  # the first cheapest stratum wins

@@ -1,12 +1,13 @@
 """Command-line front end.  Every command is a thin adapter: read files, call
-the library, render certificates; no analysis logic lives here."""
+the library, render certificates; no analysis logic lives here.  The parsed
+argparse namespace is the request: its attributes are the subcommand's
+options, and its handler is the one the subparser sets as a default."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .basis import BlockSpec
@@ -51,52 +52,27 @@ CRITERIA = {
 }
 
 
-@dataclass
-class AnalysisRequest:
-    """One command and its options; the command-line parser's destinations
-    are these field names."""
-
-    command: str
-    input_path: str | None = None
-    blocks: tuple | None = None
-    criteria: tuple = ("d", "m", "s")
-    fmt: str = "text"
-    tol: Tolerance | None = None
-    hessian_path: str | None = None
-    third_path: str | None = None
-    batch: bool = False
-    pairwise: bool = False
-    slices: int | None = None
-    k: int | None = None
-    slot_dim: int = 3
-    slot_out: int = 20
-    overlap: float = 0.0
-    seed: int = 0
-    draws: int = 200
-    out: str | None = None
-
-
-def _blockspec(request: AnalysisRequest) -> BlockSpec:
-    if not request.blocks:
+def _blockspec(args: argparse.Namespace) -> BlockSpec:
+    if not args.blocks:
         raise InvalidInput("this command needs --blocks (comma list of sizes)")
-    return BlockSpec(tuple(request.blocks))
+    return BlockSpec(args.blocks)
 
 
-def _analyze_one(path: str, request: AnalysisRequest, gaps: dict) -> list:
+def _analyze_one(path: str, args: argparse.Namespace, gaps: dict) -> list:
     M = read_matrix_csv(path)
-    blocks = _blockspec(request)
+    blocks = _blockspec(args)
     tensors = {
-        "hessian": read_tensor_json(request.hessian_path) if request.hessian_path else None,
-        "third": read_tensor_json(request.third_path) if request.third_path else None,
+        "hessian": read_tensor_json(args.hessian_path) if args.hessian_path else None,
+        "third": read_tensor_json(args.third_path) if args.third_path else None,
     }
     certs = []
-    for code in request.criteria:
+    for code in args.criteria:
         if code not in CRITERIA:
             raise InvalidInput(f"unknown criterion {code!r}; choose from {', '.join(CRITERIA)}")
         check, needs = CRITERIA[code]
         if needs and tensors[needs] is None:
             raise InvalidInput(f"criterion {code} needs --{needs}")
-        certs.append(check(M, blocks, request.tol, tensors, gaps))
+        certs.append(check(M, blocks, args.tol, tensors, gaps))
     return certs
 
 
@@ -105,26 +81,26 @@ def _tol_header(tol: Tolerance | None) -> dict:
     return {"tolRel": tol.rel, "tolAbs": tol.abs}
 
 
-def _run_analyze(request: AnalysisRequest):
+def _run_analyze(args: argparse.Namespace):
     header = {
         "command": "analyze",
-        "input": request.input_path,
-        "blocks": ",".join(str(b) for b in (request.blocks or ())),
-        "criteria": ",".join(request.criteria),
+        "input": args.input_path,
+        "blocks": ",".join(str(b) for b in (args.blocks or ())),
+        "criteria": ",".join(args.criteria),
     }
-    header.update(_tol_header(request.tol))
+    header.update(_tol_header(args.tol))
     gaps: dict = {}
-    if not request.batch:
-        certs = _analyze_one(request.input_path, request, gaps)
-        body = emit_report(certs, request.fmt, header)
+    if not args.batch:
+        certs = _analyze_one(args.input_path, args, gaps)
+        body = emit_report(certs, args.fmt, header)
         return (0 if all(c.holds for c in certs) else 1), body
-    directory = Path(request.input_path)
+    directory = Path(args.input_path)
     if not directory.is_dir():
-        raise InvalidInput(f"--batch needs a directory, got {request.input_path}")
+        raise InvalidInput(f"--batch needs a directory, got {args.input_path}")
     files = sorted(p for p in directory.iterdir() if p.suffix == ".csv")
     if not files:
         raise InvalidInput(f"no .csv files in {directory}")
-    sections = [(str(p.name), _analyze_one(str(p), request, gaps)) for p in files]
+    sections = [(str(p.name), _analyze_one(str(p), args, gaps)) for p in files]
     all_hold = all(c.holds for _, certs in sections for c in certs)
     payload = {
         "files": [
@@ -138,18 +114,18 @@ def _run_analyze(request: AnalysisRequest):
             yield f"## file: {name}"
             yield from certificate_lines(certs)
 
-    return (0 if all_hold else 1), render(request.fmt, header, payload, lines)
+    return (0 if all_hold else 1), render(args.fmt, header, payload, lines)
 
 
-def _run_decompose(request: AnalysisRequest):
-    M = read_matrix_csv(request.input_path)
-    graph = build_graph(M, "D", request.tol)
-    if request.fmt == "dot":
+def _run_decompose(args: argparse.Namespace):
+    M = read_matrix_csv(args.input_path)
+    graph = build_graph(M, "D", args.tol)
+    if args.fmt == "dot":
         return 0, to_dot(graph).encode()
     comps = components(graph)
     inferred = blocks_from_components(comps)
-    header = {"command": "decompose", "input": request.input_path}
-    header.update(_tol_header(request.tol))
+    header = {"command": "decompose", "input": args.input_path}
+    header.update(_tol_header(args.tol))
     payload = {"components": comps, "blocks": inferred.sizes if inferred else None}
 
     def lines():
@@ -157,22 +133,22 @@ def _run_decompose(request: AnalysisRequest):
             yield f"component {i}: {{{', '.join(str(v) for v in comp)}}}"
         yield "blocks: " + (",".join(map(str, inferred.sizes)) if inferred else "not contiguous")
 
-    return 0, render(request.fmt, header, payload, lines)
+    return 0, render(args.fmt, header, payload, lines)
 
 
-def _run_gap(request: AnalysisRequest):
-    M = read_matrix_csv(request.input_path)
-    blocks = _blockspec(request)
+def _run_gap(args: argparse.Namespace):
+    M = read_matrix_csv(args.input_path)
+    blocks = _blockspec(args)
     gaps: dict = {}
-    certs = [cr.check_type_s(M, blocks, request.tol, gaps)]
-    if request.pairwise:
-        certs.append(cr.check_type_s_pairwise(M, blocks, request.tol, gaps))
+    certs = [cr.check_type_s(M, blocks, args.tol, gaps)]
+    if args.pairwise:
+        certs.append(cr.check_type_s_pairwise(M, blocks, args.tol, gaps))
     header = {
         "command": "gap",
-        "input": request.input_path,
+        "input": args.input_path,
         "blocks": ",".join(str(b) for b in blocks.sizes),
     }
-    header.update(_tol_header(request.tol))
+    header.update(_tol_header(args.tol))
     code = 0 if all(c.holds for c in certs) else 1
 
     def lines():
@@ -180,20 +156,20 @@ def _run_gap(request: AnalysisRequest):
         yield f"rhoPlus={s_cert.witness['rhoPlus']}"
         yield f"rhoMinus={s_cert.witness['rhoMinus']}"
         yield f"independent={'true' if s_cert.holds else 'false'}"
-        if request.pairwise:
+        if args.pairwise:
             for i, row in enumerate(certs[1].witness["table"], start=1):
                 yield f"pairwise {i}: {' '.join('T' if x else 'F' for x in row)}"
 
-    return code, emit_report(certs, request.fmt, header, lines)
+    return code, emit_report(certs, args.fmt, header, lines)
 
 
-def _run_topology(request: AnalysisRequest):
-    region = read_region_json(request.input_path)
+def _run_topology(args: argparse.Namespace):
+    region = read_region_json(args.input_path)
     cert = premise_report(region)
-    header = {"command": "topology", "input": request.input_path}
+    header = {"command": "topology", "input": args.input_path}
     payload = {"certificates": [cert.to_dict()]}
-    if request.slices is not None:
-        rep = slices_connected(region, request.slices)
+    if args.slices is not None:
+        rep = slices_connected(region, args.slices)
         payload["slices"] = {
             "k": rep.k,
             "allConnected": rep.all_connected,
@@ -209,7 +185,7 @@ def _run_topology(request: AnalysisRequest):
 
     def lines():
         yield from certificate_lines([cert])
-        if request.slices is None:
+        if args.slices is None:
             return
         yield f"slice k={rep.k} allConnected={'true' if rep.all_connected else 'false'}"
         for v in rep.verdicts:
@@ -219,77 +195,61 @@ def _run_topology(request: AnalysisRequest):
                 f" ({v.cell_count} cells)"
             )
 
-    return (0 if cert.holds else 1), render(request.fmt, header, payload, lines)
+    return (0 if cert.holds else 1), render(args.fmt, header, payload, lines)
 
 
-def _run_synth(request: AnalysisRequest):
-    if request.k is None or request.out is None:
-        raise InvalidInput("synth needs --k and --out")
+def _run_synth(args: argparse.Namespace):
     template = OverlapTemplate(
-        K=request.k,
-        slot_dim=request.slot_dim,
-        slot_out=request.slot_out,
-        overlap_ratio=request.overlap,
-        seed=request.seed,
+        K=args.k,
+        slot_dim=args.slot_dim,
+        slot_out=args.slot_out,
+        overlap_ratio=args.overlap,
+        seed=args.seed,
     )
     M, blocks, sidecar = gen_overlap_jacobian(template)
-    csv_path = request.out + ".csv"
-    json_path = request.out + ".json"
+    csv_path = args.out + ".csv"
+    json_path = args.out + ".json"
     write_matrix_csv(csv_path, M)
     with open(json_path, "w") as fh:
         json.dump(_jsonable(sidecar), fh, indent=2)
         fh.write("\n")
     header = {
         "command": "synth",
-        "seed": request.seed,
-        "K": request.k,
-        "slotDim": request.slot_dim,
-        "slotOut": request.slot_out,
-        "overlap": request.overlap,
+        "seed": args.seed,
+        "K": args.k,
+        "slotDim": args.slot_dim,
+        "slotOut": args.slot_out,
+        "overlap": args.overlap,
     }
     rows, cols = M.shape
     payload = {"wrote": [csv_path, json_path], "rows": rows, "cols": cols}
     return 0, render(
-        request.fmt, header, payload,
+        args.fmt, header, payload,
         lambda: [f"wrote {csv_path} ({rows}x{cols})", f"wrote {json_path}"],
     )
 
 
-def _run_audit(request: AnalysisRequest):
-    if request.k is None:
-        raise InvalidInput("audit needs --k (claimed block count)")
-    M = read_matrix_csv(request.input_path)
+def _run_audit(args: argparse.Namespace):
+    M = read_matrix_csv(args.input_path)
     cert = block_structure_audit(
-        M, request.k, request.tol, draws=request.draws, seed=request.seed
+        M, args.k, args.tol, draws=args.draws, seed=args.seed
     )
     header = {
         "command": "audit",
-        "input": request.input_path,
-        "K": request.k,
-        "draws": request.draws,
-        "seed": request.seed,
+        "input": args.input_path,
+        "K": args.k,
+        "draws": args.draws,
+        "seed": args.seed,
     }
-    header.update(_tol_header(request.tol))
-    return (0 if cert.holds else 1), emit_report([cert], request.fmt, header)
+    header.update(_tol_header(args.tol))
+    return (0 if cert.holds else 1), emit_report([cert], args.fmt, header)
 
 
-def run(request: AnalysisRequest):
-    """Dispatch a request; returns (exit code, report bytes)."""
-    handlers = {
-        "analyze": _run_analyze,
-        "decompose": _run_decompose,
-        "gap": _run_gap,
-        "topology": _run_topology,
-        "synth": _run_synth,
-        "audit": _run_audit,
-    }
-    if request.command not in handlers:
-        raise InvalidInput(f"unknown command {request.command!r}")
-    if request.fmt == "dot" and request.command != "decompose":
+def run(args: argparse.Namespace):
+    """Run one parsed command line; returns (exit code, report bytes)."""
+    if args.fmt == "dot" and args.command != "decompose":
         raise InvalidInput("dot output is only available for decompose")
-    if request.fmt not in ("json", "text", "dot"):
-        raise InvalidInput(f"unknown format {request.fmt!r}")
-    return handlers[request.command](request)
+    return args.handler(args)
 
 
 def _parse_blocks(text: str) -> tuple:
@@ -322,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, handler, needs_input=True):
+        p.set_defaults(handler=handler)
         if needs_input:
             p.add_argument("input_path", metavar="input", help="input file")
         p.add_argument("--tol", type=_parse_tol, default=None,
@@ -331,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["json", "text", "dot"])
 
     p = sub.add_parser("analyze", help="run criteria checkers on a Jacobian CSV")
-    common(p)
+    common(p, _run_analyze)
     p.add_argument("--criteria", type=_parse_criteria, default="d,m,s",
                    help="comma list from: " + ",".join(CRITERIA))
     p.add_argument("--blocks", type=_parse_blocks, default=None)
@@ -343,20 +304,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="treat input as a directory of CSV files")
 
     p = sub.add_parser("decompose", help="connected components of the disjointness graph")
-    common(p)
+    common(p, _run_decompose)
 
     p = sub.add_parser("gap", help="sparsity gap rho+/rho- for a block split")
-    common(p)
+    common(p, _run_gap)
     p.add_argument("--blocks", type=_parse_blocks, required=True)
     p.add_argument("--pairwise", action="store_true")
 
     p = sub.add_parser("topology", help="grid-region premise report")
-    common(p)
+    common(p, _run_topology)
     p.add_argument("--slices", type=int, default=None,
                    help="also report every k-slice for this k")
 
     p = sub.add_parser("synth", help="generate a planted overlap instance")
-    common(p, needs_input=False)
+    common(p, _run_synth, needs_input=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--slot-dim", type=int, default=3)
     p.add_argument("--slot-out", type=int, default=20)
@@ -365,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path prefix")
 
     p = sub.add_parser("audit", help="maximal block structure audit")
-    common(p)
+    common(p, _run_audit)
     p.add_argument("--k", type=int, required=True, help="claimed block count")
     p.add_argument("--draws", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -379,7 +340,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code, body = run(AnalysisRequest(**vars(args)))
+        code, body = run(args)
     except InternalError:
         raise
     except (MechIndepError, OSError) as exc:

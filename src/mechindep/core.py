@@ -1,4 +1,5 @@
-"""Scalar-level primitives: tolerance model, supports, rank, face splitting.
+"""Primitives: tolerance model, supports, the batched rank and null-space
+eliminations, face splitting.
 
 Everything downstream reduces "is this entry zero" to one rule: an entry e of
 an object with magnitude scale s is zero iff |e| <= max(abs_tol, rel_tol * s).
@@ -135,41 +136,25 @@ def rank(M, tol: Tolerance | None = None, thr: float | None = None) -> int:
 
     The pivot threshold is frozen from the original matrix's scale, so later
     fill-in cannot promote noise into pivots.  Callers working on submatrices
-    of a larger object may pass the parent's threshold explicitly.
+    of a larger object may pass the parent's threshold explicitly.  The
+    one-slice case of rank_many.
     """
     tol = tol or Tolerance.default()
-    A = as_matrix(M).copy()
+    A = as_matrix(M)
     if thr is None:
         thr = tol.matrix_threshold(A)
-    m, n = A.shape
-    r = 0
-    while r < m and r < n:
-        sub = np.abs(A[r:, r:])
-        flat = int(np.argmax(sub))
-        pi, pj = divmod(flat, n - r)
-        if sub[pi, pj] <= thr:
-            break
-        pi += r
-        pj += r
-        if pi != r:
-            A[[r, pi], :] = A[[pi, r], :]
-        if pj != r:
-            A[:, [r, pj]] = A[:, [pj, r]]
-        below = A[r + 1 :, r] / A[r, r]
-        A[r + 1 :, :] -= np.outer(below, A[r, :])
-        r += 1
-    return r
+    return int(rank_many(A[None], thr)[0])
 
 
 def rank_many(stack, thr) -> np.ndarray:
     """Ranks of every slice of a (B, r, n) stack, each equal to rank(stack[b], thr=thr[b]).
 
     thr is a frozen threshold, scalar or one per slice.  Every slice runs the
-    same complete-pivoting elimination as rank: the row-major first maximum of
-    the trailing block is the pivot, and the update is the same division and
-    the same elementwise products, so each rank is bit-identical to rank's.
-    Only the trailing block is updated, the one part later steps read.  A
-    slice retires once its pivot is at or below its threshold.
+    same complete-pivoting elimination: the pivot is the row-major first
+    maximum of the trailing block, rows below it subtract the pivot row times
+    their entry divided by the pivot, as elementwise products, and only the
+    trailing block is updated, the one part later steps read.  A slice
+    retires once its pivot is at or below its threshold.
     """
     A = np.array(stack, dtype=float)
     if A.ndim != 3:

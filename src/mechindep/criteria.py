@@ -15,15 +15,7 @@ import numpy as np
 
 from .basis import BlockSpec, pairwise_sparsity_gap, request_gap, sparsity_gap
 from .certificates import Certificate, inputs_digest
-from .core import (
-    SupportMask,
-    Tolerance,
-    as_matrix,
-    column_supports,
-    l0_norm,
-    pitchfork,
-    rank,
-)
+from .core import SupportMask, Tolerance, as_matrix, column_supports, l0_norm, rank
 from .errors import (
     DegenerateColumn,
     InternalError,
@@ -32,7 +24,7 @@ from .errors import (
     ShapeError,
     SizeError,
 )
-from .graphs import FactorGraph, components, finest_rank_additive_partition
+from .graphs import adjacency, adjacency_graph, components, finest_rank_additive_partition
 
 RHO_MINUS_NOTE = (
     "rhoMinus from stratified search: every mixing-minimal support stratum is "
@@ -46,9 +38,14 @@ CONTRAST_NOTE = (
 )
 
 H_SPLIT_NOTE = (
-    "splits searched over coordinate 2-partitions only; reducible verdicts are "
-    "sound, irreducible verdicts are relative to coordinate splits"
+    "irreducible iff the block's coordinate graph, with an edge wherever a cross "
+    "slice is nonzero, is connected; reducible verdicts are sound, irreducible "
+    "verdicts are relative to coordinate splits"
 )
+
+SINGLE_BLOCK_NOTE = "single block: no cross-block pairs, holds vacuously"
+
+ONE_DIMENSIONAL_NOTE = "one-dimensional blocks are always irreducible"
 
 
 def _prepare(J, blocks, tol):
@@ -60,6 +57,25 @@ def _prepare(J, blocks, tol):
             f"block sizes {blocks.sizes} do not cover {M.shape[1]} columns"
         )
     return M, blocks, tol
+
+
+def _block_columns(blocks: BlockSpec, block_index: int) -> list[int]:
+    """The 0-based columns of the 1-based block block_index."""
+    if not 1 <= block_index <= blocks.K:
+        raise InvalidInput(f"block index {block_index} outside 1..{blocks.K}")
+    return blocks.ranges()[block_index - 1]
+
+
+def _check_order(n: int):
+    if n not in (2, 3):
+        raise InvalidInput(f"order must be 2 or 3, got {n}")
+
+
+def _holds(criterion: str, witness: dict, note: str, digest: str) -> Certificate:
+    """A certificate that holds without a search."""
+    return Certificate(
+        criterion=criterion, holds=True, witness=witness, notes=(note,), inputs_digest=digest
+    )
 
 
 def _cross_pairs(blocks: BlockSpec):
@@ -85,14 +101,13 @@ def _component_split(cols, adjacent: np.ndarray, kind: str) -> list | None:
     _first_split's order, as 1-based [A, rest]; None when there is none.
 
     adjacent is the block's induced graph, a symmetric boolean matrix over
-    cols.  A split (A, rest) with cols[0] in A has no cross edge iff A is a
-    union of components; the smallest such A is the component of cols[0],
-    and the only one of its size.  So the first split found by size is that
-    component against the rest, and there is none iff the block is
-    connected: O(len(cols)^2) instead of 2^(len(cols)-1) - 1 splits."""
-    a, b = np.nonzero(np.triu(adjacent, 1))
-    edges = frozenset(zip((a + 1).tolist(), (b + 1).tolist()))
-    first = components(FactorGraph(kind=kind, n=len(cols), edges=edges))[0]
+    cols from graphs.adjacency.  A split (A, rest) with cols[0] in A has no
+    cross edge iff A is a union of components; the smallest such A is the
+    component of cols[0], and the only one of its size.  So the first split
+    found by size is that component against the rest, and there is none iff
+    the block is connected: O(len(cols)^2) instead of 2^(len(cols)-1) - 1
+    splits."""
+    first = components(adjacency_graph(kind, adjacent))[0]
     if len(first) == len(cols):
         return None
     part_a = [cols[v - 1] for v in first]
@@ -107,29 +122,17 @@ def check_type_d(J, blocks, tol: Tolerance | None = None) -> Certificate:
     """Type D: cross-block column supports are pairwise disjoint."""
     M, blocks, tol = _prepare(J, blocks, tol)
     digest = inputs_digest(M, blocks)
-    if blocks.K == 1:
-        return Certificate(
-            criterion="D",
-            holds=True,
-            witness={"columnSupports": _supports_payload(column_supports(M, tol))},
-            notes=("single block: no cross-block pairs, holds vacuously",),
-            inputs_digest=digest,
-        )
     supports = column_supports(M, tol)
+    witness = {"columnSupports": _supports_payload(supports)}
+    if blocks.K == 1:
+        return _holds("D", witness, SINGLE_BLOCK_NOTE, digest)
     violations = []
     for _, _, a, b in _cross_pairs(blocks):
         shared = sorted(supports[a].as_set() & supports[b].as_set())
         if shared:
             violations.append({"pair": [a + 1, b + 1], "sharedRows": shared})
-    return Certificate(
-        criterion="D",
-        holds=not violations,
-        witness={
-            "columnSupports": _supports_payload(supports),
-            "violations": violations,
-        },
-        inputs_digest=digest,
-    )
+    witness["violations"] = violations
+    return Certificate(criterion="D", holds=not violations, witness=witness, inputs_digest=digest)
 
 
 def _row_route_type_m(M: np.ndarray, blocks: BlockSpec, tol: Tolerance) -> bool:
@@ -156,8 +159,9 @@ def _row_route_type_m(M: np.ndarray, blocks: BlockSpec, tol: Tolerance) -> bool:
 def check_type_m(J, blocks, tol: Tolerance | None = None) -> Certificate:
     """Type M: every cross-block column pair is mutually non-included.
 
-    Decided twice: by pairwise pitchfork tests and by the row-support
-    intersection route; the two verdicts are asserted equal.
+    Decided twice: by the M rule of graphs.adjacency (a pitchfork test) on
+    every cross-block pair and by the row-support intersection route; the
+    two verdicts are asserted equal.
     """
     M, blocks, tol = _prepare(J, blocks, tol)
     digest = inputs_digest(M, blocks)
@@ -167,9 +171,10 @@ def check_type_m(J, blocks, tol: Tolerance | None = None) -> Certificate:
         raise DegenerateColumn(
             f"zero columns {empty}: empty support is contained in everything"
         )
+    nested = adjacency(M, "M", tol.matrix_threshold(M))
     violations = []
     for _, _, a, b in _cross_pairs(blocks):
-        if not pitchfork(supports[a], supports[b]):
+        if nested[a, b]:
             sa, sb = supports[a].as_set(), supports[b].as_set()
             direction = "left-in-right" if sa <= sb else "right-in-left"
             if sa == sb:
@@ -263,13 +268,7 @@ def check_type_o(J, blocks, tol: Tolerance | None = None) -> Certificate:
     M, blocks, tol = _prepare(J, blocks, tol)
     digest = inputs_digest(M, blocks)
     if blocks.K == 1:
-        return Certificate(
-            criterion="O",
-            holds=True,
-            witness={},
-            notes=("single block: no cross-block pairs, holds vacuously",),
-            inputs_digest=digest,
-        )
+        return _holds("O", {}, SINGLE_BLOCK_NOTE, digest)
     violations = []
     for _, _, a, b in _cross_pairs(blocks):
         dot = float(M[:, a] @ M[:, b])
@@ -304,20 +303,13 @@ def check_type_h(tensor, blocks, n: int = 2, tol: Tolerance | None = None) -> Ce
     blocks and lets any remaining index range over everything.
     """
     tol = tol or Tolerance.default()
-    if n not in (2, 3):
-        raise InvalidInput(f"order must be 2 or 3, got {n}")
+    _check_order(n)
     blocks = BlockSpec.coerce(blocks)
     T = _as_tensor(tensor, n, blocks.total)
     digest = inputs_digest(T, blocks, n)
     criterion = f"H{n}"
     if blocks.K == 1:
-        return Certificate(
-            criterion=criterion,
-            holds=True,
-            witness={},
-            notes=("single block: no cross-block slices, holds vacuously",),
-            inputs_digest=digest,
-        )
+        return _holds(criterion, {}, "single block: no cross-block slices, holds vacuously", digest)
     thr = tol.threshold(np.abs(T).max())
     ranges = blocks.ranges()
     violations = []
@@ -354,25 +346,20 @@ def check_type_h_irreducible(
     """H_n irreducibility of one block: the within-block derivative is nonzero
     and no coordinate 2-partition of the block zeroes all cross slices.
 
-    Coordinates a and b of the block are adjacent when the slice
-    T[:, a, b, ...] or T[:, b, a, ...] has an entry above the threshold (for
-    n = 3 the trailing index ranges over every coordinate).  A zeroing split
-    exists iff this graph is disconnected; the witness is the component of
-    the block's first coordinate against the rest."""
+    Coordinates of the block are adjacent by the H rule of graphs.adjacency.
+    A zeroing split exists iff the graph induced on the block is
+    disconnected; the witness is the component of the block's first
+    coordinate against the rest."""
     tol = tol or Tolerance.default()
-    if n not in (2, 3):
-        raise InvalidInput(f"order must be 2 or 3, got {n}")
+    _check_order(n)
     blocks = BlockSpec.coerce(blocks)
-    if not 1 <= block_index <= blocks.K:
-        raise InvalidInput(f"block index {block_index} outside 1..{blocks.K}")
+    cols = _block_columns(blocks, block_index)
     T = _as_tensor(tensor, n, blocks.total)
     digest = inputs_digest(T, blocks, n, block_index)
     criterion = f"H{n}-irreducible"
-    cols = blocks.ranges()[block_index - 1]
     thr = tol.threshold(np.abs(T).max())
-    # W[a, b]: the largest |entry| of the within-block slice T[:, a, b, ...]
-    W = np.abs(T[np.ix_(range(T.shape[0]), cols, cols)]).max(axis=(0, *range(3, T.ndim)))
-    if W.max() <= thr:
+    within = adjacency(T, f"H{n}", thr)[np.ix_(cols, cols)]
+    if not within.any():
         return Certificate(
             criterion=criterion,
             holds=False,
@@ -381,7 +368,7 @@ def check_type_h_irreducible(
             inputs_digest=digest,
         )
     witness: dict = {"block": block_index}
-    split = _component_split(cols, np.maximum(W, W.T) > thr, f"H{n}")
+    split = _component_split(cols, within, f"H{n}")
     if split:
         witness["split"] = split
     return Certificate(
@@ -401,8 +388,7 @@ def check_separability(
     with all lower-order derivative images only at zero, decided by rank
     additivity; a zero within-block image fails with a degenerate-block note."""
     tol = tol or Tolerance.default()
-    if n not in (2, 3):
-        raise InvalidInput(f"order must be 2 or 3, got {n}")
+    _check_order(n)
     blocks = BlockSpec.coerce(blocks)
     if len(tensors) != n:
         raise InvalidInput(f"need derivative tensors of orders 1..{n}, got {len(tensors)}")
@@ -469,21 +455,14 @@ def check_type_d_irreducible(
     omits the first is one side of a 2-partition, 2^(c-1) - 1 in all, and the
     witness reports the first group against the rest."""
     M, blocks, tol = _prepare(J, blocks, tol)
-    if not 1 <= block_index <= blocks.K:
-        raise InvalidInput(f"block index {block_index} outside 1..{blocks.K}")
-    cols = blocks.ranges()[block_index - 1]
+    cols = _block_columns(blocks, block_index)
     sub = M[:, cols]
     digest = inputs_digest(M, blocks, block_index)
     if np.abs(sub).max() <= tol.matrix_threshold(M):
         raise DegenerateColumn(f"block {block_index} is entirely zero")
     if len(cols) == 1:
-        return Certificate(
-            criterion="D-irreducible",
-            holds=True,
-            witness={"block": block_index},
-            notes=("one-dimensional block with nonzero column is always irreducible",),
-            inputs_digest=digest,
-        )
+        note = "one-dimensional block with nonzero column is always irreducible"
+        return _holds("D-irreducible", {"block": block_index}, note, digest)
     groups = finest_rank_additive_partition(sub, tol).groups
     if len(groups) > 1:
         return Certificate(
@@ -510,29 +489,21 @@ def check_type_m_irreducible(
     """M-irreducibility of one block: no 2-partition of its columns has every
     cross pair mutually non-included.
 
-    Columns of the block are adjacent when one support contains the other
-    (not pitchfork).  A split exists iff this graph, induced on the block
-    alone, is disconnected; the witness is the component of the block's
-    first column against the rest.  Zero columns outside the block play no
-    part."""
+    Columns of the block are adjacent by the M rule of graphs.adjacency: one
+    support contains the other.  A split exists iff this graph, induced on
+    the block alone, is disconnected; the witness is the component of the
+    block's first column against the rest.  Zero columns outside the block
+    play no part."""
     M, blocks, tol = _prepare(J, blocks, tol)
-    if not 1 <= block_index <= blocks.K:
-        raise InvalidInput(f"block index {block_index} outside 1..{blocks.K}")
-    cols = blocks.ranges()[block_index - 1]
+    cols = _block_columns(blocks, block_index)
     digest = inputs_digest(M, blocks, block_index)
     supports = column_supports(M, tol)
     empty = [c + 1 for c in cols if len(supports[c]) == 0]
     if empty:
         raise DegenerateColumn(f"zero columns {empty} in block {block_index}")
     if len(cols) == 1:
-        return Certificate(
-            criterion="M-irreducible",
-            holds=True,
-            witness={"block": block_index},
-            notes=("one-dimensional blocks are always irreducible",),
-            inputs_digest=digest,
-        )
-    nested = np.array([[not pitchfork(supports[a], supports[b]) for b in cols] for a in cols])
+        return _holds("M-irreducible", {"block": block_index}, ONE_DIMENSIONAL_NOTE, digest)
+    nested = adjacency(M, "M", tol.matrix_threshold(M))[np.ix_(cols, cols)]
     witness: dict = {"block": block_index}
     split = _component_split(cols, nested, "M")
     if split:
@@ -551,18 +522,10 @@ def check_type_s_irreducible(
     """S-irreducibility of one block: no 2-partition of its columns makes the
     block's submatrix Type S independent."""
     M, blocks, tol = _prepare(J, blocks, tol)
-    if not 1 <= block_index <= blocks.K:
-        raise InvalidInput(f"block index {block_index} outside 1..{blocks.K}")
-    cols = blocks.ranges()[block_index - 1]
+    cols = _block_columns(blocks, block_index)
     digest = inputs_digest(M, blocks, block_index)
     if len(cols) == 1:
-        return Certificate(
-            criterion="S-irreducible",
-            holds=True,
-            witness={"block": block_index},
-            notes=("one-dimensional blocks are always irreducible",),
-            inputs_digest=digest,
-        )
+        return _holds("S-irreducible", {"block": block_index}, ONE_DIMENSIONAL_NOTE, digest)
     for part_a, part_b in _first_split(cols):
         arranged = M[:, part_a + part_b]
         gap = sparsity_gap(arranged, BlockSpec((len(part_a), len(part_b))), tol)

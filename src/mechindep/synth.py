@@ -35,6 +35,8 @@ class OverlapTemplate:
             raise InvalidInput("slot dimensions must be positive")
         if not 0.0 <= self.overlap_ratio < 1.0:
             raise InvalidInput(f"overlap ratio must be in [0, 1), got {self.overlap_ratio}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
     def pair_rows(self) -> int:
         """Rows in each pairwise group; overlap 0.5 gives slot_out rows so the
@@ -139,6 +141,8 @@ def random_mixing(blocks, kind: str, seed: int = 0) -> MixingDraw:
     blocks = BlockSpec.coerce(blocks)
     if kind not in ("blockDiagonal", "full", "blockPermuted"):
         raise InvalidInput(f"unknown mixing kind {kind!r}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = blocks.total
     ranges = blocks.ranges()

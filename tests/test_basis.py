@@ -13,6 +13,7 @@ from mechindep.basis import (
     sparsity_gap,
 )
 from mechindep.core import Tolerance, l0_norm
+from mechindep.criteria import check_type_d
 from mechindep.errors import InvalidInput, RankError, SizeError
 
 from golden import GOLDEN, MAT_DISJOINT, MAT_TRIANGLE
@@ -45,6 +46,27 @@ def test_blockspec_validation():
         BlockSpec((0, 2))
     with pytest.raises(InvalidInput):
         BlockSpec(())
+
+
+@pytest.mark.parametrize(
+    "sizes", [(1.5, 1.5), (2.0, 2), (True, 1), ("1", 1), "a", (None,), None, 2, [np.bool_(True)]]
+)
+def test_blockspec_rejects_non_integer_sizes(sizes):
+    with pytest.raises(InvalidInput, match="positive integers"):
+        BlockSpec(sizes)
+    with pytest.raises(InvalidInput, match="positive integers"):
+        BlockSpec.coerce(sizes)
+
+
+def test_blockspec_accepts_python_and_numpy_integers():
+    for sizes in ((1, 1), [1, 1], np.array([1, 1]), (np.int32(1), np.uint8(1)), iter([1, 1])):
+        spec = BlockSpec.coerce(sizes)
+        assert spec.sizes == (1, 1) and all(type(s) is int for s in spec.sizes)
+
+
+def test_fractional_blocks_do_not_pass_type_d():
+    with pytest.raises(InvalidInput):
+        check_type_d(np.eye(2), (1.5, 1.5))
 
 
 def test_achievable_matches_oracle():

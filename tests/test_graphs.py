@@ -187,6 +187,11 @@ def test_audit_rejects_negative_draws():
     assert cert.holds and cert.witness["sampledMax"] == 0 and cert.witness["draws"] == 0
 
 
+def test_audit_rejects_negative_seed():
+    with pytest.raises(InvalidInput, match="seed"):
+        block_structure_audit(np.eye(2), 2, seed=-1)
+
+
 def _reference_route_d(M, F, tol, draws, seed):
     """Route d as the loop of one scalar rank and one graph per draw that the
     batched pass replaced, verbatim apart from recording every count, a failed

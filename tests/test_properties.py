@@ -1,6 +1,7 @@
-"""Property tests: the batched rank kernel against the scalar one; the
-batched Gauss-Jordan null-space kernel and the lockstep greedy completion
-against verbatim copies of the scalar code they replaced; the
+"""Property tests: the batched rank kernel, the batched Gauss-Jordan
+null-space kernel, the lockstep greedy completion, the row partition's
+batched greedy basis, and the adjacency-matrix edge rules of build_graph and
+check_type_m against verbatim copies of the scalar code they replaced; the
 batched D-graph component counter against build_graph and components; the
 row-matroid partition and the row-subset searches (minimal supports, rho+ and
 rho-) against the exact oracles; and their invariance under row permutation
@@ -12,11 +13,15 @@ searches they replaced.
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mechindep import graphs
 from mechindep.basis import (
+    CHUNK,
     BlockSpec,
     SubspaceVector,
     _bits,
@@ -33,6 +38,7 @@ from mechindep.basis import (
 )
 from mechindep.certificates import Certificate, inputs_digest
 from mechindep.core import (
+    SupportMask,
     Tolerance,
     as_matrix,
     column_supports,
@@ -45,21 +51,28 @@ from mechindep.core import (
 from mechindep.criteria import (
     H_SPLIT_NOTE,
     _as_tensor,
+    _cross_pairs,
     _first_split,
     _prepare,
+    _row_route_type_m,
+    _supports_payload,
     check_type_d_irreducible,
     check_type_h_irreducible,
+    check_type_m,
     check_type_m_irreducible,
 )
-from mechindep.errors import DegenerateColumn, InvalidInput, MechIndepError
+from mechindep.errors import DegenerateColumn, InternalError, InvalidInput, MechIndepError
 from mechindep.graphs import (
     FactorGraph,
+    RowPartition,
+    _nonzero_rows,
+    _partition_with_zeros,
     build_graph,
     component_counts,
     components,
     finest_rank_additive_partition,
 )
-from mechindep.topology import GridRegion
+from mechindep.topology import GridRegion, _roots
 
 from oracles import (
     exact_rank,
@@ -180,13 +193,131 @@ def _stacks(draw):
     return S, thr
 
 
+# The scalar complete-pivoting elimination that rank_many replaced, verbatim:
+# the reference every rank must match.
+def scalar_rank(M, tol: Tolerance | None = None, thr: float | None = None) -> int:
+    """Numerical rank by complete-pivoting Gaussian elimination.
+
+    The pivot threshold is frozen from the original matrix's scale, so later
+    fill-in cannot promote noise into pivots.  Callers working on submatrices
+    of a larger object may pass the parent's threshold explicitly.
+    """
+    tol = tol or Tolerance.default()
+    A = as_matrix(M).copy()
+    if thr is None:
+        thr = tol.matrix_threshold(A)
+    m, n = A.shape
+    r = 0
+    while r < m and r < n:
+        sub = np.abs(A[r:, r:])
+        flat = int(np.argmax(sub))
+        pi, pj = divmod(flat, n - r)
+        if sub[pi, pj] <= thr:
+            break
+        pi += r
+        pj += r
+        if pi != r:
+            A[[r, pi], :] = A[[pi, r], :]
+        if pj != r:
+            A[:, [r, pj]] = A[:, [pj, r]]
+        below = A[r + 1 :, r] / A[r, r]
+        A[r + 1 :, :] -= np.outer(below, A[r, :])
+        r += 1
+    return r
+
+
 @PINNED
 @given(_stacks())
-def test_rank_many_equals_rank(case):
+def test_rank_many_and_rank_equal_scalar_rank(case):
     S, thr = case
     per_slice = np.broadcast_to(thr, (S.shape[0],))
-    expected = [rank(S[b], thr=per_slice[b]) for b in range(S.shape[0])]
+    expected = [scalar_rank(S[b], thr=per_slice[b]) for b in range(S.shape[0])]
     assert rank_many(S, thr).tolist() == expected
+    assert [rank(S[b], thr=per_slice[b]) for b in range(S.shape[0])] == expected
+    assert rank(S[0]) == scalar_rank(S[0])
+
+
+# The row partition whose greedy basis made one scalar rank call per row,
+# verbatim but for those calls, bound to scalar_rank: the reference every
+# partition must match.
+def reference_partition(M, tol: Tolerance | None = None) -> RowPartition:
+    tol = tol or Tolerance.default()
+    M = as_matrix(M)
+    thr = tol.matrix_threshold(M)
+    nz = _nonzero_rows(M, thr)
+    zero_rows = [r for r in range(M.shape[0]) if r not in set(nz)]
+    if not nz:
+        return RowPartition((tuple(r + 1 for r in zero_rows),))
+    circuits: list[tuple[int, int]] = []  # (basis row, spanned row) pairs to join
+    basis: list[int] = []
+    spanned: dict[int, list[int]] = {}  # basis size when each spanned row came
+    for e in nz:
+        if scalar_rank(M[basis + [e], :], tol, thr=thr) > len(basis):
+            basis.append(e)
+        else:
+            # e's circuit lies in the basis so far, so later basis rows cannot join it
+            spanned.setdefault(len(basis), []).append(e)
+    for r, rows in spanned.items():
+        step = max(1, CHUNK // r)
+        for i in range(0, len(rows), step):
+            es = rows[i : i + step]
+            # slice (e, j) is the basis with e in place of its j-th row
+            exchanged = np.broadcast_to(M[basis[:r]], (len(es), r, r, M.shape[1])).copy()
+            exchanged[:, np.arange(r), np.arange(r)] = M[es][:, None, :]
+            ranks = rank_many(exchanged.reshape(-1, r, M.shape[1]), thr).reshape(len(es), r)
+            for ei, j in zip(*np.nonzero(ranks == r)):
+                circuits.append((basis[j], es[ei]))
+    pairs = np.array(circuits, dtype=np.intp).reshape(-1, 2)
+    roots = _roots(M.shape[0], [(pairs[:, 0], pairs[:, 1])]).tolist()
+    groups: dict[int, list[int]] = {}
+    for r in nz:
+        groups.setdefault(roots[r], []).append(r)
+    return _partition_with_zeros(list(groups.values()), zero_rows)
+
+
+@st.composite
+def _partition_cases(draw):
+    """Sparse integer or Gaussian matrices up to 14x6 with up to four rows
+    copied over others, half of them with every row scaled by 10^e, e in
+    -9..2; a tolerance of rel 1e-9, 1e-6 or 0.3; and a greedy chunk of 1, 2,
+    3 or CHUNK rows, so that steps end inside and at the ends of chunks."""
+    if draw(st.booleans()):
+        M = draw(_int_matrices(14, 6)).astype(float)
+    else:
+        shape = (draw(st.integers(1, 14)), draw(st.integers(1, 6)))
+        M = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+    m = M.shape[0]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=4)):
+        M[draw(st.integers(0, m - 1))] = M[i]
+    if draw(st.booleans()):
+        M = M * 10.0 ** draw(arrays(np.int64, (m, 1), elements=st.integers(-9, 2)))
+    tol = Tolerance(rel=draw(st.sampled_from([1e-9, 1e-6, 0.3])))
+    return M, tol, draw(st.sampled_from([1, 2, 3, CHUNK]))
+
+
+@settings(PINNED, max_examples=300)
+@given(_partition_cases())
+def test_partition_and_rank_equal_scalar_greedy(case):
+    M, tol, chunk = case
+    with mock.patch.object(graphs, "CHUNK", chunk):
+        assert finest_rank_additive_partition(M, tol) == reference_partition(M, tol)
+    assert rank(M, tol) == scalar_rank(M, tol)
+
+
+def test_partition_greedy_spans_whole_chunks():
+    """300 rows: 200 multiples of one unit row fill a whole chunk that adds
+    no rank before the next basis row; then 50 multiples of a second unit
+    row, 49 rows on the last two columns, and a row that links the first two
+    groups."""
+    rng = np.random.default_rng(3)
+    M = np.zeros((300, 4))
+    M[:200, 0] = rng.integers(1, 5, 200)
+    M[200:250, 1] = rng.integers(1, 5, 50)
+    M[250:299, 2:] = rng.integers(-2, 3, (49, 2))
+    M[299, :2] = 1.0
+    partition = finest_rank_additive_partition(M)
+    assert len(partition.groups) == 2
+    assert partition == reference_partition(M)
 
 
 # The scalar Gauss-Jordan elimination that null_space_many replaced, verbatim:
@@ -292,9 +423,9 @@ def scalar_greedy_complete(
 @st.composite
 def _greedy_cases(draw):
     """A ground set from minimal_supports of a sparse integer or a Gaussian
-    matrix of full column rank up to 9x6, in a drawn order, and 1-40 starts
-    of up to n ground vectors each, drawn with replacement, so that some
-    starts are dependent and the starts differ in length."""
+    matrix of full column rank up to 9x6, in a drawn order, and 1-40 starts,
+    each no forced vector or one: a ground vector, or a zero vector, which
+    has rank 0."""
     if draw(st.booleans()):
         M = draw(_int_matrices(9, 6)).astype(float)
     else:
@@ -304,10 +435,10 @@ def _greedy_cases(draw):
     assume(rank(M) == M.shape[1])
     ground = minimal_supports(M)
     ground = [ground[i] for i in draw(st.permutations(range(len(ground))))]
-    n = M.shape[1]
-    pick = st.lists(st.integers(0, len(ground) - 1), max_size=n)
-    starts = [[ground[i] for i in s] for s in draw(st.lists(pick, min_size=1, max_size=40))]
-    return ground, n, starts
+    m, n = M.shape
+    zero = SubspaceVector(value=(0.0,) * m, coeff=(0.0,) * n, mask=SupportMask(m, ()))
+    first = st.one_of(st.none(), st.sampled_from(ground), st.just(zero))
+    return ground, n, draw(st.lists(first, min_size=1, max_size=40))
 
 
 @PINNED
@@ -315,7 +446,8 @@ def _greedy_cases(draw):
 def test_greedy_many_equals_scalar_greedy(case):
     ground, n, starts = case
     tol = Tolerance()
-    expected = [scalar_greedy_complete(ground, n, tol, forced=s) for s in starts]
+    expected = [scalar_greedy_complete(ground, n, tol, forced=None if s is None else [s])
+                for s in starts]
     assert _greedy_many(starts, ground, n, tol) == expected
 
 
@@ -545,6 +677,120 @@ def test_h_irreducible_equals_split_search(case):
     assert _outcome(check_type_h_irreducible, T, blocks, index, n) == _outcome(
         reference_h_irreducible, T, blocks, index, n
     )
+
+
+# The pairwise-loop build_graph and check_type_m that the adjacency matrices
+# of graphs.adjacency replaced, verbatim: the references their graphs and
+# certificates must match.
+def reference_build_graph(obj, kind: str = "D", tol: Tolerance | None = None) -> FactorGraph:
+    """Disjointness graph (kind "D": edge iff column supports intersect),
+    non-pitchfork graph (kind "M": edge iff one support contains the other),
+    or cross-Hessian graph (kind "H2": edge iff the (a,b) Hessian slice is
+    nonzero) on the latent coordinates."""
+    tol = tol or Tolerance.default()
+    if kind in ("D", "M"):
+        M = as_matrix(obj)
+        supports = column_supports(M, tol)
+        n = M.shape[1]
+        if kind == "M" and any(len(s) == 0 for s in supports):
+            empty = [j + 1 for j, s in enumerate(supports) if len(s) == 0]
+            raise DegenerateColumn(f"zero columns {empty} break pitchfork semantics")
+        edges = set()
+        for a in range(n):
+            for b in range(a + 1, n):
+                if kind == "D":
+                    if supports[a].intersects(supports[b]):
+                        edges.add((a + 1, b + 1))
+                else:
+                    if not pitchfork(supports[a], supports[b]):
+                        edges.add((a + 1, b + 1))
+        return FactorGraph(kind=kind, n=n, edges=frozenset(edges))
+    if kind == "H2":
+        T = np.asarray(obj, dtype=float)
+        if T.ndim != 3 or T.shape[1] != T.shape[2]:
+            raise InvalidInput(f"H2 graph needs a (d_x, d_s, d_s) tensor, got {T.shape}")
+        if not np.all(np.isfinite(T)):
+            raise InvalidInput("tensor contains non-finite entries")
+        n = T.shape[1]
+        thr = tol.threshold(np.abs(T).max() if T.size else 0.0)
+        edges = set()
+        for a in range(n):
+            for b in range(a + 1, n):
+                if max(np.abs(T[:, a, b]).max(), np.abs(T[:, b, a]).max()) > thr:
+                    edges.add((a + 1, b + 1))
+        return FactorGraph(kind=kind, n=n, edges=frozenset(edges))
+    raise InvalidInput(f"unknown graph kind {kind!r}")
+
+
+def reference_check_type_m(J, blocks, tol: Tolerance | None = None) -> Certificate:
+    """Type M: every cross-block column pair is mutually non-included.
+
+    Decided twice: by pairwise pitchfork tests and by the row-support
+    intersection route; the two verdicts are asserted equal.
+    """
+    M, blocks, tol = _prepare(J, blocks, tol)
+    digest = inputs_digest(M, blocks)
+    supports = column_supports(M, tol)
+    empty = [j + 1 for j, s in enumerate(supports) if len(s) == 0]
+    if empty:
+        raise DegenerateColumn(
+            f"zero columns {empty}: empty support is contained in everything"
+        )
+    violations = []
+    for _, _, a, b in _cross_pairs(blocks):
+        if not pitchfork(supports[a], supports[b]):
+            sa, sb = supports[a].as_set(), supports[b].as_set()
+            direction = "left-in-right" if sa <= sb else "right-in-left"
+            if sa == sb:
+                direction = "equal"
+            violations.append(
+                {
+                    "pair": [a + 1, b + 1],
+                    "direction": direction,
+                    "supports": [sorted(sa), sorted(sb)],
+                }
+            )
+    holds = not violations
+    row_route = _row_route_type_m(M, blocks, tol)
+    if row_route != holds:
+        raise InternalError(
+            f"pitchfork route says {holds}, row-intersection route says {row_route}"
+        )
+    witness: dict = {"columnSupports": _supports_payload(supports)}
+    if violations:
+        witness["firstViolation"] = violations[0]
+        witness["violations"] = violations
+    return Certificate(
+        criterion="M",
+        holds=holds,
+        witness=witness,
+        notes=("row-support intersection route concurs",),
+        inputs_digest=digest,
+    )
+
+
+def _graph_outcome(build, X, kind, tol):
+    """A graph, or the error its builder raised."""
+    try:
+        return build(X, kind, tol)
+    except MechIndepError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(PINNED, max_examples=300)
+@given(
+    _irreducibility_cases(order=1),
+    _irreducibility_cases(order=2),
+    st.sampled_from([1e-9, 0.4, 0.6]),
+)
+def test_edge_rules_equal_pairwise_loops(jacobian, hessian, rel):
+    (M, blocks, _), (T, _, _) = jacobian, hessian
+    tol = Tolerance(rel=rel)
+    for kind, X in (("D", M), ("M", M), ("H2", T)):
+        got = _graph_outcome(build_graph, X, kind, tol)
+        assert got == _graph_outcome(reference_build_graph, X, kind, tol)
+    expected = _outcome(reference_check_type_m, M, blocks, tol)
+    assert _outcome(check_type_m, M, blocks, tol) == expected
 
 
 def _gap_cases(max_rows=7, max_cols=4):

@@ -27,6 +27,13 @@ def test_template_validation():
         OverlapTemplate(K=2, overlap_ratio=-0.1)
 
 
+def test_negative_seed_is_invalid_input():
+    with pytest.raises(InvalidInput, match="seed"):
+        OverlapTemplate(K=2, seed=-1)
+    with pytest.raises(InvalidInput, match="seed"):
+        random_mixing((2, 2), "full", seed=-1)
+
+
 def test_pair_row_allocation():
     assert OverlapTemplate(K=2, slot_out=20, overlap_ratio=0.0).pair_rows() == 0
     assert OverlapTemplate(K=2, slot_out=20, overlap_ratio=0.5).pair_rows() == 20
