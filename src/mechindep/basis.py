@@ -27,10 +27,10 @@ from .errors import InvalidInput, InternalError, RankError, SizeError
 MAX_ROWS = 20
 MAX_COLS = 8
 
-# Row subsets per batched elimination, and forced-mixing strata per lockstep
-# greedy.  It bounds the largest stack, the closure test's CHUNK * m slices of
-# at most MAX_COLS x MAX_COLS, to 1.3 MB whatever C(m, k) is.  The row
-# partition in graphs caps its stacks with it.
+# Row subsets per batched elimination, and forced-mixing strata per batch of
+# exchange tests.  It bounds the largest stack, the closure test's CHUNK * m
+# slices of at most MAX_COLS x MAX_COLS, to 1.3 MB whatever C(m, k) is.  The
+# row partition in graphs caps its stacks with it.
 CHUNK = 128
 
 
@@ -58,6 +58,14 @@ class BlockSpec:
     def coerce(cls, blocks) -> "BlockSpec":
         """blocks itself if it is a BlockSpec, else the BlockSpec of its sizes."""
         return blocks if isinstance(blocks, cls) else cls(blocks)
+
+    @classmethod
+    def covering(cls, blocks, cols: int) -> "BlockSpec":
+        """coerce(blocks), InvalidInput unless its sizes sum to cols."""
+        blocks = cls.coerce(blocks)
+        if blocks.total != cols:
+            raise InvalidInput(f"block sizes {blocks.sizes} do not cover {cols} columns")
+        return blocks
 
     @property
     def K(self) -> int:
@@ -264,17 +272,17 @@ def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
     its first subset's.  At level cols-1 each hyperplane complement gets one
     normalized vector, keyed by the vector's support; the inclusion-minimal
     ones, sorted by (size, rows), are the ground set.  With blocks the pass
-    goes on down to level 0: T is a mixing stratum iff its coefficient null
-    space is not confined to one block (it then cannot be covered by the
-    finitely many block subspaces without lying inside one).  A lower level
-    has larger complements, so a T holding an accepted stratum is skipped
-    before its null space; the final inclusion-minimal filter would drop it.
+    goes on down to level 0: T is a mixing stratum iff the rows of its
+    coefficient null space touch more than one block (_touched of their
+    largest entries): it then cannot be covered by the finitely many block
+    subspaces without lying inside one.  A lower level has larger
+    complements, so a T holding an accepted stratum is skipped before its
+    null space; the final inclusion-minimal filter would drop it.
     Returns (ground, strata), strata as [(members_1based, null_basis)]
     sorted by (size, rows), None without blocks."""
     m, n = M.shape
     thr = tol.matrix_threshold(M)
     bit = 1 << np.arange(m)
-    outsides = [[j for j in range(n) if j not in c] for c in blocks.ranges()] if blocks else []
     met: set[int] = set()
     vectors: dict[int, SubspaceVector] = {}
     strata: dict[int, np.ndarray] = {}
@@ -297,13 +305,8 @@ def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
                     vec = _normalized_vector(M, N[:, 0], tol)
                     if vec is not None:
                         vectors.setdefault(_bits(vec.mask.members), vec)
-                if outsides:
-                    thr_c = tol.threshold(np.abs(N).max())
-                    if not any(
-                        not outside or np.abs(N[outside, :]).max() <= thr_c
-                        for outside in outsides
-                    ):
-                        strata[open_bits[i]] = N
+                if blocks is not None and len(_touched(np.abs(N).max(axis=1), blocks, tol)) > 1:
+                    strata[open_bits[i]] = N
     ground = [vectors[t] for t in _inclusion_minimal(vectors, m)]
     ground.sort(key=lambda v: (v.support_size, v.mask.members))
     if blocks is None:
@@ -325,46 +328,19 @@ def minimal_supports(M, tol: Tolerance | None = None) -> list[SubspaceVector]:
     return _flats(M, tol)[0]
 
 
-def _greedy_many(
-    forced: list[SubspaceVector | None],
-    candidates: list[SubspaceVector],
-    n: int,
-    tol: Tolerance,
-) -> list[list[SubspaceVector] | None]:
-    """Complete every start, no vector (None) or one forced vector, greedily
-    to n independent vectors from the nonempty candidates, taken in order.  A
-    start's entry is None if its forced vector has rank 0 or it cannot be
-    completed.
-
-    The starts run in lockstep: round i tests candidate i against the picks
-    of every start that is not yet full, by the rank of [forced, picks...,
-    candidate] at that matrix's own threshold.  So each start makes the same
-    tests in the same order as completing it alone would, on the same floats.
-    Starts holding the same number of vectors share one rank_many call.
-    """
-    picked = [[] if f is None else [f] for f in forced]
-    count = np.array([len(p) for p in picked], dtype=np.intp)
-    V = np.empty((len(forced), len(candidates[0].value), n))
-    alive = np.ones(len(forced), dtype=bool)
-    g = np.flatnonzero(count)
-    if g.size:
-        V[g, :, 0] = [forced[s].value for s in g]
-        alive[g] = rank_many(V[g, :, :1], tol.stack_thresholds(V[g, :, :1])) == 1
+def _greedy(candidates: list[SubspaceVector], n: int, tol: Tolerance) -> list[SubspaceVector]:
+    """The first n independent vectors of the candidates, taken in order: a
+    candidate is picked iff the rank of [picks..., candidate], at that
+    matrix's own threshold, grows.  InternalError if the candidates span
+    less than rank n."""
+    picked: list[SubspaceVector] = []
     for cand in candidates:
-        open_ = np.flatnonzero(alive & (count < n))
-        if not open_.size:
-            break
-        held = count[open_]
-        for p in set(held.tolist()):
-            g = open_[held == p]
-            trial = V[g, :, : p + 1]
-            trial[:, :, p] = cand.value
-            g = g[rank_many(trial, tol.stack_thresholds(trial)) == p + 1]
-            V[g, :, p] = cand.value
-            count[g] += 1
-            for s in g.tolist():
-                picked[s].append(cand)
-    return [vecs if ok and len(vecs) == n else None for vecs, ok in zip(picked, alive)]
+        trial = np.column_stack([v.value for v in picked] + [cand.value])[None]
+        if rank_many(trial, tol.stack_thresholds(trial))[0] > len(picked):
+            picked.append(cand)
+            if len(picked) == n:
+                return picked
+    raise InternalError(f"the ground set spans rank {len(picked)}, not {n}")
 
 
 def _stratum_representative(
@@ -410,29 +386,29 @@ def sparsest_basis(
     tie is left to break.  For forceMixing, each mixing-minimal support
     stratum is forced in turn and the completion is greedy; per-stratum
     attainment of the joint optimum is assumed (see the note attached to
-    certificates reporting rho-).  Every mode completes through _greedy_many,
-    whose tests are batched rank_many calls; forceMixing takes its ground set
-    and strata from one _flats pass and completes the strata in chunks, one
-    lockstep greedy per chunk, keeping only the cheapest completion so far.
+    certificates reporting rho-).  The greedy completion of a forced vector f
+    is one exchange on the greedy optimum B*: f, then B* without the last of
+    its vectors whose swap for f keeps rank n (the last of f's fundamental
+    circuit).  The greedy keeps every vector of B* before that one, skips
+    it, keeps the rest, and rejects every other candidate, which lies in
+    the span of the B* vectors before it.  forceMixing takes its ground set
+    and strata from one _flats pass, computes B* once, and tests the swaps
+    of the strata CHUNK at a time, one rank_many call per position of B*
+    from the last, keeping only the cheapest completion so far.
     """
     tol = tol or Tolerance.default()
     M = as_matrix(M)
-    blocks = BlockSpec((M.shape[1],)) if blocks is None else BlockSpec.coerce(blocks)
-    if blocks.total != M.shape[1]:
-        raise InvalidInput(f"block sizes {blocks.sizes} do not cover {M.shape[1]} columns")
+    blocks = BlockSpec.covering((M.shape[1],) if blocks is None else blocks, M.shape[1])
     _check_search_size(M)
     _require_full_column_rank(M, tol)
     n = M.shape[1]
 
     if mode == "unconstrained":
-        (picked,) = _greedy_many([None], minimal_supports(M, tol), n, tol)
-        assert picked is not None, "ground set always spans a full-column-rank space"
+        picked = _greedy(minimal_supports(M, tol), n, tol)
     elif mode == "blockRespecting":
         picked = []
         for cols in blocks.ranges():
-            (pure,) = _greedy_many([None], minimal_supports(M[:, cols], tol), len(cols), tol)
-            assert pure is not None, "block submatrix keeps full column rank"
-            for v in pure:
+            for v in _greedy(minimal_supports(M[:, cols], tol), len(cols), tol):
                 coeff = np.zeros(n)
                 coeff[cols] = v.coeff_array()
                 picked.append(SubspaceVector(value=v.value, coeff=tuple(coeff), mask=v.mask))
@@ -442,9 +418,11 @@ def sparsest_basis(
         ground, strata = _flats(M, tol, blocks)
         if not strata:
             raise InternalError("no mixing stratum found despite K >= 2")
+        optimum = _greedy(ground, n, tol)
+        values = np.array([v.value for v in optimum]).T
         best: tuple[int, list[SubspaceVector]] | None = None
         for first in range(0, len(strata), CHUNK):
-            starts = []
+            reps = []
             for members, N in strata[first : first + CHUNK]:
                 rep = _stratum_representative(M, blocks, N, tol)
                 if set(rep.mask.members) != set(members):
@@ -452,8 +430,21 @@ def sparsest_basis(
                         f"stratum support {members} not attained by representative "
                         f"{rep.mask.members}"
                     )
-                starts.append(rep)
-            for picked in filter(None, _greedy_many(starts, ground, n, tol)):
+                reps.append(rep)
+            dropped = np.full(len(reps), -1)
+            for j in range(n - 1, -1, -1):
+                open_ = np.flatnonzero(dropped < 0)
+                if not open_.size:
+                    break
+                # each open representative, then B* without its j-th vector
+                trial = np.empty((open_.size, M.shape[0], n))
+                trial[:, :, 0] = [reps[i].value for i in open_]
+                trial[:, :, 1:] = np.delete(values, j, axis=1)
+                dropped[open_[rank_many(trial, tol.stack_thresholds(trial)) == n]] = j
+            for rep, j in zip(reps, dropped.tolist()):
+                if j < 0:  # no swap keeps rank n: the completion fails
+                    continue
+                picked = [rep] + optimum[:j] + optimum[j + 1 :]
                 cost = sum(v.support_size for v in picked)
                 if best is None or cost < best[0]:  # the first cheapest stratum wins
                     best = (cost, picked)
@@ -506,11 +497,9 @@ def pairwise_sparsity_gap(
     submatrix of blocks i and j; the diagonal is vacuously True."""
     tol = tol or Tolerance.default()
     M = as_matrix(M)
-    blocks = BlockSpec.coerce(blocks)
+    blocks = BlockSpec.covering(blocks, M.shape[1])
     if blocks.K < 2:
         raise InvalidInput("pairwise gaps need at least two blocks")
-    if blocks.total != M.shape[1]:
-        raise InvalidInput("block sizes do not cover the columns")
     ranges, K = blocks.ranges(), blocks.K
     table = [[True] * K for _ in range(K)]
     for i, j in combinations(range(K), 2):

@@ -100,6 +100,26 @@ def as_matrix(obj) -> np.ndarray:
     return M
 
 
+def as_tensor(obj, n: int, d_s: int | None = None) -> np.ndarray:
+    """Validate and convert an order-n derivative tensor (d_x, d_s, ..., d_s),
+    d_s by default the first derivative axis's length, to float64 with at
+    least one output row and finite entries, as as_matrix does a matrix."""
+    try:
+        T = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"not a numeric tensor: {exc}") from exc
+    if T.ndim != n + 1:
+        raise ShapeError(f"order-{n} derivative tensor must have {n + 1} axes, got {T.ndim}")
+    d_s = T.shape[1] if d_s is None else d_s
+    if any(dim != d_s for dim in T.shape[1:]):
+        raise ShapeError(f"derivative axes must all have length {d_s}, got shape {T.shape}")
+    if T.size == 0:
+        raise InvalidInput(f"derivative tensor must be nonempty, got shape {T.shape}")
+    if not np.all(np.isfinite(T)):
+        raise InvalidInput("tensor contains non-finite entries")
+    return T
+
+
 def as_vector(obj) -> np.ndarray:
     v = np.asarray(obj, dtype=float)
     if v.ndim != 1 or v.size == 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import BlockSpec, pairwise_sparsity_gap, request_gap, sparsity_gap
 from .certificates import Certificate, inputs_digest
-from .core import SupportMask, Tolerance, as_matrix, column_supports, l0_norm, rank
+from .core import SupportMask, Tolerance, as_matrix, as_tensor, column_supports, l0_norm, rank
 from .errors import (
     DegenerateColumn,
     InternalError,
@@ -51,12 +51,7 @@ ONE_DIMENSIONAL_NOTE = "one-dimensional blocks are always irreducible"
 def _prepare(J, blocks, tol):
     tol = tol or Tolerance.default()
     M = as_matrix(J)
-    blocks = BlockSpec.coerce(blocks)
-    if blocks.total != M.shape[1]:
-        raise InvalidInput(
-            f"block sizes {blocks.sizes} do not cover {M.shape[1]} columns"
-        )
-    return M, blocks, tol
+    return M, BlockSpec.covering(blocks, M.shape[1]), tol
 
 
 def _block_columns(blocks: BlockSpec, block_index: int) -> list[int]:
@@ -283,19 +278,6 @@ def check_type_o(J, blocks, tol: Tolerance | None = None) -> Certificate:
     )
 
 
-def _as_tensor(tensor, n: int, d_s: int) -> np.ndarray:
-    T = np.asarray(tensor, dtype=float)
-    if T.ndim != n + 1:
-        raise ShapeError(f"order-{n} derivative tensor must have {n + 1} axes, got {T.ndim}")
-    if any(dim != d_s for dim in T.shape[1:]):
-        raise ShapeError(
-            f"derivative axes must all have length {d_s}, got shape {T.shape}"
-        )
-    if not np.all(np.isfinite(T)):
-        raise InvalidInput("tensor contains non-finite entries")
-    return T
-
-
 def check_type_h(tensor, blocks, n: int = 2, tol: Tolerance | None = None) -> Certificate:
     """Type H_n: all order-n cross-block derivative slices vanish (n in {2, 3}).
 
@@ -305,7 +287,7 @@ def check_type_h(tensor, blocks, n: int = 2, tol: Tolerance | None = None) -> Ce
     tol = tol or Tolerance.default()
     _check_order(n)
     blocks = BlockSpec.coerce(blocks)
-    T = _as_tensor(tensor, n, blocks.total)
+    T = as_tensor(tensor, n, blocks.total)
     digest = inputs_digest(T, blocks, n)
     criterion = f"H{n}"
     if blocks.K == 1:
@@ -354,7 +336,7 @@ def check_type_h_irreducible(
     _check_order(n)
     blocks = BlockSpec.coerce(blocks)
     cols = _block_columns(blocks, block_index)
-    T = _as_tensor(tensor, n, blocks.total)
+    T = as_tensor(tensor, n, blocks.total)
     digest = inputs_digest(T, blocks, n, block_index)
     criterion = f"H{n}-irreducible"
     thr = tol.threshold(np.abs(T).max())
@@ -396,7 +378,7 @@ def check_separability(
     J = as_matrix(tensors[0])
     if J.shape[1] != d_s:
         raise ShapeError(f"first-order tensor has {J.shape[1]} columns, blocks need {d_s}")
-    highers = [_as_tensor(tensors[k - 1], k, d_s) for k in range(2, n + 1)]
+    highers = [as_tensor(tensors[k - 1], k, d_s) for k in range(2, n + 1)]
     d_x = J.shape[0]
     for T in highers:
         if T.shape[0] != d_x:
@@ -683,9 +665,7 @@ def compositional_contrast(J, blocks) -> float:
     """Sum over rows of the products of cross-block row-segment norms; zero
     exactly when no row loads two different blocks."""
     M = as_matrix(J)
-    blocks = BlockSpec.coerce(blocks)
-    if blocks.total != M.shape[1]:
-        raise InvalidInput("block sizes do not cover the columns")
+    blocks = BlockSpec.covering(blocks, M.shape[1])
     norms = [np.linalg.norm(M[:, cols], axis=1) for cols in blocks.ranges()]
     total = 0.0
     for i in range(blocks.K):

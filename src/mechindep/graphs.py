@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import CHUNK, BlockSpec
 from .certificates import Certificate, inputs_digest
-from .core import Tolerance, as_matrix, null_space, rank, rank_many
+from .core import Tolerance, as_matrix, as_tensor, null_space, rank, rank_many
 from .errors import DegenerateColumn, GenerationError, InternalError, InvalidInput, RankError
 from .topology import _roots
 
@@ -81,26 +81,28 @@ def build_graph(obj, kind: str = "D", tol: Tolerance | None = None) -> FactorGra
                 raise DegenerateColumn(f"zero columns {empty.tolist()} break pitchfork semantics")
         return adjacency_graph(kind, adjacency(M, kind, thr))
     if kind == "H2":
-        T = np.asarray(obj, dtype=float)
-        if T.ndim != 3 or T.shape[1] != T.shape[2]:
-            raise InvalidInput(f"H2 graph needs a (d_x, d_s, d_s) tensor, got {T.shape}")
-        if not np.all(np.isfinite(T)):
-            raise InvalidInput("tensor contains non-finite entries")
-        thr = tol.threshold(np.abs(T).max() if T.size else 0.0)
+        T = as_tensor(obj, 2)
+        thr = tol.threshold(np.abs(T).max())
         return adjacency_graph(kind, adjacency(T, kind, thr))
     raise InvalidInput(f"unknown graph kind {kind!r}")
 
 
-def components(g: FactorGraph) -> list[tuple[int, ...]]:
-    """Connected components as sorted vertex tuples, ordered by smallest vertex.
+def _groups(n: int, pairs) -> list[tuple[int, ...]]:
+    """The groups of vertices 0..n-1 that the 0-based index pairs join, as
+    sorted 1-based tuples ordered by smallest member: all pairs are hooked
+    in one union-find (topology._roots), whose root of a vertex is the
+    smallest vertex of its group."""
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    groups: dict[int, list[int]] = {}
+    for v, root in enumerate(_roots(n, [(pairs[:, 0], pairs[:, 1])]).tolist(), start=1):
+        groups.setdefault(root, []).append(v)
+    return [tuple(g) for g in groups.values()]
 
-    All edges are hooked in one union-find (topology._roots), whose root of a
-    vertex is the smallest vertex of its component."""
-    edges = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2) - 1
-    comps: dict[int, list[int]] = {}
-    for v, root in enumerate(_roots(g.n, [(edges[:, 0], edges[:, 1])]).tolist(), start=1):
-        comps.setdefault(root, []).append(v)
-    return [tuple(c) for c in comps.values()]
+
+def components(g: FactorGraph) -> list[tuple[int, ...]]:
+    """Connected components as sorted vertex tuples, ordered by smallest
+    vertex: the groups (_groups) the edges join."""
+    return _groups(g.n, [(a - 1, b - 1) for a, b in g.edges])
 
 
 def to_dot(g: FactorGraph, name: str = "factors") -> str:
@@ -120,18 +122,6 @@ def to_dot(g: FactorGraph, name: str = "factors") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _nonzero_rows(M: np.ndarray, thr: float) -> list[int]:
-    return [r for r in range(M.shape[0]) if np.abs(M[r]).max() > thr]
-
-
-def _partition_with_zeros(parts0: list[list[int]], zero_rows: list[int]) -> RowPartition:
-    groups = sorted((sorted(p) for p in parts0), key=lambda p: p[0])
-    if zero_rows:
-        groups[0] = sorted(groups[0] + zero_rows)
-        groups = sorted(groups, key=lambda p: p[0])
-    return RowPartition(tuple(tuple(r + 1 for r in p) for p in groups))
-
-
 def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartition:
     """The unique finest rank-additive row partition (zero rows in group one).
 
@@ -144,17 +134,17 @@ def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartit
     exchange B - b + e is again a basis.  For rank r that takes at most
     r + ceil((m - r) / CHUNK) greedy calls plus (m - r) * r exchange tests,
     batched over the spanned rows that met the same basis, at most
-    max(CHUNK, r) slices per call.  The joined pairs are hooked at the end in one union-find
-    (topology._roots).  Zero rows are loops and join group one.
+    max(CHUNK, r) slices per call.  The joined pairs are grouped at the end
+    (_groups).  Zero rows are loops: each joins the first nonzero row (row
+    one when every row is zero), so they land in group one.
     """
     tol = tol or Tolerance.default()
     M = as_matrix(M)
     thr = tol.matrix_threshold(M)
-    nz = _nonzero_rows(M, thr)
-    zero_rows = [r for r in range(M.shape[0]) if r not in set(nz)]
-    if not nz:
-        return RowPartition((tuple(r + 1 for r in zero_rows),))
-    circuits: list[tuple[int, int]] = []  # (basis row, spanned row) pairs to join
+    zero = np.abs(M).max(axis=1) <= thr
+    nz = np.flatnonzero(~zero).tolist()
+    # (basis row, spanned row) pairs to join, and each zero row with the first nonzero row
+    circuits = [(nz[0] if nz else 0, r) for r in np.flatnonzero(zero).tolist()]
     basis: list[int] = []
     spanned: dict[int, list[int]] = {}  # basis size when each spanned row came
     rest = nz
@@ -177,12 +167,7 @@ def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartit
             ranks = rank_many(exchanged.reshape(-1, r, M.shape[1]), thr).reshape(len(es), r)
             for ei, j in zip(*np.nonzero(ranks == r)):
                 circuits.append((basis[j], es[ei]))
-    pairs = np.array(circuits, dtype=np.intp).reshape(-1, 2)
-    roots = _roots(M.shape[0], [(pairs[:, 0], pairs[:, 1])]).tolist()
-    groups: dict[int, list[int]] = {}
-    for r in nz:
-        groups.setdefault(roots[r], []).append(r)
-    return _partition_with_zeros(list(groups.values()), zero_rows)
+    return RowPartition(tuple(_groups(M.shape[0], circuits)))
 
 
 def component_counts(stack, thr) -> np.ndarray:

@@ -54,19 +54,26 @@ def write_matrix_csv(path, M) -> None:
             writer.writerow([repr(float(x)) for x in row])
 
 
+def _read_json(path, kind: str, second: str) -> dict:
+    """The JSON object of a tensor or region file (kind), InvalidInput unless
+    it parses and has the keys 'dims' and second."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(data, dict) or "dims" not in data or second not in data:
+        raise InvalidInput(f"{path}: {kind} JSON needs 'dims' and '{second}'")
+    return data
+
+
 def read_tensor_json(path) -> np.ndarray:
     """Tensor format: {"dims": [...], "entries": [row-major flat list]}.
 
     dims must be a nonempty list of positive integers and entries a flat list
     of JSON numbers; a scalar, bool, string, null or nested value in either
     is InvalidInput naming the dims or the first bad entry."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(data, dict) or "dims" not in data or "entries" not in data:
-        raise InvalidInput(f"{path}: tensor JSON needs 'dims' and 'entries'")
+    data = _read_json(path, "tensor", "entries")
     dims = data["dims"]
     entries = data["entries"]
     if (
@@ -106,13 +113,7 @@ def write_tensor_json(path, T) -> None:
 
 def read_region_json(path) -> GridRegion:
     """Region format: {"dims": [...], "occupied": [[1-based coords], ...]}."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(data, dict) or "dims" not in data or "occupied" not in data:
-        raise InvalidInput(f"{path}: region JSON needs 'dims' and 'occupied'")
+    data = _read_json(path, "region", "occupied")
     return GridRegion.from_occupied(data["dims"], data["occupied"])
 
 

@@ -14,7 +14,7 @@ from mechindep.basis import (
 )
 from mechindep.core import Tolerance, l0_norm
 from mechindep.criteria import check_type_d
-from mechindep.errors import InvalidInput, RankError, SizeError
+from mechindep.errors import InternalError, InvalidInput, RankError, SizeError
 
 from golden import GOLDEN, MAT_DISJOINT, MAT_TRIANGLE
 from oracles import (
@@ -221,6 +221,18 @@ def test_search_size_and_rank_guards():
         sparsest_basis(np.eye(3), BlockSpec((3,)), mode="forceMixing")
     with pytest.raises(InvalidInput):
         sparsest_basis(np.eye(3), None, mode="nonsense")
+
+
+def test_ground_set_short_of_full_rank_is_internal_error():
+    """The matrix has rank 2, but row 1 alone is zero at the matrix
+    threshold 1e-9, so the pass over the flats finds one hyperplane and a
+    one-vector ground set.  Each block column alone is classified at its
+    own scale and gives one vector of support {2}."""
+    M = [[-1e-9, -1e-9], [-1.0, 1.0]]
+    for blocks, mode in [(None, "unconstrained"), ((1, 1), "unconstrained"), ((1, 1), "forceMixing")]:
+        with pytest.raises(InternalError, match="the ground set spans rank 1, not 2"):
+            sparsest_basis(M, blocks, mode)
+    assert sparsest_basis(M, (1, 1), "blockRespecting").cost == 2
 
 
 def test_search_is_deterministic():

@@ -99,6 +99,24 @@ def test_tensor_validation(tmp_path, capsys, payload, words):
         assert captured.err.startswith("mechindep: error:") and "dims" in captured.err
 
 
+@pytest.mark.parametrize(
+    "read, words",
+    [
+        (read_tensor_json, "tensor JSON needs 'dims' and 'entries'"),
+        (read_region_json, "region JSON needs 'dims' and 'occupied'"),
+    ],
+)
+def test_json_readers_share_parse_and_key_checks(tmp_path, read, words):
+    path = tmp_path / "x.json"
+    path.write_text('{"dims": [2],\n "entries": ')
+    with pytest.raises(InvalidInput, match="line 2, column"):
+        read(path)
+    for payload in ([1, 2], {"dims": [2]}, {"entries": [1], "occupied": []}):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidInput, match=words):
+            read(path)
+
+
 def test_region_json_round_trip(tmp_path):
     r = GridRegion((2, 3), frozenset({(0, 0), (1, 2)}))
     path = tmp_path / "r.json"

@@ -5,7 +5,7 @@ assignment extractor, the compositional contrast, and the hierarchy audit."""
 import numpy as np
 import pytest
 
-from mechindep.basis import BlockSpec
+from mechindep.basis import BlockSpec, pairwise_sparsity_gap, sparsest_basis
 from mechindep.certificates import Certificate
 from mechindep.core import Tolerance, l0_norm
 from mechindep.criteria import (
@@ -35,6 +35,7 @@ from mechindep.errors import (
     RankError,
     ShapeError,
 )
+from mechindep.graphs import build_graph
 from mechindep.synth import random_mixing
 
 from golden import GOLDEN, MAT_DISJOINT
@@ -228,6 +229,38 @@ def test_type_h_shape_and_order_guards():
     with pytest.raises(ShapeError):
         check_type_h(np.zeros((1, 2, 2)), (1, 1), 3)
     assert check_type_h(np.zeros((2, 3, 3)), (3,), 2).holds  # single block vacuous
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda T: check_type_h(T, (1, 1), 2),
+        lambda T: check_type_h_irreducible(T, (1, 1), 1),
+        lambda T: check_separability([np.eye(2), T], (1, 1)),
+        lambda T: build_graph(T, "H2"),
+    ],
+    ids=["type_h", "type_h_irreducible", "separability", "build_graph"],
+)
+def test_tensor_without_output_rows_is_invalid_input(check):
+    with pytest.raises(InvalidInput, match="derivative tensor must be nonempty"):
+        check(np.zeros((0, 2, 2)))
+    with pytest.raises(ShapeError):
+        check(np.zeros((1, 2, 3)))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda M, b: check_type_d(M, b),
+        lambda M, b: compositional_contrast(M, b),
+        lambda M, b: sparsest_basis(M, b),
+        lambda M, b: pairwise_sparsity_gap(M, b),
+    ],
+    ids=["prepare", "contrast", "sparsest_basis", "pairwise_gap"],
+)
+def test_blocks_must_cover_the_columns(check):
+    with pytest.raises(InvalidInput, match=r"block sizes \(1, 1\) do not cover 3 columns"):
+        check(np.eye(3), (1, 1))
 
 
 def test_h2_irreducible():

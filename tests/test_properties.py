@@ -1,6 +1,7 @@
 """Property tests: the batched rank kernel, the batched Gauss-Jordan
-null-space kernel, the lockstep greedy completion, the row partition's
-batched greedy basis, and the adjacency-matrix edge rules of build_graph and
+null-space kernel, the single-start greedy, the forced-mixing completion by
+one exchange on the greedy optimum, the row partition's batched greedy basis
+and its zero rows, and the adjacency-matrix edge rules of build_graph and
 check_type_m against verbatim copies of the scalar code they replaced; the
 batched D-graph component counter against build_graph and components; the
 row-matroid partition and the row-subset searches (minimal supports, rho+ and
@@ -16,6 +17,7 @@ Examples are derandomized and bounded, so every run checks the same inputs.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,12 +30,14 @@ from mechindep.basis import (
     _check_search_size,
     _closed_rows,
     _flats,
-    _greedy_many,
+    _greedy,
     _members,
     _normalized_vector,
     _require_full_column_rank,
+    _stratum_representative,
     _subset_chunks,
     minimal_supports,
+    sparsest_basis,
     sparsity_gap,
 )
 from mechindep.certificates import Certificate, inputs_digest
@@ -41,6 +45,7 @@ from mechindep.core import (
     SupportMask,
     Tolerance,
     as_matrix,
+    as_tensor,
     column_supports,
     null_space,
     null_space_many,
@@ -50,7 +55,6 @@ from mechindep.core import (
 )
 from mechindep.criteria import (
     H_SPLIT_NOTE,
-    _as_tensor,
     _cross_pairs,
     _first_split,
     _prepare,
@@ -65,8 +69,6 @@ from mechindep.errors import DegenerateColumn, InternalError, InvalidInput, Mech
 from mechindep.graphs import (
     FactorGraph,
     RowPartition,
-    _nonzero_rows,
-    _partition_with_zeros,
     build_graph,
     component_counts,
     components,
@@ -237,6 +239,20 @@ def test_rank_many_and_rank_equal_scalar_rank(case):
     assert rank(S[0]) == scalar_rank(S[0])
 
 
+# The zero-row handling that the partition's one grouping (graphs._groups)
+# replaced, verbatim.
+def _nonzero_rows(M: np.ndarray, thr: float) -> list[int]:
+    return [r for r in range(M.shape[0]) if np.abs(M[r]).max() > thr]
+
+
+def _partition_with_zeros(parts0: list[list[int]], zero_rows: list[int]) -> RowPartition:
+    groups = sorted((sorted(p) for p in parts0), key=lambda p: p[0])
+    if zero_rows:
+        groups[0] = sorted(groups[0] + zero_rows)
+        groups = sorted(groups, key=lambda p: p[0])
+    return RowPartition(tuple(tuple(r + 1 for r in p) for p in groups))
+
+
 # The row partition whose greedy basis made one scalar rank call per row,
 # verbatim but for those calls, bound to scalar_rank: the reference every
 # partition must match.
@@ -398,8 +414,9 @@ def test_null_space_many_equals_scalar_gauss_jordan(case):
     assert _same_bytes(null_space(S[0]), scalar_null_space(S[0]))
 
 
-# The per-start greedy that _greedy_many replaced, verbatim: the reference
-# every start must match pick for pick.
+# The per-start greedy that the lockstep multi-start greedy replaced, and
+# that _greedy and the forced-mixing exchange replace in turn, verbatim: the
+# reference every completion must match pick for pick.
 def scalar_greedy_complete(
     candidates: list[SubspaceVector],
     n: int,
@@ -423,9 +440,8 @@ def scalar_greedy_complete(
 @st.composite
 def _greedy_cases(draw):
     """A ground set from minimal_supports of a sparse integer or a Gaussian
-    matrix of full column rank up to 9x6, in a drawn order, and 1-40 starts,
-    each no forced vector or one: a ground vector, or a zero vector, which
-    has rank 0."""
+    matrix of full column rank up to 9x6, in a drawn order, of which a drawn
+    prefix is kept, so that some candidates span less than the full rank."""
     if draw(st.booleans()):
         M = draw(_int_matrices(9, 6)).astype(float)
     else:
@@ -435,20 +451,74 @@ def _greedy_cases(draw):
     assume(rank(M) == M.shape[1])
     ground = minimal_supports(M)
     ground = [ground[i] for i in draw(st.permutations(range(len(ground))))]
-    m, n = M.shape
-    zero = SubspaceVector(value=(0.0,) * m, coeff=(0.0,) * n, mask=SupportMask(m, ()))
-    first = st.one_of(st.none(), st.sampled_from(ground), st.just(zero))
-    return ground, n, draw(st.lists(first, min_size=1, max_size=40))
+    return ground[: draw(st.integers(1, len(ground)))], M.shape[1]
 
 
 @PINNED
 @given(_greedy_cases())
-def test_greedy_many_equals_scalar_greedy(case):
-    ground, n, starts = case
+def test_greedy_equals_scalar_greedy(case):
+    candidates, n = case
     tol = Tolerance()
-    expected = [scalar_greedy_complete(ground, n, tol, forced=None if s is None else [s])
-                for s in starts]
-    assert _greedy_many(starts, ground, n, tol) == expected
+    expected = scalar_greedy_complete(candidates, n, tol)
+    if expected is None:
+        with pytest.raises(InternalError, match="the ground set spans rank"):
+            _greedy(candidates, n, tol)
+    else:
+        assert _greedy(candidates, n, tol) == expected
+
+
+# The forced-mixing search as it was before the exchange, verbatim but for
+# completing each stratum alone through scalar_greedy_complete: every
+# stratum's representative forced and completed greedily over the ground set,
+# the first cheapest completion winning.
+def reference_force_mixing(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
+    ground, strata = _flats(M, tol, blocks)
+    if not strata:
+        raise InternalError("no mixing stratum found despite K >= 2")
+    best: tuple[int, list[SubspaceVector]] | None = None
+    for members, N in strata:
+        rep = _stratum_representative(M, blocks, N, tol)
+        if set(rep.mask.members) != set(members):
+            raise InternalError(
+                f"stratum support {members} not attained by representative "
+                f"{rep.mask.members}"
+            )
+        picked = scalar_greedy_complete(ground, M.shape[1], tol, forced=[rep])
+        if picked is None:
+            continue
+        cost = sum(v.support_size for v in picked)
+        if best is None or cost < best[0]:  # the first cheapest stratum wins
+            best = (cost, picked)
+    if best is None:
+        raise InternalError("forced-mixing completion failed on every stratum")
+    return best[1]
+
+
+@st.composite
+def _two_block_cases(draw):
+    """Full-column-rank sparse integer (half of them on a planted block
+    pattern) or Gaussian matrices up to 9x5, split into two blocks."""
+    if draw(st.booleans()):
+        M = draw(_int_matrices(9, 5, min_cols=2)).astype(float)
+    else:
+        m = draw(st.integers(2, 9))
+        n = draw(st.integers(2, min(m, 5)))
+        M = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((m, n))
+    n = M.shape[1]
+    assume(rank(M) == n)
+    cut = draw(st.integers(1, n - 1))
+    return M, BlockSpec((cut, n - cut))
+
+
+@settings(PINNED, max_examples=120)
+@given(_two_block_cases())
+def test_force_mixing_equals_forced_greedy_completions(case):
+    M, blocks = case
+    tol = Tolerance()
+    expected = _vector_bytes(reference_force_mixing(M, blocks, tol))
+    result = sparsest_basis(M, blocks, "forceMixing", tol)
+    assert _vector_bytes(result.vectors) == expected
+    assert result.cost == sum(v.support_size for v in result.vectors)
 
 
 @st.composite
@@ -574,7 +644,7 @@ def reference_h_irreducible(
     blocks = BlockSpec.coerce(blocks)
     if not 1 <= block_index <= blocks.K:
         raise InvalidInput(f"block index {block_index} outside 1..{blocks.K}")
-    T = _as_tensor(tensor, n, blocks.total)
+    T = as_tensor(tensor, n, blocks.total)
     digest = inputs_digest(T, blocks, n, block_index)
     criterion = f"H{n}-irreducible"
     cols = blocks.ranges()[block_index - 1]
