@@ -39,9 +39,22 @@ class Certificate:
         }
 
 
+@dataclass(frozen=True)
+class _IntRows:
+    """An (N, K) integer array, digested as its nested list arr.tolist() is:
+    each row is "L" and K, then "I" and each coordinate, all int64."""
+    arr: np.ndarray
+
+
 def _update(h, part):
     if part is None:
         h.update(b"N")
+    elif isinstance(part, _IntRows):  # the nested-list bytes in one update
+        n, k = part.arr.shape
+        rec = np.empty((n, k + 1), dtype=[("tag", "S1"), ("value", "<i8")])
+        rec["tag"], rec["value"][:, 1:] = b"I", part.arr
+        rec[:, 0] = (b"L", k)
+        h.update(b"L" + struct.pack("<q", n) + rec.tobytes())
     elif isinstance(part, np.ndarray):
         arr = np.ascontiguousarray(part, dtype=float)
         h.update(b"A")

@@ -6,6 +6,7 @@ options, and its handler is the one the subparser sets as a default."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -165,11 +166,13 @@ def _run_gap(args: argparse.Namespace):
 
 def _run_topology(args: argparse.Namespace):
     region = read_region_json(args.input_path)
-    cert = premise_report(region)
+    # --slices K-1 shares the premises' slice report; another order follows it
+    rep = slices_connected(region, args.slices) if args.slices == region.K - 1 else None
+    cert = premise_report(region, rep)
     header = {"command": "topology", "input": args.input_path}
     payload = {"certificates": [cert.to_dict()]}
     if args.slices is not None:
-        rep = slices_connected(region, args.slices)
+        rep = rep or slices_connected(region, args.slices)
         payload["slices"] = {
             "k": rep.k,
             "allConnected": rep.all_connected,
@@ -275,6 +278,7 @@ def _parse_criteria(text: str) -> tuple:
     return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
+@functools.cache  # one parser per process; --help reads COLUMNS when printed
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mechindep",

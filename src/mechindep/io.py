@@ -125,12 +125,13 @@ def write_region_json(path, region: GridRegion) -> None:
 
 
 def _jsonable(obj):
+    # exact types only: np.float64 subclasses float, np.bool_ converts below
+    if type(obj) in (str, int, float, bool, type(None)):
+        return obj
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, dict):

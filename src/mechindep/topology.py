@@ -12,7 +12,7 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .certificates import Certificate, inputs_digest
+from .certificates import Certificate, _IntRows, inputs_digest
 from .errors import InvalidInput
 
 LOCAL_INJECTIVITY_NOTE = (
@@ -69,36 +69,42 @@ def _cell_array(rows: list, K: int) -> np.ndarray:
     return arr
 
 
-def _check_inside(arr: np.ndarray, dims, base: int) -> None:
-    """Every cell of arr lies in the grid, with coordinates counted from base."""
+def _inside_sorted(arr: np.ndarray, dims, base: int) -> np.ndarray:
+    """The cells of arr, with coordinates counted from base, 0-based in
+    lexicographic order and each once; a cell outside the grid is InvalidInput."""
     last = np.array(dims, dtype=np.int64) + (base - 1)
     outside = ((arr < base) | (arr > last)).any(axis=1)
     if outside.any():
         raise InvalidInput(f"cell {arr[outside.argmax()].tolist()} outside grid {list(dims)}")
+    arr = arr[np.lexsort(arr.T[::-1])] - base
+    keep = np.ones(len(arr), dtype=bool)
+    keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    return arr[keep]
 
 
-@dataclass(frozen=True)
 class GridRegion:
-    """Occupied cells of a K-axis grid; coordinates are 0-based internally."""
+    """Occupied cells of a K-axis grid, held as coords: an (N, K) int64 array
+    of 0-based coordinates in the order of sorted(cells), each cell once."""
 
-    dims: tuple
-    cells: frozenset
+    def __init__(self, dims, cells):
+        _check_dims(dims)
+        self.dims = tuple(dims)
+        self.coords = _inside_sorted(_cell_array(list(cells), len(dims)), dims, 0)
 
-    def __post_init__(self):
-        _check_dims(self.dims)
-        self.coords  # validates every cell
+    def __eq__(self, other):
+        same = isinstance(other, GridRegion) and self.dims == other.dims
+        return same and np.array_equal(self.coords, other.coords)
+
+    def __hash__(self):
+        return hash((self.dims, self.coords.tobytes()))
 
     @property
     def K(self) -> int:
         return len(self.dims)
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """The cells as an (N, K) int64 array in lexicographic order, the
-        order of sorted(cells)."""
-        arr = _cell_array(list(self.cells), self.K)
-        _check_inside(arr, self.dims, 0)
-        return arr[np.lexsort(arr.T[::-1])]
+    def cells(self) -> frozenset:
+        return frozenset(map(tuple, self.coords.tolist()))
 
     @cached_property
     def _axis_edges(self) -> list:
@@ -124,15 +130,14 @@ class GridRegion:
     def from_occupied(cls, dims, occupied) -> "GridRegion":
         """Build from 1-based coordinate lists (the file format)."""
         _check_dims(dims)
-        dims = tuple(dims)
         try:
             rows = list(occupied)
         except TypeError:
             raise InvalidInput(f"occupied must be a list of cells, got {occupied!r}")
-        arr = _cell_array(rows, len(dims))
-        _check_inside(arr, dims, 1)
-        arr -= 1
-        return cls(dims=dims, cells=frozenset(zip(*arr.T.tolist())))
+        region = cls.__new__(cls)
+        region.dims = tuple(dims)
+        region.coords = _inside_sorted(_cell_array(rows, len(dims)), dims, 1)
+        return region
 
     def occupied_1based(self) -> list:
         return (self.coords + 1).tolist()
@@ -197,7 +202,7 @@ def _roots(n: int, edges) -> np.ndarray:
 
 def is_connected(region: GridRegion) -> bool:
     """One orthogonal-adjacency component covers every occupied cell."""
-    if not region.cells:
+    if not len(region.coords):
         raise InvalidInput("empty region")
     # connected iff every cell's root is cell 0
     return not _roots(len(region.coords), region._axis_edges).any()
@@ -210,7 +215,7 @@ def slices_connected(region: GridRegion, k: int) -> SliceReport:
     other axes; its cells inherit orthogonal adjacency in the free axes.
     Slices come in order of their free axes, then of their fixed coordinates.
     """
-    if not region.cells:
+    if not len(region.coords):
         raise InvalidInput("empty region")
     K = region.K
     if not 1 <= k < K:
@@ -242,18 +247,21 @@ def slices_connected(region: GridRegion, k: int) -> SliceReport:
     return SliceReport(k=k, all_connected=all_ok, verdicts=tuple(verdicts))
 
 
-def premise_report(region: GridRegion) -> Certificate:
+def premise_report(region: GridRegion, slices: SliceReport | None = None) -> Certificate:
     """Bundle the two grid-checkable premises of the local-to-global
     disentanglement result: the region is connected and every (K-1)-slice is
-    connected.  The injectivity premise cannot be read off a grid."""
-    if not region.cells:
+    connected.  The injectivity premise cannot be read off a grid.  slices is
+    the region's (K-1)-slice report when the caller has already computed it."""
+    if not len(region.coords):
         raise InvalidInput("empty region")
-    digest = inputs_digest(list(region.dims), region.coords.tolist())
+    if slices is not None and slices.k != region.K - 1:
+        raise InvalidInput(f"premises need the {region.K - 1}-slices, got order {slices.k}")
+    digest = inputs_digest(list(region.dims), _IntRows(region.coords))
     connected = is_connected(region)
     witness: dict = {"isConnected": connected, "dims": list(region.dims)}
     notes = [LOCAL_INJECTIVITY_NOTE, DISCRETIZATION_NOTE]
     if region.K >= 2:
-        rep = slices_connected(region, region.K - 1)
+        rep = slices if slices is not None else slices_connected(region, region.K - 1)
         witness["sliceOrder"] = rep.k
         witness["slicesAllConnected"] = rep.all_connected
         witness["sliceCount"] = len(rep.verdicts)
@@ -278,5 +286,4 @@ def premise_report(region: GridRegion) -> Certificate:
 def rectangle(dims) -> GridRegion:
     """Fully occupied box, the convex sanity case."""
     dims = tuple(int(d) for d in dims)
-    cells = frozenset(product(*[range(d) for d in dims]))
-    return GridRegion(dims=dims, cells=cells)
+    return GridRegion(dims, product(*[range(d) for d in dims]))

@@ -1,13 +1,15 @@
 """Command-line front end: exit codes, report formats, determinism, and the
 thin-adapter property (CLI verdicts equal direct library verdicts)."""
 
+import argparse
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from mechindep import basis
+from mechindep import basis, cli, topology
 from mechindep.basis import BlockSpec
 from mechindep.cli import _build_parser, main, run
 from mechindep.criteria import check_type_d, check_type_m, check_type_s
@@ -25,6 +27,7 @@ from mechindep.errors import InvalidInput
 from mechindep.topology import GridRegion, premise_report
 
 from golden import GOLDEN
+from regions import hollow_cube_mask
 
 
 @pytest.fixture()
@@ -218,6 +221,79 @@ def test_one_gap_per_instance_per_request(workdir, monkeypatch, capsys, argv, ca
     assert main(argv.split()) == first
     assert capsys.readouterr().out == out
     assert len(count) == 2 * calls
+
+
+@pytest.mark.parametrize("slices, orders", [("2", [2]), ("1", [2, 1])])
+def test_one_slice_report_per_order_per_request(tmp_path, monkeypatch, capsys, slices, orders):
+    """On a 3-D region, --slices 2 shares the premises' 2-slice report; any
+    other order is computed after it."""
+    region = hollow_cube_mask()
+    path = tmp_path / "cube.json"
+    write_region_json(path, region)
+    seen = []
+    compute = topology.slices_connected
+
+    def counted(region, k):
+        seen.append(k)
+        return compute(region, k)
+
+    monkeypatch.setattr(topology, "slices_connected", counted)
+    monkeypatch.setattr(cli, "slices_connected", counted)
+    assert main(["topology", "--slices", slices, "--format", "json", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert seen == orders
+    assert doc["certificates"] == [premise_report(region).to_dict()]
+    rep = compute(region, int(slices))
+    assert doc["slices"]["allConnected"] is rep.all_connected is (slices == "2")
+    assert [s["cells"] for s in doc["slices"]["slices"]] == [v.cell_count for v in rep.verdicts]
+
+
+def test_premises_refuse_a_slice_report_of_another_order():
+    region = hollow_cube_mask()
+    with pytest.raises(InvalidInput, match="premises need the 2-slices, got order 1"):
+        premise_report(region, topology.slices_connected(region, 1))
+
+
+def test_parser_built_once_per_process(workdir, monkeypatch, capsys):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    _build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["topology", str(workdir / "bracket.json")]) == 1
+    finally:
+        _build_parser.cache_clear()
+    commands = ["analyze", "decompose", "gap", "topology", "synth", "audit"]
+    assert made == ["mechindep"] + [f"mechindep {c}" for c in commands]
+    assert capsys.readouterr().out.count("premises: FAIL") == 2
+
+
+def test_help_laid_out_for_the_width_at_print_time(monkeypatch, capsys):
+    """The one parser lays --help out as a parser built for the call would,
+    at the COLUMNS of that moment."""
+    out = {}
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["--help"], ["topology", "--help"]):
+            assert main(argv) == 0
+            out[columns, argv[0]] = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                _build_parser.__wrapped__().parse_args(argv)
+            assert capsys.readouterr().out == out[columns, argv[0]]
+    assert out["80", "topology"] != out["120", "topology"]
+    assert max(map(len, out["80", "topology"].splitlines())) <= 80
+
+
+def test_main_without_argv_reads_the_command_line(workdir, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["mechindep", "topology", str(workdir / "bracket.json")])
+    assert main() == 1
+    assert "premises: FAIL" in capsys.readouterr().out
 
 
 def test_topology_command(workdir, capsys):

@@ -8,12 +8,14 @@ row-matroid partition and the row-subset searches (minimal supports, rho+ and
 rho-) against the exact oracles; and their invariance under row permutation
 and power-of-two row scaling.  The grid connectivity kernel against the
 flood-fill oracle, slice by slice; graph components against the BFS oracle;
-and the M- and H_n-irreducibility checks against verbatim copies of the split
-searches they replaced.
+the M- and H_n-irreducibility checks against verbatim copies of the split
+searches they replaced; and the one-update digest of a cell array against the
+recursive digest of its nested list.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -40,7 +42,7 @@ from mechindep.basis import (
     sparsest_basis,
     sparsity_gap,
 )
-from mechindep.certificates import Certificate, inputs_digest
+from mechindep.certificates import Certificate, _IntRows, _update, inputs_digest
 from mechindep.core import (
     SupportMask,
     Tolerance,
@@ -74,7 +76,7 @@ from mechindep.graphs import (
     components,
     finest_rank_additive_partition,
 )
-from mechindep.topology import GridRegion, _roots
+from mechindep.topology import GridRegion, _roots, premise_report, rectangle
 
 from oracles import (
     exact_rank,
@@ -1102,3 +1104,36 @@ def test_flats_equal_the_two_subset_loops(case):
     reference = reference_mixing_strata(M, blocks, tol)
     assert [t for t, _ in strata] == [t for t, _ in reference]
     assert all(_same_bytes(N, E) for (_, N), (_, E) in zip(strata, reference))
+
+
+_INT64_ENDS = [0, 1, -1, 2**63 - 1, 2**63 - 2, -(2**63), -(2**63) + 1]
+
+
+@st.composite
+def _int64_rows(draw):
+    """(N, K) int64 arrays, N = 0..300 and K = 1..5, with entries over the
+    whole int64 range and some at its ends, in C or Fortran order."""
+    n, k = draw(st.integers(0, 300)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = rng.integers(-(2**63), 2**63 - 1, size=(n, k), dtype=np.int64, endpoint=True)
+    ends = rng.random((n, k)) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    arr[ends] = rng.choice(np.array(_INT64_ENDS, dtype=np.int64), size=int(ends.sum()))
+    return np.asfortranarray(arr) if draw(st.booleans()) else arr
+
+
+@PINNED
+@given(_int64_rows())
+def test_int_rows_digest_equals_nested_list_digest(arr):
+    """The one-update record encoding of a cell array hashes the bytes the
+    recursive encoder writes for arr.tolist()."""
+    packed, nested = hashlib.sha256(), hashlib.sha256()
+    _update(packed, _IntRows(arr))
+    _update(nested, arr.tolist())
+    assert packed.hexdigest() == nested.hexdigest()
+    assert inputs_digest([7], _IntRows(arr)) == inputs_digest([7], arr.tolist())
+
+
+def test_premise_digest_of_a_full_box_is_pinned():
+    """The digest the recursive encoder gave the full 40 x 40 x 40 box."""
+    cert = premise_report(rectangle((40, 40, 40)))
+    assert cert.inputs_digest == "d3c52ded8333d6c13b56461d56c22c92098cb25bd472a76a13d4600049b123b8"

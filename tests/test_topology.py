@@ -1,13 +1,15 @@
 """Grid-region connectivity, k-slice reports, and the premise certificate."""
 
 import json
+import re
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from mechindep.errors import InvalidInput
-from mechindep.io import read_region_json
+from mechindep.certificates import inputs_digest
+from mechindep.io import emit_report, read_region_json
 from mechindep.topology import (
     GridRegion,
     is_connected,
@@ -30,50 +32,57 @@ BIG = 2**63  # one past the int64 range
 
 
 def test_region_validation(tmp_path):
-    with pytest.raises(InvalidInput):
-        GridRegion((0, 2), frozenset())
-    with pytest.raises(InvalidInput):
-        GridRegion((2, 2), frozenset({(2, 0)}))
-    with pytest.raises(InvalidInput):
-        GridRegion((2, 2), frozenset({(0,)}))
-    with pytest.raises(InvalidInput):
-        GridRegion((2, 2), frozenset({(0.5, 1)}))
-    with pytest.raises(InvalidInput):
+    """Each invalid region is refused with the message of its first fault,
+    the same from the constructor, from_occupied and a region file."""
+    constructed = [
+        ((0, 2), frozenset(), "axis lengths must be positive integers, got [0, 2]"),
+        ((2, 2), frozenset({(2, 0)}), "cell [2, 0] outside grid [2, 2]"),
+        ((2, 2), frozenset({(0,)}), "cell (0,) must be 2 integer coordinates"),
+        ((2, 2), frozenset({(0.5, 1)}), "cell (0.5, 1) must be 2 integer coordinates"),
+        ((2, 2), [(0, 0), (0, 0), (-1, 0)], "cell [-1, 0] outside grid [2, 2]"),
+    ]
+    for dims, cells, message in constructed:
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            GridRegion(dims, cells)
+    with pytest.raises(InvalidInput, match="empty region"):
         is_connected(GridRegion((2, 2), frozenset()))
     # file values are never truncated or coerced: non-integers, strings, bools,
     # nulls, scalar dims and integers beyond int64 are all invalid input
+    cell = "cell {} must be 2 integer coordinates".format
+    lengths = "axis lengths must be positive integers, got {}".format
     bad = [
-        ([2, 2], [[1.7, 1]]),
-        ([2, 2], [[1.0, 1]]),
-        ([2.9, 3], [[1, 1]]),
-        ([2, 2], [["1", 1]]),
-        (["2", 2], [[1, 1]]),
-        ([2, 2], [[True, 1]]),
-        ([2, 2], [[True, True]]),
-        ([True, 2], [[1, 1]]),
-        ([2, 2], [[None, 1]]),
-        ([None, 2], [[1, 1]]),
-        (3, [[1]]),
-        ("3", [[1]]),
-        ([2, 2], [[BIG, 1]]),
-        ([2, 2], [[-BIG - 1, 1]]),
-        ([BIG, 2], [[1, 1]]),
-        ([2, 2], [[1, 2, 1]]),
-        ([2, 2], [[1, 2], [1]]),
-        ([2, 2], [[[1], [2]]]),
-        ([2, 2], [1, 2]),
-        ([2, 2], 5),
-        ([2, 2], None),
-        ([2, 2], [[0, 1]]),
-        ([2, 2], [[3, 1]]),
-        ([], []),
+        ([2, 2], [[1.7, 1]], cell("[1.7, 1]")),
+        ([2, 2], [[1.0, 1]], cell("[1.0, 1]")),
+        ([2.9, 3], [[1, 1]], lengths("[2.9, 3]")),
+        ([2, 2], [["1", 1]], cell("['1', 1]")),
+        (["2", 2], [[1, 1]], lengths("['2', 2]")),
+        ([2, 2], [[True, 1]], cell("[True, 1]")),
+        ([2, 2], [[True, True]], cell("[True, True]")),
+        ([True, 2], [[1, 1]], lengths("[True, 2]")),
+        ([2, 2], [[None, 1]], cell("[None, 1]")),
+        ([None, 2], [[1, 1]], lengths("[None, 2]")),
+        (3, [[1]], "dims must be a list of axis lengths, got 3"),
+        ("3", [[1]], "dims must be a list of axis lengths, got '3'"),
+        ([2, 2], [[BIG, 1]], cell(f"[{BIG}, 1]")),
+        ([2, 2], [[-BIG - 1, 1]], cell(f"[{-BIG - 1}, 1]")),
+        ([BIG, 2], [[1, 1]], lengths(f"[{BIG}, 2]")),
+        ([2, 2], [[1, 2, 1]], cell("[1, 2, 1]")),
+        ([2, 2], [[1, 2], [1]], cell("[1]")),
+        ([2, 2], [[[1], [2]]], cell("[[1], [2]]")),
+        ([2, 2], [1, 2], cell("1")),
+        ([2, 2], 5, "occupied must be a list of cells, got 5"),
+        ([2, 2], None, "occupied must be a list of cells, got None"),
+        ([2, 2], [[0, 1]], "cell [0, 1] outside grid [2, 2]"),
+        ([2, 2], [[3, 1]], "cell [3, 1] outside grid [2, 2]"),
+        ([], [], "region needs at least one axis"),
+        ([2, 2], [[1, 1], [1, 1], [2, 3]], "cell [2, 3] outside grid [2, 2]"),
     ]
-    for dims, occupied in bad:
-        with pytest.raises(InvalidInput):
+    for dims, occupied, message in bad:
+        with pytest.raises(InvalidInput, match=re.escape(message)):
             GridRegion.from_occupied(dims, occupied)
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"dims": dims, "occupied": occupied}))
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
             read_region_json(path)
     # the largest int64 axis length is fine, and nothing of its volume is built
     r = GridRegion.from_occupied([BIG - 1, 2], [[BIG - 1, 2], [BIG - 1, 1]])
@@ -85,6 +94,26 @@ def test_from_occupied_is_one_based():
     r = GridRegion.from_occupied([2, 2], [[1, 1], [2, 2]])
     assert r.cells == frozenset({(0, 0), (1, 1)})
     assert r.occupied_1based() == [[1, 1], [2, 2]]
+
+
+def test_repeated_unsorted_cells_read_as_their_set(tmp_path):
+    """A region file that lists cells out of order and more than once gives
+    the region, digest and report of the set of its cells."""
+    ref = hollow_cube_mask()
+    occupied = ref.occupied_1based()
+    occupied = occupied[::-1] + occupied[::3]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"dims": list(ref.dims), "occupied": occupied}))
+    r = read_region_json(path)
+    assert r == ref and hash(r) == hash(ref)
+    assert r.cells == ref.cells
+    assert r.coords.dtype == np.int64
+    assert r.coords.tolist() == [list(c) for c in sorted(ref.cells)]
+    assert r.occupied_1based() == ref.occupied_1based()
+    cert = premise_report(r)
+    assert cert.inputs_digest == inputs_digest([3, 3, 3], sorted(map(list, ref.cells)))
+    for fmt in ("json", "text"):
+        assert emit_report([cert], fmt) == emit_report([premise_report(ref)], fmt)
 
 
 def test_full_grid_and_diagonal_pair():
