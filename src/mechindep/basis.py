@@ -132,10 +132,6 @@ class BasisSearchResult:
     vectors: list[SubspaceVector]
     mixing_flags: list[bool] = field(default_factory=list)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
-
 
 @dataclass
 class GapResult:

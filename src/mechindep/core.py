@@ -81,8 +81,14 @@ class SupportMask:
     def as_set(self) -> set[int]:
         return set(self.members)
 
-    def intersects(self, other: "SupportMask") -> bool:
-        return bool(set(self.members) & set(other.members))
+
+def as_int(value, name: str, low: int) -> int:
+    """value as an int; InvalidInput unless it is a Python or numpy integer
+    (not a bool) of at least low.  A float is never truncated, as BlockSpec
+    sizes are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidInput(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -301,11 +307,3 @@ def l0_norm(M, tol: Tolerance | None = None) -> int:
     M = as_matrix(M)
     thr = tol.matrix_threshold(M)
     return int(np.count_nonzero(np.abs(M) > thr))
-
-
-def pitchfork(A: SupportMask, B: SupportMask) -> bool:
-    """True iff neither support contains the other (non-strict containment)."""
-    if A.universe != B.universe:
-        raise InvalidInput(f"universe mismatch: {A.universe} vs {B.universe}")
-    a, b = A.as_set(), B.as_set()
-    return not (a <= b) and not (b <= a)

@@ -200,12 +200,6 @@ def check_type_m(J, blocks, tol: Tolerance | None = None) -> Certificate:
     )
 
 
-def type_m_by_row_intersection(J, blocks, tol: Tolerance | None = None) -> bool:
-    """The dual route alone; exposed so tests can diff it against check_type_m."""
-    M, blocks, tol = _prepare(J, blocks, tol)
-    return _row_route_type_m(M, blocks, tol)
-
-
 def _basis_payload(result) -> dict:
     return {
         "cost": result.cost,

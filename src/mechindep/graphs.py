@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import CHUNK, BlockSpec
 from .certificates import Certificate, inputs_digest
-from .core import Tolerance, as_matrix, as_tensor, null_space, rank, rank_many
+from .core import Tolerance, as_int, as_matrix, as_tensor, null_space_many, rank, rank_many
 from .errors import DegenerateColumn, GenerationError, InternalError, InvalidInput, RankError
 from .topology import _roots
 
@@ -237,6 +237,13 @@ def _sampled_counts(M: np.ndarray, F: int, tol: Tolerance, draws: int, seed: int
     return np.concatenate(found)
 
 
+def _stacked_rows(M: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """The stack whose slice k holds the rows of M that take[k] selects, in
+    order, over zero rows, which never win a pivot (rank_many, null_space_many)."""
+    order = np.argsort(~take, axis=1, kind="stable")[:, : take.sum(axis=1).max()]
+    return np.where(np.take_along_axis(take, order, axis=1)[:, :, None], M[order], 0.0)
+
+
 def block_structure_audit(
     M,
     K: int,
@@ -247,8 +254,9 @@ def block_structure_audit(
     """Decide whether K is the maximal number of independent mechanisms in M.
 
     Route a: the finest rank-additive row partition has F groups.
-    Route b: a basis assembled from the groups' complementary null spaces makes
-        M block-diagonal with F verified diagonal blocks under a row sort.
+    Route b: a basis assembled from the groups' complementary null spaces, all
+        found by one null_space_many call (_stacked_rows), makes M
+        block-diagonal with F verified diagonal blocks under a row sort.
     Route c: the disjointness graph of M in that basis has F components.
     Route d (sampling): over seeded invertible mixings, the component count
         never exceeds F (it can under-count; the witness basis attains F).
@@ -259,45 +267,37 @@ def block_structure_audit(
     """
     tol = tol or Tolerance.default()
     M = as_matrix(M)
-    if K < 1:
-        raise InvalidInput("K must be >= 1")
-    if draws < 0:
-        raise InvalidInput("draws must be >= 0")
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    K, draws, seed = as_int(K, "K", 1), as_int(draws, "draws", 0), as_int(seed, "seed", 0)
     n = M.shape[1]
     if rank(M, tol) < n:
         raise RankError("block-structure audit needs full column rank")
 
-    partition = finest_rank_additive_partition(M, tol)
-    groups0 = [[r - 1 for r in g] for g in partition.groups]
-    F = len(groups0)
+    groups = finest_rank_additive_partition(M, tol).groups
+    F = len(groups)
 
-    # route b: basis columns for group k solve M_row c = 0 for rows outside k
+    # route b: group k's basis columns solve M_row c = 0 for the rows outside k
     thr = tol.matrix_threshold(M)
-    blocks_cols: list[np.ndarray] = []
-    col_counts = []
-    for k, g in enumerate(groups0):
-        outside = [r for r in range(M.shape[0]) if r not in set(g)]
-        N = null_space(M[outside, :], tol, thr=thr) if outside else np.eye(n)
-        expected_dim = rank(M[g, :], tol, thr=thr)
-        if N.shape[1] != expected_dim:
-            raise InternalError(
-                f"group {k + 1}: null dimension {N.shape[1]} != group rank {expected_dim}"
-            )
-        blocks_cols.append(N)
-        col_counts.append(N.shape[1])
-    B = np.column_stack(blocks_cols) if blocks_cols else np.eye(n)
+    owner = np.empty(M.shape[0], dtype=np.intp)  # each row's 0-based group
+    owner[np.concatenate(groups) - 1] = np.repeat(np.arange(F), [len(g) for g in groups])
+    mine = owner == np.arange(F)[:, None]
+    bases = null_space_many(_stacked_rows(M, ~mine), thr)
+    dims = np.array([N.shape[1] for N in bases])
+    expected = rank_many(_stacked_rows(M, mine), thr)
+    bad = np.flatnonzero(dims != expected)
+    if bad.size:
+        k = bad[0]
+        raise InternalError(f"group {k + 1}: null dimension {dims[k]} != group rank {expected[k]}")
+    B = np.column_stack(bases)
     if B.shape[1] != n or rank(B, tol) < n:
         raise InternalError("constructed basis is not invertible")
     C = M @ B
-    thr_c = tol.matrix_threshold(C)
-    col_start = np.cumsum([0] + col_counts)
-    for k, g in enumerate(groups0):
-        outside = [r for r in range(M.shape[0]) if r not in set(g)]
-        cols = range(col_start[k], col_start[k + 1])
-        if outside and np.abs(C[np.ix_(outside, list(cols))]).max() > thr_c:
-            raise InternalError(f"witness basis fails block-diagonality at group {k + 1}")
+    # each group's largest entry in its own columns and the other groups' rows
+    outside = owner[:, None] != np.repeat(np.arange(F), dims)
+    starts = np.cumsum(dims) - dims
+    leak = np.maximum.reduceat(np.where(outside, np.abs(C), 0.0).max(axis=0), starts)
+    bad = np.flatnonzero(leak > tol.matrix_threshold(C))
+    if bad.size:
+        raise InternalError(f"witness basis fails block-diagonality at group {bad[0] + 1}")
 
     # route c: component count of the disjointness graph in the witness basis
     graph_comps = components(build_graph(C, "D", tol))
@@ -309,19 +309,19 @@ def block_structure_audit(
     # route d: randomized invertible mixings can only under-count
     sampled_max = _sampled_counts(M, F, tol, draws, seed).max(initial=0)
 
-    row_order = [r for g in partition.groups for r in g]
+    row_order = [r for g in groups for r in g]
     return Certificate(
         criterion="blockStructure",
         holds=(F == K),
         witness={
             "claimedK": K,
             "maxComponents": F,
-            "partition": [list(g) for g in partition.groups],
+            "partition": [list(g) for g in groups],
             "rowOrder": row_order,
             "basis": [[round(float(x), 12) + 0.0 for x in row] for row in B],
             "sampledMax": int(sampled_max),
-            "draws": int(draws),
-            "seed": int(seed),
+            "draws": draws,
+            "seed": seed,
         },
         notes=(
             "partition, witness-basis, and graph routes agreed on the maximum; "

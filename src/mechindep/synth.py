@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BlockSpec
+from .core import as_int
 from .errors import EvalError, GenerationError, InvalidInput
 
 MAX_CONDITION = 1e6
@@ -29,14 +30,10 @@ class OverlapTemplate:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 2:
-            raise InvalidInput(f"need at least 2 slots, got {self.K}")
-        if self.slot_dim < 1 or self.slot_out < 1:
-            raise InvalidInput("slot dimensions must be positive")
+        for name, low in (("K", 2), ("slot_dim", 1), ("slot_out", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, low))
         if not 0.0 <= self.overlap_ratio < 1.0:
             raise InvalidInput(f"overlap ratio must be in [0, 1), got {self.overlap_ratio}")
-        if self.seed < 0:
-            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
     def pair_rows(self) -> int:
         """Rows in each pairwise group; overlap 0.5 gives slot_out rows so the
@@ -141,8 +138,7 @@ def random_mixing(blocks, kind: str, seed: int = 0) -> MixingDraw:
     blocks = BlockSpec.coerce(blocks)
     if kind not in ("blockDiagonal", "full", "blockPermuted"):
         raise InvalidInput(f"unknown mixing kind {kind!r}")
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    seed = as_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     n = blocks.total
     ranges = blocks.ranges()
@@ -172,59 +168,65 @@ def random_mixing(blocks, kind: str, seed: int = 0) -> MixingDraw:
     )
 
 
-def _eval_vector(f, point: np.ndarray) -> np.ndarray:
-    y = np.atleast_1d(np.asarray(f(point), dtype=float))
-    if y.ndim != 1:
-        raise EvalError(f"evaluation returned array of shape {y.shape}, need a vector")
-    if not np.all(np.isfinite(y)):
-        raise EvalError(f"non-finite evaluation at {point.tolist()}")
-    return y
+def _fd_point(point, step: float) -> np.ndarray:
+    """A finite difference's point as a nonempty float vector; its step must be positive."""
+    if step <= 0:
+        raise InvalidInput("step must be positive")
+    x = np.asarray(point, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise InvalidInput(f"point must be a nonempty vector, got shape {x.shape}")
+    return x
+
+
+def _evaluator(f):
+    """f with each output checked to be a finite vector as long as the first (EvalError)."""
+    first = None
+
+    def evaluate(point: np.ndarray) -> np.ndarray:
+        nonlocal first
+        y = np.atleast_1d(np.asarray(f(point), dtype=float))
+        if y.ndim != 1:
+            raise EvalError(f"evaluation returned array of shape {y.shape}, need a vector")
+        if not np.all(np.isfinite(y)):
+            raise EvalError(f"non-finite evaluation at {point.tolist()}")
+        first = y.size if first is None else first
+        if y.size != first:
+            raise EvalError(f"evaluation at {point.tolist()} has {y.size} outputs, not {first}")
+        return y
+
+    return evaluate
 
 
 def fd_jacobian(f, point, step: float = FD_JACOBIAN_STEP) -> np.ndarray:
     """Central-difference Jacobian; truncation error O(step^2)."""
-    if step <= 0:
-        raise InvalidInput("step must be positive")
-    x = np.asarray(point, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInput("point must be a vector")
+    x = _fd_point(point, step)
+    f = _evaluator(f)
     d = x.size
     cols = []
     for j in range(d):
         e = np.zeros(d)
         e[j] = step
-        cols.append((_eval_vector(f, x + e) - _eval_vector(f, x - e)) / (2 * step))
+        cols.append((f(x + e) - f(x - e)) / (2 * step))
     return np.column_stack(cols)
 
 
 def fd_hessian(f, point, step: float = FD_HESSIAN_STEP) -> np.ndarray:
     """Second-order central-difference Hessian tensor with axes
     (output, deriv, deriv), symmetrized in the two derivative indices."""
-    if step <= 0:
-        raise InvalidInput("step must be positive")
-    x = np.asarray(point, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInput("point must be a vector")
+    x = _fd_point(point, step)
+    f = _evaluator(f)
     d = x.size
-    base = _eval_vector(f, x)
+    base = f(x)
     d_x = base.size
     H = np.zeros((d_x, d, d))
     for i in range(d):
         ei = np.zeros(d)
         ei[i] = step
         # diagonal second difference reuses the base point
-        H[:, i, i] = (
-            _eval_vector(f, x + 2 * ei) - 2 * base + _eval_vector(f, x - 2 * ei)
-        ) / (4 * step * step)
+        H[:, i, i] = (f(x + 2 * ei) - 2 * base + f(x - 2 * ei)) / (4 * step * step)
         for j in range(i + 1, d):
             ej = np.zeros(d)
             ej[j] = step
-            mixed = (
-                _eval_vector(f, x + ei + ej)
-                - _eval_vector(f, x + ei - ej)
-                - _eval_vector(f, x - ei + ej)
-                + _eval_vector(f, x - ei - ej)
-            ) / (4 * step * step)
-            H[:, i, j] = mixed
-            H[:, j, i] = mixed
+            mixed = f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
+            H[:, i, j] = H[:, j, i] = mixed / (4 * step * step)
     return (H + H.transpose(0, 2, 1)) / 2.0

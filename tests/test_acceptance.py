@@ -10,6 +10,7 @@ from mechindep.basis import BlockSpec, sparsest_basis, sparsity_gap
 from mechindep.core import Tolerance, column_supports, l0_norm, rank
 from mechindep.criteria import (
     Assignment,
+    _row_route_type_m,
     check_type_d,
     check_type_h,
     check_type_m,
@@ -18,7 +19,6 @@ from mechindep.criteria import (
     contrast_certificate,
     extract_assignment,
     hierarchy_audit,
-    type_m_by_row_intersection,
 )
 from mechindep.graphs import (
     block_structure_audit,
@@ -220,7 +220,7 @@ def test_criterion_3_dual_type_m_routes():
         M = np.where(mask, rng.uniform(0.5, 2.0, (8, 4)), 0.0)
         M *= rng.choice([-1.0, 1.0], size=(8, 4))
         cert = check_type_m(M, blocks)  # raises internally if routes disagree
-        assert type_m_by_row_intersection(M, blocks) == cert.holds, trial
+        assert _row_route_type_m(M, blocks, Tolerance.default()) == cert.holds, trial
 
 
 @_report("4 (greedy basis equals exhaustive oracle)")

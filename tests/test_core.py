@@ -1,8 +1,12 @@
-"""Tolerance model, supports, rank, null spaces, face splitting."""
+"""Tolerance model, supports, rank, null spaces, face splitting, and the
+package's public names."""
+
+import types
 
 import numpy as np
 import pytest
 
+import mechindep
 from mechindep.core import (
     DEFAULT_ABS,
     DEFAULT_REL,
@@ -13,11 +17,11 @@ from mechindep.core import (
     face_split,
     l0_norm,
     null_space,
-    pitchfork,
     rank,
     support,
 )
 from mechindep.errors import InvalidInput
+from mechindep.graphs import adjacency
 
 from golden import GOLDEN, MAT_DISJOINT
 from oracles import exact_rank
@@ -133,18 +137,20 @@ def test_l0_matches_golden():
 
 
 def test_pitchfork_truth_table():
-    u = 4
-    ab = SupportMask(u, (1, 2))
-    bc = SupportMask(u, (2, 3))
-    a = SupportMask(u, (1,))
-    abc = SupportMask(u, (1, 2, 3))
-    assert pitchfork(ab, bc)          # overlap, neither contains
-    assert not pitchfork(a, ab)       # left inside right
-    assert not pitchfork(abc, ab)     # right inside left
-    assert not pitchfork(ab, ab)      # equal
-    assert pitchfork(a, SupportMask(u, (4,)))  # disjoint is fine
-    with pytest.raises(InvalidInput):
-        pitchfork(a, SupportMask(5, (1,)))
+    """The M rule of graphs.adjacency joins two columns iff one support
+    contains the other, that is iff the pair is no pitchfork."""
+    ab, bc, a, abc, d = (1, 2), (2, 3), (1,), (1, 2, 3), (4,)
+    for left, right, pitchfork in [
+        (ab, bc, True),    # overlap, neither contains
+        (a, ab, False),    # left inside right
+        (abc, ab, False),  # right inside left
+        (ab, ab, False),   # equal
+        (a, d, True),      # disjoint is fine
+    ]:
+        M = np.zeros((4, 2))
+        M[np.subtract(left, 1), 0] = 1.0
+        M[np.subtract(right, 1), 1] = 1.0
+        assert adjacency(M, "M", 0.5)[0, 1] == (not pitchfork), (left, right)
 
 
 def test_face_split_is_rowwise_kron():
@@ -175,3 +181,12 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.zeros((0, 3)))
     with pytest.raises(InvalidInput):
         as_matrix([["a", "b"]])
+
+
+def test_all_is_sorted_and_lists_every_public_name():
+    public = {
+        name
+        for name, value in vars(mechindep).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert mechindep.__all__ == sorted(public)

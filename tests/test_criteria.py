@@ -10,6 +10,7 @@ from mechindep.certificates import Certificate
 from mechindep.core import Tolerance, l0_norm
 from mechindep.criteria import (
     Assignment,
+    _row_route_type_m,
     check_l0_nonincrease,
     check_separability,
     check_support_union,
@@ -27,7 +28,6 @@ from mechindep.criteria import (
     contrast_certificate,
     extract_assignment,
     hierarchy_audit,
-    type_m_by_row_intersection,
 )
 from mechindep.errors import (
     DegenerateColumn,
@@ -107,9 +107,9 @@ def test_type_m_dual_route_identical_on_random():
         M = M.astype(float) * rng.choice([-1.0, 1.0], size=(m, n))
         if any(np.abs(M[:, j]).max() == 0 for j in range(n)):
             continue
-        blocks = (1, 1, 1)
+        blocks = BlockSpec((1, 1, 1))
         direct = check_type_m(M, blocks).holds  # raises InternalError on any split
-        assert direct == type_m_by_row_intersection(M, blocks)
+        assert direct == _row_route_type_m(M, blocks, Tolerance.default())
         sups = [set(np.flatnonzero(np.abs(M[:, j]) > 0)) for j in range(n)]
         assert direct == all(
             oracle_pitchfork(sups[a], sups[b]) for a in range(n) for b in range(a + 1, n)

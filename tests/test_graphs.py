@@ -1,8 +1,12 @@
 """Factor graphs, rank-additive partitions, and the block-structure audit."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from mechindep import graphs
 from mechindep.basis import BlockSpec
 from mechindep.criteria import check_type_d_irreducible
 from mechindep.core import Tolerance, rank
@@ -190,6 +194,31 @@ def test_audit_rejects_negative_draws():
 def test_audit_rejects_negative_seed():
     with pytest.raises(InvalidInput, match="seed"):
         block_structure_audit(np.eye(2), 2, seed=-1)
+
+
+def test_route_b_is_one_batched_call_each(monkeypatch):
+    """Route b finds every group's null space in one null_space_many call and
+    ranks every group's rows in one rank_many call, whatever F is; core.rank
+    runs only for the full-rank and basis checks."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_code is block_structure_audit.__code__:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("null_space_many", "rank_many", "rank"):
+        monkeypatch.setattr(graphs, name, counting(name, getattr(graphs, name)))
+    block = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0]])  # one circuit: one group
+    for F in range(1, 6):
+        M = np.vstack([np.kron(np.eye(F), block), np.zeros((1, 2 * F))])
+        calls.clear()
+        cert = block_structure_audit(M, F, draws=3)
+        assert cert.holds and cert.witness["maxComponents"] == F
+        assert calls == {"null_space_many": 1, "rank_many": 1, "rank": 2}, F
 
 
 def _reference_route_d(M, F, tol, draws, seed):

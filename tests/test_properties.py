@@ -1,9 +1,10 @@
 """Property tests: the batched rank kernel, the batched Gauss-Jordan
 null-space kernel, the single-start greedy, the forced-mixing completion by
 one exchange on the greedy optimum, the row partition's batched greedy basis
-and its zero rows, and the adjacency-matrix edge rules of build_graph and
-check_type_m against verbatim copies of the scalar code they replaced; the
-batched D-graph component counter against build_graph and components; the
+and its zero rows, the adjacency-matrix edge rules of build_graph and
+check_type_m, and the audit's two batched route-b calls against verbatim
+copies of the scalar code they replaced; the batched D-graph component
+counter against build_graph and components; the
 row-matroid partition and the row-subset searches (minimal supports, rho+ and
 rho-) against the exact oracles; and their invariance under row permutation
 and power-of-two row scaling.  The grid connectivity kernel against the
@@ -20,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mechindep import graphs
@@ -51,7 +52,6 @@ from mechindep.core import (
     column_supports,
     null_space,
     null_space_many,
-    pitchfork,
     rank,
     rank_many,
 )
@@ -67,10 +67,18 @@ from mechindep.criteria import (
     check_type_m,
     check_type_m_irreducible,
 )
-from mechindep.errors import DegenerateColumn, InternalError, InvalidInput, MechIndepError
+from mechindep.errors import (
+    DegenerateColumn,
+    InternalError,
+    InvalidInput,
+    MechIndepError,
+    RankError,
+)
 from mechindep.graphs import (
     FactorGraph,
     RowPartition,
+    _sampled_counts,
+    block_structure_audit,
     build_graph,
     component_counts,
     components,
@@ -85,6 +93,7 @@ from oracles import (
     oracle_finest_partition,
     oracle_minimal_supports,
     oracle_mixing_cost,
+    oracle_pitchfork,
     oracle_respecting_cost,
 )
 from regions import assert_matches_oracle
@@ -617,7 +626,7 @@ def reference_m_irreducible(
             inputs_digest=digest,
         )
     for part_a, part_b in _first_split(cols):
-        if all(pitchfork(supports[a], supports[b]) for a in part_a for b in part_b):
+        if all(oracle_pitchfork(supports[a], supports[b]) for a in part_a for b in part_b):
             return Certificate(
                 criterion="M-irreducible",
                 holds=False,
@@ -771,10 +780,10 @@ def reference_build_graph(obj, kind: str = "D", tol: Tolerance | None = None) ->
         for a in range(n):
             for b in range(a + 1, n):
                 if kind == "D":
-                    if supports[a].intersects(supports[b]):
+                    if supports[a].as_set() & supports[b].as_set():
                         edges.add((a + 1, b + 1))
                 else:
-                    if not pitchfork(supports[a], supports[b]):
+                    if not oracle_pitchfork(supports[a], supports[b]):
                         edges.add((a + 1, b + 1))
         return FactorGraph(kind=kind, n=n, edges=frozenset(edges))
     if kind == "H2":
@@ -810,7 +819,7 @@ def reference_check_type_m(J, blocks, tol: Tolerance | None = None) -> Certifica
         )
     violations = []
     for _, _, a, b in _cross_pairs(blocks):
-        if not pitchfork(supports[a], supports[b]):
+        if not oracle_pitchfork(supports[a], supports[b]):
             sa, sb = supports[a].as_set(), supports[b].as_set()
             direction = "left-in-right" if sa <= sb else "right-in-left"
             if sa == sb:
@@ -863,6 +872,162 @@ def test_edge_rules_equal_pairwise_loops(jacobian, hessian, rel):
         assert got == _graph_outcome(reference_build_graph, X, kind, tol)
     expected = _outcome(reference_check_type_m, M, blocks, tol)
     assert _outcome(check_type_m, M, blocks, tol) == expected
+
+
+# The audit with route b as the loop of one null_space and one rank call per
+# row group that the two batched calls replaced, verbatim: the reference its
+# certificates and errors must match.
+def reference_block_structure_audit(
+    M,
+    K: int,
+    tol: Tolerance | None = None,
+    draws: int = 200,
+    seed: int = 0,
+) -> Certificate:
+    """Decide whether K is the maximal number of independent mechanisms in M.
+
+    Route a: the finest rank-additive row partition has F groups.
+    Route b: a basis assembled from the groups' complementary null spaces makes
+        M block-diagonal with F verified diagonal blocks under a row sort.
+    Route c: the disjointness graph of M in that basis has F components.
+    Route d (sampling): over seeded invertible mixings, the component count
+        never exceeds F (it can under-count; the witness basis attains F).
+        It is one batched pass over chunks of draws (_sampled_counts);
+        route c counts with build_graph and components, independently of it.
+    The certificate holds iff F == K.  Any disagreement among the routes
+    raises InternalError.
+    """
+    tol = tol or Tolerance.default()
+    M = as_matrix(M)
+    if K < 1:
+        raise InvalidInput("K must be >= 1")
+    if draws < 0:
+        raise InvalidInput("draws must be >= 0")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    n = M.shape[1]
+    if rank(M, tol) < n:
+        raise RankError("block-structure audit needs full column rank")
+
+    partition = finest_rank_additive_partition(M, tol)
+    groups0 = [[r - 1 for r in g] for g in partition.groups]
+    F = len(groups0)
+
+    # route b: basis columns for group k solve M_row c = 0 for rows outside k
+    thr = tol.matrix_threshold(M)
+    blocks_cols: list[np.ndarray] = []
+    col_counts = []
+    for k, g in enumerate(groups0):
+        outside = [r for r in range(M.shape[0]) if r not in set(g)]
+        N = null_space(M[outside, :], tol, thr=thr) if outside else np.eye(n)
+        expected_dim = rank(M[g, :], tol, thr=thr)
+        if N.shape[1] != expected_dim:
+            raise InternalError(
+                f"group {k + 1}: null dimension {N.shape[1]} != group rank {expected_dim}"
+            )
+        blocks_cols.append(N)
+        col_counts.append(N.shape[1])
+    B = np.column_stack(blocks_cols) if blocks_cols else np.eye(n)
+    if B.shape[1] != n or rank(B, tol) < n:
+        raise InternalError("constructed basis is not invertible")
+    C = M @ B
+    thr_c = tol.matrix_threshold(C)
+    col_start = np.cumsum([0] + col_counts)
+    for k, g in enumerate(groups0):
+        outside = [r for r in range(M.shape[0]) if r not in set(g)]
+        cols = range(col_start[k], col_start[k + 1])
+        if outside and np.abs(C[np.ix_(outside, list(cols))]).max() > thr_c:
+            raise InternalError(f"witness basis fails block-diagonality at group {k + 1}")
+
+    # route c: component count of the disjointness graph in the witness basis
+    graph_comps = components(build_graph(C, "D", tol))
+    if len(graph_comps) != F:
+        raise InternalError(
+            f"graph route found {len(graph_comps)} components, partition route {F}"
+        )
+
+    # route d: randomized invertible mixings can only under-count
+    sampled_max = _sampled_counts(M, F, tol, draws, seed).max(initial=0)
+
+    row_order = [r for g in partition.groups for r in g]
+    return Certificate(
+        criterion="blockStructure",
+        holds=(F == K),
+        witness={
+            "claimedK": K,
+            "maxComponents": F,
+            "partition": [list(g) for g in partition.groups],
+            "rowOrder": row_order,
+            "basis": [[round(float(x), 12) + 0.0 for x in row] for row in B],
+            "sampledMax": int(sampled_max),
+            "draws": int(draws),
+            "seed": int(seed),
+        },
+        notes=(
+            "partition, witness-basis, and graph routes agreed on the maximum; "
+            "the randomized sweep can only under-count and did not exceed it",
+        ),
+        inputs_digest=inputs_digest(M, K),
+    )
+
+
+@st.composite
+def _audit_cases(draw):
+    """Sparse integer matrices, or block diagonals of one to three small
+    integer blocks, with zero rows inserted, the rows shuffled, full column
+    rank, and the rows scaled by powers of two; a claimed K; and rel 1e-9 or
+    0.3.  A single block or a one-column matrix has one group (F = 1).  At
+    rel 0.3 the groups' null dimensions and ranks can disagree, and the
+    error names the first group that does."""
+    if draw(st.booleans()):
+        M = draw(_int_matrices(12, 5))
+    else:
+        blocks = []
+        for _ in range(draw(st.integers(1, 3))):
+            c = draw(st.integers(1, 2))
+            shape = (draw(st.integers(c, c + 2)), c)
+            blocks.append(draw(arrays(np.int64, shape, elements=st.sampled_from([0, 1, -1, 2, 3]))))
+        M = np.zeros(np.sum([b.shape for b in blocks], axis=0), dtype=np.int64)
+        r = c = 0
+        for b in blocks:
+            M[r : r + b.shape[0], c : c + b.shape[1]] = b
+            r, c = r + b.shape[0], c + b.shape[1]
+    M = np.vstack([M, np.zeros((draw(st.integers(0, 2)), M.shape[1]), dtype=np.int64)])
+    M = M[list(draw(st.permutations(range(M.shape[0]))))]
+    assume(exact_rank(M.tolist()) == M.shape[1])  # else both raise RankError before route b
+    # power-of-two row scales keep the arithmetic exact but set the groups' scales apart
+    exponents = draw(st.lists(st.integers(-3, 3), min_size=len(M), max_size=len(M)))
+    M = M * np.ldexp(1.0, exponents)[:, None]
+    return M, draw(st.integers(1, 3)), draw(st.sampled_from([1e-9, 0.3]))
+
+
+# Groups of different scales: route b at each slice's own threshold
+# (Tolerance.stack_thresholds) in place of M's, in either batched call, fails here.
+_GROUP_SCALES = np.array(
+    [[2.0, 0.0, -1.0, 0.0], [0.0, 0.5, 1.5, 1.0], [2.0, 0.0, 4.0, -2.0],
+     [-0.25, -0.25, 0.0, 0.75], [0.0, 0.5, -0.5, 0.0], [0.0, 2.0, 0.0, -2.0]]
+)
+
+
+def _audit_outcome(audit, M, K, rel):
+    """The certificate as a dict, or the error the audit raised."""
+    try:
+        return audit(M, K, Tolerance(rel=rel), draws=2).to_dict()
+    except MechIndepError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(PINNED, max_examples=300)
+@given(_audit_cases())
+@example((np.array([[1.0, 2.0], [0.0, 0.0], [2.0, 1.0]]), 1, 1e-9))  # F = 1 with a zero row
+@example((np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [1.0, 0.0]]), 2, 1e-9))
+@example((np.array([[2.0], [0.0], [-1.0]]), 1, 0.3))
+@example((_GROUP_SCALES, 1, 0.3))
+def test_audit_route_b_equals_per_group_loop(case):
+    M, K, rel = case
+    assert _audit_outcome(block_structure_audit, M, K, rel) == _audit_outcome(
+        reference_block_structure_audit, M, K, rel
+    )
 
 
 def _gap_cases(max_rows=7, max_cols=4):

@@ -6,7 +6,7 @@ import pytest
 from mechindep.basis import BlockSpec
 from mechindep.criteria import check_type_d, check_type_m
 from mechindep.errors import EvalError, InvalidInput
-from mechindep.graphs import build_graph, components
+from mechindep.graphs import block_structure_audit, build_graph, components
 from mechindep.synth import (
     OverlapTemplate,
     fd_hessian,
@@ -25,6 +25,27 @@ def test_template_validation():
         OverlapTemplate(K=2, overlap_ratio=1.0)
     with pytest.raises(InvalidInput):
         OverlapTemplate(K=2, overlap_ratio=-0.1)
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        (lambda v: block_structure_audit(np.eye(2), v), 2.5),
+        (lambda v: block_structure_audit(np.eye(2), v), True),
+        (lambda v: block_structure_audit(np.eye(2), 2, draws=v), 2.5),
+        (lambda v: block_structure_audit(np.eye(2), 2, seed=v), 1.5),
+        (lambda v: OverlapTemplate(K=v), 2.5),
+        (lambda v: OverlapTemplate(K=v), True),
+        (lambda v: OverlapTemplate(K=2, slot_dim=v), 1.5),
+        (lambda v: OverlapTemplate(K=2, slot_out=v), 2.0),
+        (lambda v: OverlapTemplate(K=2, seed=v), 1.5),
+        (lambda v: random_mixing((2, 2), "full", seed=v), 1.5),
+        (lambda v: random_mixing((2, 2), "full", seed=v), False),
+    ],
+)
+def test_integer_inputs_reject_floats_and_bools(make, value):
+    with pytest.raises(InvalidInput, match="must be an integer"):
+        make(value)
 
 
 def test_negative_seed_is_invalid_input():
@@ -183,3 +204,12 @@ def test_fd_guards():
         fd_jacobian(lambda s: np.array([np.nan]), np.array([1.0]))
     with pytest.raises(EvalError):
         fd_hessian(lambda s: np.array([[1.0, 2.0]]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("fd", [fd_jacobian, fd_hessian])
+def test_fd_empty_point_and_changing_output_length(fd):
+    with pytest.raises(InvalidInput, match="nonempty vector"):
+        fd(lambda s: np.ones(1), np.zeros(0))
+    lengths = iter(range(1, 100))
+    with pytest.raises(EvalError, match="2 outputs, not 1"):
+        fd(lambda s: np.ones(next(lengths)), np.zeros(2))
