@@ -11,17 +11,19 @@ mixing vector itself ranges over the enumerated mixing-minimal supports.
 Achievable supports are the complements of the flats of the row matroid, and
 the minimal ones those of its hyperplanes (Oxley, Matroid Theory, ch. 2), so
 one pass over the flats, hyperplanes first, yields both the ground set and
-the mixing strata (_flats).
+the mixing strata (_flats).  The searches hold vectors as stacked arrays
+(_Vectors); SubspaceVector is built only for the vectors a caller gets back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, islice
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import SupportMask, Tolerance, as_matrix, null_space_many, rank, rank_many
+from .core import OVERFLOW, SupportMask, Tolerance, as_matrix, null_space_many, rank, rank_many
 from .errors import InvalidInput, InternalError, RankError, SizeError
 
 MAX_ROWS = 20
@@ -119,7 +121,8 @@ class SubspaceVector:
 
     def touched_blocks(self, blocks: BlockSpec, tol: Tolerance) -> tuple[int, ...]:
         """1-based indices of the blocks the coefficients touch."""
-        return tuple(b + 1 for b in _touched(self.coeff_array(), blocks, tol))
+        touched = _touches(self.coeff_array()[None], blocks, tol)[0]
+        return tuple((np.flatnonzero(touched) + 1).tolist())
 
     def is_mixing(self, blocks: BlockSpec, tol: Tolerance) -> bool:
         return len(self.touched_blocks(blocks, tol)) > 1
@@ -142,12 +145,33 @@ class GapResult:
     mixing: BasisSearchResult
 
 
-def _touched(c: np.ndarray, blocks: BlockSpec, tol: Tolerance) -> list[int]:
-    """0-based indices of the blocks a coefficient vector touches: those with
-    an entry above the threshold of the vector's own largest entry."""
-    c = np.abs(c)
-    above = (c > tol.threshold(c.max())).tolist()
-    return [b for b, cols in enumerate(blocks.ranges()) if any(above[j] for j in cols)]
+class _Vectors(NamedTuple):
+    """Column-space vectors as stacked arrays, row i of each for vector i:
+    values (G, m), coefficients (G, n) and support bitmasks (G,)."""
+
+    values: np.ndarray
+    coeffs: np.ndarray
+    bits: np.ndarray
+
+    def take(self, idx) -> "_Vectors":
+        return _Vectors(*(a[idx] for a in self))
+
+    @staticmethod
+    def concat(parts) -> "_Vectors":
+        return _Vectors(*map(np.concatenate, zip(*parts)))
+
+    def vectors(self) -> list[SubspaceVector]:
+        m = self.values.shape[1]
+        rows = zip(self.values.tolist(), self.coeffs.tolist(), self.bits.tolist())
+        return [SubspaceVector(tuple(v), tuple(c), SupportMask(m, _members(b))) for v, c, b in rows]
+
+
+def _touches(A: np.ndarray, blocks: BlockSpec, tol: Tolerance) -> np.ndarray:
+    """(S, K) mask of the blocks each row of A (S, n) touches: those with an
+    entry above the threshold of the row's own largest |entry|."""
+    A = np.abs(A)
+    above = A > np.maximum(tol.abs, tol.rel * A.max(axis=1))[:, None]
+    return np.logical_or.reduceat(above, [cols[0] for cols in blocks.ranges()], axis=1)
 
 
 def _check_search_size(M: np.ndarray):
@@ -163,54 +187,88 @@ def _require_full_column_rank(M: np.ndarray, tol: Tolerance):
         raise RankError(f"matrix of shape {M.shape} must have full column rank")
 
 
-def _normalized_vector(M: np.ndarray, c: np.ndarray, tol: Tolerance) -> SubspaceVector | None:
-    v = M @ c
-    top = np.abs(v).max()
-    if top <= tol.matrix_threshold(M):
-        return None
-    piv = int(np.flatnonzero(np.abs(v) == top)[0])
-    scale = v[piv]
-    v = v / scale
-    c = c / scale
-    members = np.flatnonzero(np.abs(v) > tol.threshold(1.0))
-    return SubspaceVector(
-        value=tuple(float(x) for x in v),
-        coeff=tuple(float(x) for x in c),
-        mask=SupportMask(M.shape[0], tuple(int(i) + 1 for i in members)),
-    )
+class _Checked(NamedTuple):
+    """A search input _search_input has checked: M as a float matrix, its
+    blocks, and whether each block has full column rank."""
+
+    M: np.ndarray
+    blocks: BlockSpec
+    full: np.ndarray
 
 
-def _bits(members) -> int:
-    """Bitmask of 1-based row indices: row i sets bit i - 1."""
-    return sum(1 << (i - 1) for i in members)
+def _search_input(M, blocks, tol: Tolerance) -> _Checked:
+    """M and blocks (None: one block) checked once for every search: blocks
+    must cover M's columns, M must be within the cap (SizeError) and of full
+    column rank (RankError).  One rank_many call ranks M and its blocks,
+    each at its own threshold and padded with zero columns, which never win
+    a pivot."""
+    M = as_matrix(M)
+    blocks = BlockSpec.covering((M.shape[1],) if blocks is None else blocks, M.shape[1])
+    _check_search_size(M)
+    stack = np.zeros((1 + blocks.K, *M.shape))
+    stack[0] = M
+    for b, cols in enumerate(blocks.ranges()):
+        stack[1 + b, :, : len(cols)] = M[:, cols]
+    ranks = rank_many(stack, tol.stack_thresholds(stack))
+    if ranks[0] < M.shape[1]:
+        raise RankError(f"matrix of shape {M.shape} must have full column rank")
+    return _Checked(M, blocks, ranks[1:] == blocks.sizes)
+
+
+def _normalize(M: np.ndarray, C: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, _Vectors]:
+    """The vectors M c of the rows c of C (F, n): the mask of those above M's
+    zero threshold, and those with their c, divided by their first entry of
+    largest magnitude, supports the entries above the threshold of 1.  The
+    stacked matmul gives each row the bits of M @ c; an overflow in it is
+    InvalidInput."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = np.matmul(M[None], C[:, :, None])[:, :, 0]
+    piv = np.abs(V).argmax(axis=1)
+    top = np.abs(V[np.arange(len(V)), piv])
+    if not np.isfinite(top).all():
+        raise InvalidInput(OVERFLOW)
+    alive = ~(top <= tol.matrix_threshold(M))
+    scale = V[alive, piv[alive]][:, None]
+    V = V[alive] / scale
+    bits = (np.abs(V) > tol.threshold(1.0)) @ (1 << np.arange(M.shape[0]))
+    return alive, _Vectors(V, C[alive] / scale, bits)
 
 
 def _members(bits: int) -> tuple[int, ...]:
-    """The sorted 1-based row indices of a bitmask."""
+    """The sorted 1-based row indices of a bitmask: row i sets bit i - 1."""
     return tuple(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
 
 
-def _below(masks, m: int) -> np.ndarray:
-    """below[x] says whether one of the bitmasks over m rows lies inside the
-    row set x: a sum over subsets, one pass per row over all 2^m row sets."""
-    below = np.zeros(1 << m, dtype=bool)
-    below[np.fromiter(masks, dtype=np.int64)] = True
+def _order(bits: np.ndarray, m: int) -> np.ndarray:
+    """The order of distinct bitmasks over m rows by (size, sorted members):
+    of two sets of one size, the one holding the first row where they
+    differ comes first: the larger mask read with its m bits reversed."""
+    size, reversed_ = np.zeros((2, len(bits)), dtype=np.int64)
     for i in range(m):
-        halves = below.reshape(-1, 2, 1 << i)
-        halves[:, 1] |= halves[:, 0]
-    return below
+        size += bits >> i & 1
+        reversed_ |= (bits >> i & 1) << (m - 1 - i)
+    return np.lexsort((-reversed_, size))
 
 
-def _inclusion_minimal(masks, m: int) -> list[int]:
-    """The distinct bitmasks over m rows that have no other of the masks as a
-    proper subset: a mask t has one iff t minus one of its rows has one of
-    the masks inside it."""
-    masks = np.fromiter(masks, dtype=np.int64)
-    below = _below(masks, m)
-    proper = np.zeros(masks.size, dtype=bool)
-    for i in range(m):
-        proper |= ((masks >> i) & 1 == 1) & below[masks ^ (1 << i)]
-    return masks[~proper].tolist()
+def _counter(masks: np.ndarray, m: int):
+    """A function counting the distinct bitmasks masks over m rows inside
+    each of at most CHUNK row sets: by pairs when len(masks)^2 <= m 2^m,
+    else from a sum over subsets (one pass per row over all 2^m row sets)."""
+    if masks.size**2 > m << m:
+        table = np.zeros(1 << m, dtype=np.int32)
+        table[masks] = 1
+        for i in range(m):
+            halves = table.reshape(-1, 2, 1 << i)
+            halves[:, 1] += halves[:, 0]
+        return table.__getitem__
+    return lambda sets: ((sets[:, None] & masks) == masks).sum(axis=1)
+
+
+def _inclusion_minimal(masks: np.ndarray, m: int) -> np.ndarray:
+    """Mask of the distinct bitmasks with no other of them as a subset."""
+    count = _counter(masks, m)
+    parts = np.split(masks, range(CHUNK, len(masks), CHUNK))
+    return np.concatenate([count(part) == 1 for part in parts])
 
 
 def _subset_chunks(m: int, k: int):
@@ -265,51 +323,52 @@ def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
     Level k ranks the k-row subsets R chunk by chunk in combinations order;
     an independent R's null space attains T, the complement of its closure.
     A flat's rank fixes its level, and each distinct T gets one null space,
-    its first subset's.  At level cols-1 each hyperplane complement gets one
-    normalized vector, keyed by the vector's support; the inclusion-minimal
-    ones, sorted by (size, rows), are the ground set.  With blocks the pass
-    goes on down to level 0: T is a mixing stratum iff the rows of its
-    coefficient null space touch more than one block (_touched of their
-    largest entries): it then cannot be covered by the finitely many block
-    subspaces without lying inside one.  A lower level has larger
-    complements, so a T holding an accepted stratum is skipped before its
-    null space; the final inclusion-minimal filter would drop it.
-    Returns (ground, strata), strata as [(members_1based, null_basis)]
-    sorted by (size, rows), None without blocks."""
+    its first subset's.  At level cols-1 each chunk's null vectors are
+    normalized in one step; the first vector of each support, filtered to
+    the inclusion-minimal supports and sorted by (size, rows), is the
+    ground set, returned as _Vectors.  With blocks the pass goes on down to
+    level 0: T is a mixing stratum iff the rows of its coefficient null
+    space touch more than one block (_touches of their largest entries): it
+    then cannot be covered by the finitely many block subspaces without
+    lying inside one.  A lower level has larger complements, so a T holding
+    an accepted stratum is skipped before its null space; the final
+    inclusion-minimal filter would drop it.  The strata are returned as
+    [(T bitmask, null basis)] sorted by (size, rows), None without blocks."""
     m, n = M.shape
     thr = tol.matrix_threshold(M)
     bit = 1 << np.arange(m)
-    met: set[int] = set()
-    vectors: dict[int, SubspaceVector] = {}
+    met = np.zeros(1 << m, dtype=bool)
+    found = [_Vectors(np.zeros((0, m)), np.zeros((0, n)), bit[:0])]
     strata: dict[int, np.ndarray] = {}
-    below, counted = None, 0
     for k in range(n - 1, -1, -1) if blocks else [n - 1]:
-        if len(strata) > counted:
-            below, counted = _below(strata, m), len(strata)
+        holding = _counter(np.fromiter(strata, dtype=np.int64, count=len(strata)), m)
         for R in _subset_chunks(m, k):
             R = R[rank_many(M[R], thr) == k]
-            open_bits = (~_closed_rows(M, R, thr) * bit).sum(axis=1).tolist()
-            fresh = []
-            for i, T in enumerate(open_bits):
-                if T and T not in met and (below is None or not below[T]):
-                    met.add(T)
-                    fresh.append(i)
-            for i, N in zip(fresh, null_space_many(M[R[fresh]], thr)):
-                if N.shape[1] != n - k:
-                    continue
-                if k == n - 1:
-                    vec = _normalized_vector(M, N[:, 0], tol)
-                    if vec is not None:
-                        vectors.setdefault(_bits(vec.mask.members), vec)
-                if blocks is not None and len(_touched(np.abs(N).max(axis=1), blocks, tol)) > 1:
-                    strata[open_bits[i]] = N
-    ground = [vectors[t] for t in _inclusion_minimal(vectors, m)]
-    ground.sort(key=lambda v: (v.support_size, v.mask.members))
+            T, first = np.unique((~_closed_rows(M, R, thr) * bit).sum(axis=1), return_index=True)
+            fresh = (T != 0) & ~met[T]
+            fresh[fresh] = holding(T[fresh]) == 0
+            if not fresh.any():
+                continue
+            met[T[fresh]] = True
+            T, first = T[fresh], first[fresh]
+            T, first = T[np.argsort(first)], np.sort(first)
+            nulls = null_space_many(M[R[first]], thr)
+            full = [i for i, N in enumerate(nulls) if N.shape[1] == n - k]
+            T, N = T[full], np.array([nulls[i] for i in full]).reshape(-1, n, n - k)
+            if k == n - 1:
+                found.append(_normalize(M, N[:, :, 0], tol)[1])
+            if blocks is not None:
+                mixing = _touches(np.abs(N).max(axis=2), blocks, tol).sum(axis=1) > 1
+                strata.update(zip(T[mixing].tolist(), N[mixing]))
+    vectors, found = _Vectors.concat(found), None
+    first = np.unique(vectors.bits, return_index=True)[1]
+    keep = first[_inclusion_minimal(vectors.bits[first], m)]
+    ground = vectors.take(keep[_order(vectors.bits[keep], m)])
     if blocks is None:
         return ground, None
-    minimal = _inclusion_minimal(strata, m)
-    minimal.sort(key=lambda t: (t.bit_count(), _members(t)))
-    return ground, [(_members(t), strata[t]) for t in minimal]
+    T = np.fromiter(strata, dtype=np.int64, count=len(strata))
+    T = T[_inclusion_minimal(T, m)]
+    return ground, [(t, strata[t]) for t in T[_order(T, m)].tolist()]
 
 
 def minimal_supports(M, tol: Tolerance | None = None) -> list[SubspaceVector]:
@@ -318,51 +377,62 @@ def minimal_supports(M, tol: Tolerance | None = None) -> list[SubspaceVector]:
     matroid, from the first level of _flats, one null space and one vector
     per distinct hyperplane."""
     tol = tol or Tolerance.default()
-    M = as_matrix(M)
-    _check_search_size(M)
-    _require_full_column_rank(M, tol)
-    return _flats(M, tol)[0]
+    return _flats(_search_input(M, None, tol).M, tol)[0].vectors()
 
 
-def _greedy(candidates: list[SubspaceVector], n: int, tol: Tolerance) -> list[SubspaceVector]:
-    """The first n independent vectors of the candidates, taken in order: a
-    candidate is picked iff the rank of [picks..., candidate], at that
-    matrix's own threshold, grows.  InternalError if the candidates span
-    less than rank n."""
-    picked: list[SubspaceVector] = []
-    for cand in candidates:
-        trial = np.column_stack([v.value for v in picked] + [cand.value])[None]
-        if rank_many(trial, tol.stack_thresholds(trial))[0] > len(picked):
-            picked.append(cand)
-            if len(picked) == n:
-                return picked
-    raise InternalError(f"the ground set spans rank {len(picked)}, not {n}")
+def _independent(values: np.ndarray, n: int, tol: Tolerance) -> list[int]:
+    """Indices of the first n independent rows of values (G, m), in order:
+    row i is picked iff the rank of [picks..., row i] as columns, at that
+    matrix's own threshold, grows.  One rank_many call tests a run of the
+    next rows r_0..r_w-1, w the picks still missing: slice j holds [picks...,
+    r_0, ..., r_j] and zero columns, which never win a pivot.  While the
+    ranks grow, slice j is the test of r_j with r_0..r_j-1 picked; the
+    first row that does not grow is skipped and the next run starts after
+    it.  InternalError if the rows span less than rank n."""
+    picked: list[int] = []
+    start = 0
+    while len(picked) < n and start < len(values):
+        p, run = len(picked), values[start : start + n - len(picked)]
+        trial = np.zeros((len(run), values.shape[1], n))
+        trial[:, :, :p] = values[picked].T
+        prefix = np.tri(len(run), dtype=bool)[:, None, :]  # slice j holds r_0..r_j
+        trial[:, :, p : p + len(run)] = np.where(prefix, run.T[None], 0.0)
+        grew = rank_many(trial, tol.stack_thresholds(trial)) == p + 1 + np.arange(len(run))
+        stop = int(np.argmin(grew)) if not grew.all() else len(run)
+        picked += range(start, start + stop)
+        start += stop + 1
+    if len(picked) < n:
+        raise InternalError(f"the ground set spans rank {len(picked)}, not {n}")
+    return picked
 
 
-def _stratum_representative(
-    M: np.ndarray, blocks: BlockSpec, N: np.ndarray, tol: Tolerance
-) -> SubspaceVector:
-    """A mixing vector from the stratum's coefficient space."""
-    cols = [N[:, j] for j in range(N.shape[1])]
-    for c in cols:
-        if len(_touched(c, blocks, tol)) > 1:
-            vec = _normalized_vector(M, c, tol)
-            if vec is not None:
-                return vec
-    # every basis vector is pure; two of them live in different blocks
-    groups = {}
-    for c in cols:
-        t = _touched(c, blocks, tol)
-        if len(t) == 1:
-            groups.setdefault(t[0], c)
-    picks = list(groups.values())
-    if len(picks) < 2:
-        raise InternalError("mixing stratum without a mixing combination")
-    c = picks[0] / np.abs(picks[0]).max() + picks[1] / np.abs(picks[1]).max()
-    vec = _normalized_vector(M, c, tol)
-    if vec is None:
-        raise InternalError("mixing representative vanished numerically")
-    return vec
+def _representatives(M: np.ndarray, blocks: BlockSpec, N: np.ndarray, tol: Tolerance):
+    """A mixing vector from each stratum's null space N[s] (S, n, w), zero
+    columns past its width: the normalized first column that touches more
+    than one block and does not vanish, else the normalized sum of the first
+    pure columns of the first two blocks met, each divided by its largest
+    |entry|.  Returns them as _Vectors and per stratum 0, or 1 (no mixing
+    combination) or 2 (the representative vanished)."""
+    S, n, w = N.shape
+    touched = _touches(N.transpose(0, 2, 1).reshape(S * w, n), blocks, tol)
+    count = touched.sum(axis=1).reshape(S, w)
+    mixing = np.nonzero(count > 1)
+    alive, found = _normalize(M, N[mixing[0], :, mixing[1]], tol)
+    has, first = np.unique(mixing[0][alive], return_index=True)
+    rest = np.flatnonzero(np.bincount(has, minlength=S) == 0)
+    block, pure = touched.argmax(axis=1).reshape(S, w)[rest], count[rest] == 1
+    p0 = pure.argmax(axis=1)
+    other = pure & (block != block[np.arange(rest.size), p0][:, None])
+    pair = other.any(axis=1)
+    X0, X1 = N[rest[pair], :, p0[pair]], N[rest[pair], :, other[pair].argmax(axis=1)]
+    c = X0 / np.abs(X0).max(axis=1)[:, None] + X1 / np.abs(X1).max(axis=1)[:, None]
+    combined, summed = _normalize(M, c, tol)
+    reps = _Vectors(np.zeros((S, M.shape[0])), np.zeros((S, n)), np.zeros(S, dtype=np.int64))
+    for out, a, b in zip(reps, found, summed):
+        out[has], out[rest[pair][combined]] = a[first], b
+    failed = np.zeros(S, dtype=int)
+    failed[rest[~pair]], failed[rest[pair][~combined]] = 1, 2
+    return reps, failed
 
 
 def sparsest_basis(
@@ -387,85 +457,98 @@ def sparsest_basis(
     its vectors whose swap for f keeps rank n (the last of f's fundamental
     circuit).  The greedy keeps every vector of B* before that one, skips
     it, keeps the rest, and rejects every other candidate, which lies in
-    the span of the B* vectors before it.  forceMixing takes its ground set
-    and strata from one _flats pass, computes B* once, and tests the swaps
-    of the strata CHUNK at a time, one rank_many call per position of B*
-    from the last, keeping only the cheapest completion so far.
+    the span of the B* vectors before it.  The search runs on the stacked
+    arrays of _flats: the greedy reads value rows (_independent), each chunk
+    of CHUNK strata gets its representatives in one step (_representatives)
+    and its swaps in one rank_many call per position of B*, a stratum costs
+    the size of its T, and SubspaceVector is built only for the n vectors
+    returned.  M may
+    also be a _Checked input, as sparsity_gap passes one to both searches.
     """
     tol = tol or Tolerance.default()
-    M = as_matrix(M)
-    blocks = BlockSpec.covering((M.shape[1],) if blocks is None else blocks, M.shape[1])
-    _check_search_size(M)
-    _require_full_column_rank(M, tol)
-    n = M.shape[1]
-
+    M, blocks, full = M if isinstance(M, _Checked) else _search_input(M, blocks, tol)
+    m, n = M.shape
     if mode == "unconstrained":
-        picked = _greedy(minimal_supports(M, tol), n, tol)
+        ground = _flats(M, tol)[0]
+        picked = ground.take(_independent(ground.values, n, tol))
     elif mode == "blockRespecting":
-        picked = []
-        for cols in blocks.ranges():
-            for v in _greedy(minimal_supports(M[:, cols], tol), len(cols), tol):
-                coeff = np.zeros(n)
-                coeff[cols] = v.coeff_array()
-                picked.append(SubspaceVector(value=v.value, coeff=tuple(coeff), mask=v.mask))
+        parts = []
+        for cols, ok in zip(blocks.ranges(), full):
+            if not ok:
+                raise RankError(f"matrix of shape {(m, len(cols))} must have full column rank")
+            ground = _flats(M[:, cols], tol)[0]
+            ground = ground.take(_independent(ground.values, len(cols), tol))
+            coeffs = np.zeros((len(cols), n))
+            coeffs[:, cols] = ground.coeffs
+            parts.append(ground._replace(coeffs=coeffs))
+        picked = _Vectors.concat(parts)
     elif mode == "forceMixing":
         if blocks.K < 2:
             raise InvalidInput("forceMixing needs at least two blocks")
         ground, strata = _flats(M, tol, blocks)
         if not strata:
             raise InternalError("no mixing stratum found despite K >= 2")
-        optimum = _greedy(ground, n, tol)
-        values = np.array([v.value for v in optimum]).T
-        best: tuple[int, list[SubspaceVector]] | None = None
+        optimum = ground.take(_independent(ground.values, n, tol))
+        sizes = np.array([b.bit_count() for b in optimum.bits.tolist()])
+        best = None  # (cost, representative, dropped position of B*)
         for first in range(0, len(strata), CHUNK):
-            reps = []
-            for members, N in strata[first : first + CHUNK]:
-                rep = _stratum_representative(M, blocks, N, tol)
-                if set(rep.mask.members) != set(members):
-                    raise InternalError(
-                        f"stratum support {members} not attained by representative "
-                        f"{rep.mask.members}"
-                    )
-                reps.append(rep)
-            dropped = np.full(len(reps), -1)
+            chunk = strata[first : first + CHUNK]
+            T = np.array([t for t, _ in chunk])
+            N = np.zeros((len(chunk), n, max(null.shape[1] for _, null in chunk)))
+            for s, (_, null) in enumerate(chunk):
+                N[s, :, : null.shape[1]] = null
+            reps, failed = _representatives(M, blocks, N, tol)
+            failed[(failed == 0) & (reps.bits != T)] = 3
+            if failed.any():
+                s = np.flatnonzero(failed)[0]
+                raise InternalError((
+                    "mixing stratum without a mixing combination",
+                    "mixing representative vanished numerically",
+                    f"stratum support {_members(int(T[s]))} not attained by representative "
+                    f"{_members(int(reps.bits[s]))}",
+                )[failed[s] - 1])
+            # drop[s]: the last position of B* whose swap for reps[s] keeps
+            # rank n, -1 if none; one rank_many call per position
+            drop = np.full(len(T), -1)
             for j in range(n - 1, -1, -1):
-                open_ = np.flatnonzero(dropped < 0)
+                open_ = np.flatnonzero(drop < 0)
                 if not open_.size:
                     break
-                # each open representative, then B* without its j-th vector
-                trial = np.empty((open_.size, M.shape[0], n))
-                trial[:, :, 0] = [reps[i].value for i in open_]
-                trial[:, :, 1:] = np.delete(values, j, axis=1)
-                dropped[open_[rank_many(trial, tol.stack_thresholds(trial)) == n]] = j
-            for rep, j in zip(reps, dropped.tolist()):
-                if j < 0:  # no swap keeps rank n: the completion fails
-                    continue
-                picked = [rep] + optimum[:j] + optimum[j + 1 :]
-                cost = sum(v.support_size for v in picked)
-                if best is None or cost < best[0]:  # the first cheapest stratum wins
-                    best = (cost, picked)
+                trial = np.empty((open_.size, m, n))
+                trial[:, :, 0] = reps.values[open_]
+                trial[:, :, 1:] = np.delete(optimum.values.T, j, axis=1)
+                drop[open_[rank_many(trial, tol.stack_thresholds(trial)) == n]] = j
+            swaps = np.flatnonzero(drop >= 0)
+            if swaps.size:
+                cost = np.array([t.bit_count() for t in T.tolist()]) + sizes.sum() - sizes[drop]
+                s = swaps[np.argmin(cost[swaps])]
+                if best is None or cost[s] < best[0]:  # the first cheapest stratum wins
+                    best = (cost[s], reps.take([s]), drop[s])
         if best is None:
             raise InternalError("forced-mixing completion failed on every stratum")
-        picked = best[1]
+        picked = _Vectors.concat([best[1], optimum.take(np.delete(np.arange(n), best[2]))])
     else:
         raise InvalidInput(f"unknown mode {mode!r}")
+    vectors = picked.vectors()
     return BasisSearchResult(
         mode=mode,
-        cost=sum(v.support_size for v in picked),
-        vectors=picked,
-        mixing_flags=[v.is_mixing(blocks, tol) for v in picked],
+        cost=sum(v.support_size for v in vectors),
+        vectors=vectors,
+        mixing_flags=(_touches(picked.coeffs, blocks, tol).sum(axis=1) > 1).tolist(),
     )
 
 
 def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResult:
     """rho+ (cheapest block-respecting basis) vs rho- (cheapest basis forced to
-    mix); the factors are Type S independent iff rho+ < rho-."""
+    mix); the factors are Type S independent iff rho+ < rho-.  M and each
+    block are checked for full column rank once, for both searches."""
     tol = tol or Tolerance.default()
     blocks = BlockSpec.coerce(blocks)
     if blocks.K < 2:
         raise InvalidInput("the sparsity gap needs at least two blocks")
-    respecting = sparsest_basis(M, blocks, "blockRespecting", tol)
-    mixing = sparsest_basis(M, blocks, "forceMixing", tol)
+    checked = _search_input(M, blocks, tol)
+    respecting = sparsest_basis(checked, blocks, "blockRespecting", tol)
+    mixing = sparsest_basis(checked, blocks, "forceMixing", tol)
     return GapResult(
         rho_plus=respecting.cost,
         rho_minus=mixing.cost,

@@ -22,6 +22,9 @@ DEFAULT_ABS = 1e-12
 
 ENV_TOL = "MECHINDEP_TOL"
 
+# finite entries near the float limit can still overflow in arithmetic: InvalidInput
+OVERFLOW = "arithmetic on the matrix overflowed the float range; rescale it"
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -172,6 +175,7 @@ def rank(M, tol: Tolerance | None = None, thr: float | None = None) -> int:
     return int(rank_many(A[None], thr)[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rank_many(stack, thr) -> np.ndarray:
     """Ranks of every slice of a (B, r, n) stack, each equal to rank(stack[b], thr=thr[b]).
 
@@ -180,7 +184,9 @@ def rank_many(stack, thr) -> np.ndarray:
     maximum of the trailing block, rows below it subtract the pivot row times
     their entry divided by the pivot, as elementwise products, and only the
     trailing block is updated, the one part later steps read.  A slice
-    retires once its pivot is at or below its threshold.
+    retires once its pivot is at or below its threshold.  An overflow leaves
+    a non-finite entry in a trailing block, so its slice never retires and
+    the check of the slices left at the end finds it: InvalidInput.
     """
     A = np.array(stack, dtype=float)
     if A.ndim != 3:
@@ -213,6 +219,8 @@ def rank_many(stack, thr) -> np.ndarray:
         A[:, :, r] = col
         below = A[:, r + 1 :, r] / A[:, r, r, None]
         A[:, r + 1 :, r + 1 :] -= below[:, :, None] * A[:, None, r, r + 1 :]
+    if not np.isfinite(A).all():
+        raise InvalidInput(OVERFLOW)
     return ranks
 
 
@@ -232,6 +240,7 @@ def null_space(M, tol: Tolerance | None = None, thr: float | None = None) -> np.
     return null_space_many(A[None], thr)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def null_space_many(stack, thr) -> list[np.ndarray]:
     """Null-space bases of every slice of a (B, r, n) stack, each equal to
     null_space(stack[b], thr=thr[b]).
@@ -246,7 +255,8 @@ def null_space_many(stack, thr) -> list[np.ndarray]:
     threshold or that has run out of rows, is left untouched for that column.
     Each basis is a C-ordered (n, free columns) array of its own, with a 1 in
     each free column's own row and the negated reduced entries in the pivot
-    columns' rows.
+    columns' rows.  No step makes a non-finite entry finite again, so an
+    overflow shows in the reduced stack: InvalidInput.
     """
     A = np.array(stack, dtype=float)
     if A.ndim != 3:
@@ -279,6 +289,8 @@ def null_space_many(stack, thr) -> list[np.ndarray]:
             A[b] = S
         piv_row[b, c] = rb
         r[b] += 1
+    if not np.isfinite(A).all():
+        raise InvalidInput(OVERFLOW)
     # X[b, :, j] is the basis vector of free column j; pivot columns' are unused
     X = np.zeros((B, cols, cols))
     sb, sc = np.nonzero(piv_row >= 0)

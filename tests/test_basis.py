@@ -1,9 +1,13 @@
 """Sparsest-basis search: achievability, minimal supports, the three search
-modes, and the sparsity gap, cross-checked against exact rational oracles."""
+modes, and the sparsity gap, cross-checked against exact rational oracles;
+byte pins at the size cap; inputs whose arithmetic overflows."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
+from mechindep import basis, core
 from mechindep.basis import (
     BlockSpec,
     achievable,
@@ -12,9 +16,11 @@ from mechindep.basis import (
     sparsest_basis,
     sparsity_gap,
 )
-from mechindep.core import Tolerance, l0_norm
+from mechindep.core import Tolerance, l0_norm, null_space, rank
 from mechindep.criteria import check_type_d
 from mechindep.errors import InternalError, InvalidInput, RankError, SizeError
+from mechindep.graphs import block_structure_audit
+from mechindep.synth import OverlapTemplate, gen_overlap_jacobian
 
 from golden import GOLDEN, MAT_DISJOINT, MAT_TRIANGLE
 from oracles import (
@@ -246,3 +252,105 @@ def test_search_is_deterministic():
         np.array_equal(x.value_array(), y.value_array())
         for x, y in zip(a.vectors, b.vectors)
     )
+
+
+def _vectors_payload(vectors):
+    return [
+        (tuple(float.hex(x) for x in v.value), tuple(float.hex(x) for x in v.coeff), v.mask.members)
+        for v in vectors
+    ]
+
+
+def _sha(payload) -> str:
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+# name: (instance, (rho+, rho-), gap payload sha256, minimal supports sha256)
+_CAP_PINS = {
+    "planted 20x8": (
+        lambda: gen_overlap_jacobian(OverlapTemplate(K=4, slot_dim=2, slot_out=5))[:2],
+        (32, 36),
+        "808de63879813fa339c420e5785780545593eab0d2c547444649d6f0b959a910",
+        "c56700848dd75f55001b1c32da3a0160bb6a7bd1e8d3a8b84d57a589b2f7c4c4",
+    ),
+    "dense 16x8": (
+        lambda: (np.random.default_rng(0).standard_normal((16, 8)), BlockSpec((4, 4))),
+        (104, 72),
+        "9fa6351e2aece41aee55ea47929e71cd4573ba2ef9cd741a1924aedf666abf09",
+        "7582f5b3410f848370c7ac460c18ee2687e0157feabe930953b6b96122a02020",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_CAP_PINS))
+def test_gap_and_supports_bytes_pinned_at_the_cap(name):
+    """The exact floats of both bases, their flags and costs, and of every
+    minimal-support vector, as the per-vector search gave them, on inputs
+    with hundreds of batched chunks (the README's planted 20x8 and the dense
+    16x8 drawn by default_rng(0))."""
+    instance, rhos, gap_sha, supports_sha = _CAP_PINS[name]
+    M, blocks = instance()
+    gap = sparsity_gap(M, blocks)
+    assert (gap.rho_plus, gap.rho_minus) == rhos
+    assert _sha((
+        gap.rho_plus, gap.rho_minus, gap.independent,
+        _vectors_payload(gap.respecting.vectors), gap.respecting.mixing_flags, gap.respecting.cost,
+        _vectors_payload(gap.mixing.vectors), gap.mixing.mixing_flags, gap.mixing.cost,
+    )) == gap_sha
+    assert _sha(_vectors_payload(minimal_supports(M))) == supports_sha
+
+
+# entries near the float limit: finite, but elimination overflows
+_HUGE = np.array([
+    [0.0, -1.7e308, 1.7e308, 1.7e308],
+    [1.7e308, 0.0, 0.0, 8.5e307],
+    [-8.5e307, 8.5e307, 0.0, 1.7e308],
+    [1.7e308, 8.5e307, -8.5e307, 1.7e308],
+    [8.5e307, 0.0, 0.0, 1.7e308],
+])
+
+
+# eliminates within range, but M c overflows for the null vector (1, 1)
+_HUGE_PRODUCT = np.array([[1e308, 1e308], [5e307, -5e307]])
+
+
+def test_overflowing_arithmetic_is_invalid_input():
+    """Both elimination kernels and every search on the huge matrix say it
+    overflowed, and so does a search whose only overflow is a vector M c;
+    the same matrices scaled by 2^-1000 run."""
+    with pytest.raises(InvalidInput, match="overflowed"):
+        minimal_supports(_HUGE_PRODUCT)
+    assert len(minimal_supports(np.ldexp(_HUGE_PRODUCT, -1000))) == 2
+    searches = [
+        rank,
+        null_space,
+        lambda M: sparsity_gap(M, (2, 2)),
+        lambda M: minimal_supports(M),
+        lambda M: sparsest_basis(M, (2, 2), "forceMixing"),
+        lambda M: block_structure_audit(M, K=2, draws=5),
+    ]
+    for search in searches:
+        with pytest.raises(InvalidInput, match="overflowed"):
+            search(_HUGE)
+        search(np.ldexp(_HUGE, -1000))
+
+
+def test_gap_checks_the_matrix_once_and_each_block_once(monkeypatch):
+    """Over a whole gap, M is ranked once and each block once, alone and
+    padded with zero columns.  The columns are scaled to a largest entry of
+    3, so no normalized vector of the search equals one of them."""
+    M = 3.0 * np.array(GOLDEN["C"]["matrix"], dtype=float)
+    checks = [M] + [np.pad(M[:, [b]], ((0, 0), (0, 2))) for b in range(3)]
+    seen = [0] * len(checks)
+    ranks = core.rank_many
+
+    def counted(stack, thr):
+        for S in np.asarray(stack):
+            for i, X in enumerate(checks):
+                seen[i] += S.shape == X.shape and np.array_equal(S, X)
+        return ranks(stack, thr)
+
+    for module in (core, basis):
+        monkeypatch.setattr(module, "rank_many", counted)
+    sparsity_gap(M, (1, 1, 1))
+    assert seen == [1, 1, 1, 1]

@@ -369,6 +369,20 @@ def test_tol_flag_overrides_env(workdir, capsys, monkeypatch):
     assert "# tolRel: 1e-06" in out
 
 
+def test_overflowing_matrix_exits_two(workdir, capsys):
+    """Entries near the float limit overflow in elimination: a usage error
+    naming the overflow, not a traceback or a FAIL verdict."""
+    big = np.array([[0.0, -1.7e308, 1.7e308, 1.7e308], [1.7e308, 0.0, 0.0, 8.5e307],
+                    [-8.5e307, 8.5e307, 0.0, 1.7e308], [1.7e308, 8.5e307, -8.5e307, 1.7e308],
+                    [8.5e307, 0.0, 0.0, 1.7e308]])
+    write_matrix_csv(workdir / "big.csv", big)
+    for argv in (["gap", "--blocks", "2,2"], ["analyze", "--criteria", "d,m,s,hierarchy", "--blocks", "2,2"],
+                 ["analyze", "--criteria", "s", "--blocks", "2,2"], ["audit", "--k", "2"]):
+        assert main(argv + [str(workdir / "big.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflowed" in captured.err
+
+
 def test_usage_errors_exit_two(workdir, capsys):
     assert main(["gap", str(workdir / "B.csv")]) == 2                   # no --blocks
     capsys.readouterr()

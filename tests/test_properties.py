@@ -1,6 +1,8 @@
 """Property tests: the batched rank kernel, the batched Gauss-Jordan
-null-space kernel, the single-start greedy, the forced-mixing completion by
-one exchange on the greedy optimum, the row partition's batched greedy basis
+null-space kernel, the greedy on value rows, the forced-mixing completion by
+one exchange on the greedy optimum, the array pass over the flats (stacked
+normalization, both branches of the inclusion-minimal filter) against the
+per-vector pass it replaced, the row partition's batched greedy basis
 and its zero rows, the adjacency-matrix edge rules of build_graph and
 check_type_m, and the audit's two batched route-b calls against verbatim
 copies of the scalar code they replaced; the batched D-graph component
@@ -17,6 +19,7 @@ Examples are derandomized and bounded, so every run checks the same inputs.
 """
 
 import hashlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -29,15 +32,14 @@ from mechindep.basis import (
     CHUNK,
     BlockSpec,
     SubspaceVector,
-    _bits,
     _check_search_size,
     _closed_rows,
     _flats,
-    _greedy,
+    _inclusion_minimal,
+    _independent,
     _members,
-    _normalized_vector,
+    _normalize,
     _require_full_column_rank,
-    _stratum_representative,
     _subset_chunks,
     minimal_supports,
     sparsest_basis,
@@ -426,8 +428,9 @@ def test_null_space_many_equals_scalar_gauss_jordan(case):
 
 
 # The per-start greedy that the lockstep multi-start greedy replaced, and
-# that _greedy and the forced-mixing exchange replace in turn, verbatim: the
-# reference every completion must match pick for pick.
+# that the greedy on value rows (_independent) and the forced-mixing
+# exchange replace in turn, verbatim: the reference every completion must
+# match pick for pick.
 def scalar_greedy_complete(
     candidates: list[SubspaceVector],
     n: int,
@@ -468,27 +471,45 @@ def _greedy_cases(draw):
 @PINNED
 @given(_greedy_cases())
 def test_greedy_equals_scalar_greedy(case):
+    """The greedy on value rows picks what the per-vector greedy it replaced
+    (reference_greedy) and the scalar greedy pick."""
     candidates, n = case
     tol = Tolerance()
+    values = np.array([v.value for v in candidates])
     expected = scalar_greedy_complete(candidates, n, tol)
     if expected is None:
-        with pytest.raises(InternalError, match="the ground set spans rank"):
-            _greedy(candidates, n, tol)
+        for greedy in (lambda: _independent(values, n, tol), lambda: reference_greedy(candidates, n, tol)):
+            with pytest.raises(InternalError, match="the ground set spans rank"):
+                greedy()
     else:
-        assert _greedy(candidates, n, tol) == expected
+        assert [candidates[i] for i in _independent(values, n, tol)] == expected
+        assert reference_greedy(candidates, n, tol) == expected
+
+
+def test_greedy_runs_past_rows_that_do_not_grow():
+    """A pick after CHUNK + 1 rows that do not grow the rank, each ending
+    a run."""
+    values = np.zeros((CHUNK + 3, 4))
+    values[:, 0] = 1.0
+    values[CHUNK + 2, 1] = 1.0
+    assert _independent(values, 2, Tolerance()) == [0, CHUNK + 2]
+    with pytest.raises(InternalError, match="the ground set spans rank 2, not 3"):
+        _independent(values, 3, Tolerance())
 
 
 # The forced-mixing search as it was before the exchange, verbatim but for
 # completing each stratum alone through scalar_greedy_complete: every
 # stratum's representative forced and completed greedily over the ground set,
-# the first cheapest completion winning.
+# the first cheapest completion winning.  Its ground set, strata and
+# representatives come from the per-vector pass the array path replaced
+# (reference_flats, reference_stratum_representative).
 def reference_force_mixing(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
-    ground, strata = _flats(M, tol, blocks)
+    ground, strata = reference_flats(M, tol, blocks)
     if not strata:
         raise InternalError("no mixing stratum found despite K >= 2")
     best: tuple[int, list[SubspaceVector]] | None = None
     for members, N in strata:
-        rep = _stratum_representative(M, blocks, N, tol)
+        rep = reference_stratum_representative(M, blocks, N, tol)
         if set(rep.mask.members) != set(members):
             raise InternalError(
                 f"stratum support {members} not attained by representative "
@@ -508,28 +529,72 @@ def reference_force_mixing(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
 @st.composite
 def _two_block_cases(draw):
     """Full-column-rank sparse integer (half of them on a planted block
-    pattern) or Gaussian matrices up to 9x5, split into two blocks."""
-    if draw(st.booleans()):
+    pattern), Gaussian, or Gaussian matrices with rows scaled by 10^-4..10^4
+    up to 9x5, split into two blocks.  Scaled rows near the zero threshold
+    make the closure rank test and a vector's support test disagree, so
+    that "stratum support ... not attained" fires."""
+    kind = draw(st.sampled_from(["integer", "gaussian", "row-scaled"]))
+    if kind == "integer":
         M = draw(_int_matrices(9, 5, min_cols=2)).astype(float)
     else:
         m = draw(st.integers(2, 9))
         n = draw(st.integers(2, min(m, 5)))
-        M = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((m, n))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        M = rng.standard_normal((m, n))
+        if kind == "row-scaled":
+            M *= 10.0 ** rng.integers(-4, 5, (m, 1))
     n = M.shape[1]
     assume(rank(M) == n)
     cut = draw(st.integers(1, n - 1))
     return M, BlockSpec((cut, n - cut))
 
 
-@settings(PINNED, max_examples=120)
+# rows scaled by 10^-5..10^4: "stratum support (1, 3, 5) not attained by
+# representative (1, 3, 4, 5)"
+_NOT_ATTAINED = np.array([
+    [-257.01076898467346, -1098.1986938209586],
+    [-3.735956685207676e-05, -5.4258830643446734e-05],
+    [7.244473133352144e-05, 4.538858794596457e-05],
+    [-2.8022833935576658e-05, -6.65342685628642e-05],
+    [-538.756638943387, 13251.559273452229],
+    [3490.261125780868, 6389.455936428303],
+])
+
+
+@settings(PINNED, max_examples=160)
 @given(_two_block_cases())
+@example((_NOT_ATTAINED, BlockSpec((1, 1))))
 def test_force_mixing_equals_forced_greedy_completions(case):
+    """Vector bytes, or the InternalError message, of the per-vector
+    reference.  The search finds B* before any representative, so there a
+    ground set short of rank n raises first."""
     M, blocks = case
     tol = Tolerance()
-    expected = _vector_bytes(reference_force_mixing(M, blocks, tol))
+    try:
+        expected = _vector_bytes(reference_force_mixing(M, blocks, tol))
+    except InternalError as exc:
+        message = str(exc)
+        ground, strata = reference_flats(M, tol, blocks)
+        if strata:
+            try:
+                reference_greedy(ground, M.shape[1], tol)
+            except InternalError as short:
+                message = str(short)
+        with pytest.raises(InternalError) as got:
+            sparsest_basis(M, blocks, "forceMixing", tol)
+        assert str(got.value) == message
+        return
     result = sparsest_basis(M, blocks, "forceMixing", tol)
     assert _vector_bytes(result.vectors) == expected
     assert result.cost == sum(v.support_size for v in result.vectors)
+
+
+def test_not_attained_example_raises():
+    """The pinned example above takes the error path in both codes."""
+    message = "stratum support (1, 3, 5) not attained by representative (1, 3, 4, 5)"
+    for search in (reference_force_mixing, lambda *a: sparsest_basis(a[0], a[1], "forceMixing", a[2])):
+        with pytest.raises(InternalError, match=re.escape(message)):
+            search(_NOT_ATTAINED, BlockSpec((1, 1)), Tolerance())
 
 
 @st.composite
@@ -1173,7 +1238,7 @@ def reference_minimal_supports(M, tol: Tolerance | None = None) -> list[Subspace
         for N in null_space_many(M[R[rank_many(M[R], thr) == n - 1]], thr):
             if N.shape[1] != 1:
                 continue
-            vec = _normalized_vector(M, N[:, 0], tol)
+            vec = reference_normalized_vector(M, N[:, 0], tol)
             if vec is None:
                 continue
             by_mask.setdefault(_bits(vec.mask.members), vec)
@@ -1260,15 +1325,227 @@ def _vector_bytes(vectors):
 @settings(PINNED, max_examples=200)
 @given(_flat_cases())
 def test_flats_equal_the_two_subset_loops(case):
+    """The array pass against the two subset loops before it and against
+    the per-vector pass it replaced (reference_flats)."""
     M, blocks = case
     tol = Tolerance()
     expected = _vector_bytes(reference_minimal_supports(M, tol))
     assert _vector_bytes(minimal_supports(M, tol)) == expected
     ground, strata = _flats(M, tol, blocks)
-    assert _vector_bytes(ground) == expected
-    reference = reference_mixing_strata(M, blocks, tol)
-    assert [t for t, _ in strata] == [t for t, _ in reference]
-    assert all(_same_bytes(N, E) for (_, N), (_, E) in zip(strata, reference))
+    assert _vector_bytes(ground.vectors()) == expected
+    assert _flats(M, tol)[0].bits.tolist() == ground.bits.tolist()
+    strata = [(_members(t), N) for t, N in strata]
+    for reference in (reference_mixing_strata(M, blocks, tol), reference_flats(M, tol, blocks)[1]):
+        assert [t for t, _ in strata] == [t for t, _ in reference]
+        assert all(_same_bytes(N, E) for (_, N), (_, E) in zip(strata, reference))
+    assert _vector_bytes(reference_flats(M, tol, blocks)[0]) == expected
+
+
+# The per-vector basis code that the array path replaced, verbatim but for
+# the names of the helpers it calls: the references the ground set, the
+# strata, the greedy and the forced-mixing representatives must match.
+def _bits(members) -> int:
+    """Bitmask of 1-based row indices: row i sets bit i - 1."""
+    return sum(1 << (i - 1) for i in members)
+
+
+def reference_touched(c: np.ndarray, blocks: BlockSpec, tol: Tolerance) -> list[int]:
+    """0-based indices of the blocks a coefficient vector touches: those with
+    an entry above the threshold of the vector's own largest entry."""
+    c = np.abs(c)
+    above = (c > tol.threshold(c.max())).tolist()
+    return [b for b, cols in enumerate(blocks.ranges()) if any(above[j] for j in cols)]
+
+
+def reference_normalized_vector(M: np.ndarray, c: np.ndarray, tol: Tolerance) -> SubspaceVector | None:
+    v = M @ c
+    top = np.abs(v).max()
+    if top <= tol.matrix_threshold(M):
+        return None
+    piv = int(np.flatnonzero(np.abs(v) == top)[0])
+    scale = v[piv]
+    v = v / scale
+    c = c / scale
+    members = np.flatnonzero(np.abs(v) > tol.threshold(1.0))
+    return SubspaceVector(
+        value=tuple(float(x) for x in v),
+        coeff=tuple(float(x) for x in c),
+        mask=SupportMask(M.shape[0], tuple(int(i) + 1 for i in members)),
+    )
+
+
+def reference_below(masks, m: int) -> np.ndarray:
+    """below[x] says whether one of the bitmasks over m rows lies inside the
+    row set x: a sum over subsets, one pass per row over all 2^m row sets."""
+    below = np.zeros(1 << m, dtype=bool)
+    below[np.fromiter(masks, dtype=np.int64)] = True
+    for i in range(m):
+        halves = below.reshape(-1, 2, 1 << i)
+        halves[:, 1] |= halves[:, 0]
+    return below
+
+
+def reference_flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
+    """The ground set and, with blocks, the mixing strata, from one pass
+    over the flats of M's row matroid, hyperplanes first.
+
+    Level k ranks the k-row subsets R chunk by chunk in combinations order;
+    an independent R's null space attains T, the complement of its closure.
+    A flat's rank fixes its level, and each distinct T gets one null space,
+    its first subset's.  At level cols-1 each hyperplane complement gets one
+    normalized vector, keyed by the vector's support; the inclusion-minimal
+    ones, sorted by (size, rows), are the ground set.  With blocks the pass
+    goes on down to level 0: T is a mixing stratum iff the rows of its
+    coefficient null space touch more than one block (_touched of their
+    largest entries): it then cannot be covered by the finitely many block
+    subspaces without lying inside one.  A lower level has larger
+    complements, so a T holding an accepted stratum is skipped before its
+    null space; the final inclusion-minimal filter would drop it.
+    Returns (ground, strata), strata as [(members_1based, null_basis)]
+    sorted by (size, rows), None without blocks."""
+    m, n = M.shape
+    thr = tol.matrix_threshold(M)
+    bit = 1 << np.arange(m)
+    met: set[int] = set()
+    vectors: dict[int, SubspaceVector] = {}
+    strata: dict[int, np.ndarray] = {}
+    below, counted = None, 0
+    for k in range(n - 1, -1, -1) if blocks else [n - 1]:
+        if len(strata) > counted:
+            below, counted = reference_below(strata, m), len(strata)
+        for R in _subset_chunks(m, k):
+            R = R[rank_many(M[R], thr) == k]
+            open_bits = (~_closed_rows(M, R, thr) * bit).sum(axis=1).tolist()
+            fresh = []
+            for i, T in enumerate(open_bits):
+                if T and T not in met and (below is None or not below[T]):
+                    met.add(T)
+                    fresh.append(i)
+            for i, N in zip(fresh, null_space_many(M[R[fresh]], thr)):
+                if N.shape[1] != n - k:
+                    continue
+                if k == n - 1:
+                    vec = reference_normalized_vector(M, N[:, 0], tol)
+                    if vec is not None:
+                        vectors.setdefault(_bits(vec.mask.members), vec)
+                if blocks is not None and len(reference_touched(np.abs(N).max(axis=1), blocks, tol)) > 1:
+                    strata[open_bits[i]] = N
+    ground = [vectors[t] for t in reference_inclusion_minimal(vectors, m)]
+    ground.sort(key=lambda v: (v.support_size, v.mask.members))
+    if blocks is None:
+        return ground, None
+    minimal = reference_inclusion_minimal(strata, m)
+    minimal.sort(key=lambda t: (t.bit_count(), _members(t)))
+    return ground, [(_members(t), strata[t]) for t in minimal]
+
+
+def reference_greedy(candidates: list[SubspaceVector], n: int, tol: Tolerance) -> list[SubspaceVector]:
+    """The first n independent vectors of the candidates, taken in order: a
+    candidate is picked iff the rank of [picks..., candidate], at that
+    matrix's own threshold, grows.  InternalError if the candidates span
+    less than rank n."""
+    picked: list[SubspaceVector] = []
+    for cand in candidates:
+        trial = np.column_stack([v.value for v in picked] + [cand.value])[None]
+        if rank_many(trial, tol.stack_thresholds(trial))[0] > len(picked):
+            picked.append(cand)
+            if len(picked) == n:
+                return picked
+    raise InternalError(f"the ground set spans rank {len(picked)}, not {n}")
+
+
+def reference_stratum_representative(
+    M: np.ndarray, blocks: BlockSpec, N: np.ndarray, tol: Tolerance
+) -> SubspaceVector:
+    """A mixing vector from the stratum's coefficient space."""
+    cols = [N[:, j] for j in range(N.shape[1])]
+    for c in cols:
+        if len(reference_touched(c, blocks, tol)) > 1:
+            vec = reference_normalized_vector(M, c, tol)
+            if vec is not None:
+                return vec
+    # every basis vector is pure; two of them live in different blocks
+    groups = {}
+    for c in cols:
+        t = reference_touched(c, blocks, tol)
+        if len(t) == 1:
+            groups.setdefault(t[0], c)
+    picks = list(groups.values())
+    if len(picks) < 2:
+        raise InternalError("mixing stratum without a mixing combination")
+    c = picks[0] / np.abs(picks[0]).max() + picks[1] / np.abs(picks[1]).max()
+    vec = reference_normalized_vector(M, c, tol)
+    if vec is None:
+        raise InternalError("mixing representative vanished numerically")
+    return vec
+
+
+@st.composite
+def _coefficient_rows(draw):
+    """A matrix of 1-20 x 1-8 (Gaussian, half-sparse, or with rows scaled by
+    10^-4..10^4) and 0-300 coefficient rows, some of them exactly in its
+    null space, read as C-ordered rows or as strided columns of a Fortran
+    array (the layout of a null-space column)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n, F = draw(st.integers(1, 20)), draw(st.integers(1, 8)), draw(st.integers(0, 300))
+    M = rng.standard_normal((m, n))
+    kind = draw(st.sampled_from(["gaussian", "half-sparse", "row-scaled"]))
+    if kind == "half-sparse":
+        M *= rng.random((m, n)) < 0.5
+    elif kind == "row-scaled":
+        M *= 10.0 ** rng.integers(-4, 5, (m, 1))
+    C = rng.standard_normal((F, n)) * 10.0 ** rng.integers(-4, 5, (F, 1))
+    C[rng.random(F) < 0.1] = 0.0
+    return M, np.asfortranarray(C) if draw(st.booleans()) else C
+
+
+@PINNED
+@given(_coefficient_rows())
+def test_normalize_equals_per_vector_products(case):
+    """The stacked matmul gives each row the bits of M @ c, and _normalize
+    the vector, coefficients and support of reference_normalized_vector,
+    or drops the row where it returns None.  Killed mutant: C @ M.T in
+    place of the stacked product (it differs in the last bits)."""
+    M, C = case
+    tol = Tolerance()
+    stacked = np.matmul(M[None], C[:, :, None])[:, :, 0]
+    assert all(stacked[i].tobytes() == (M @ C[i]).tobytes() for i in range(len(C)))
+    expected = [reference_normalized_vector(M, c, tol) for c in C]
+    alive, found = _normalize(M, C, tol)
+    assert alive.tolist() == [v is not None for v in expected]
+    assert _vector_bytes(found.vectors()) == _vector_bytes([v for v in expected if v is not None])
+
+
+@PINNED
+@given(_int_matrices(9, 6), st.integers(0, 3), st.sampled_from([Tolerance(), Tolerance(rel=0.3)]))
+def test_zero_columns_never_change_a_rank(M, extra, tol):
+    """Zero columns appended to a slice leave its rank at its own threshold
+    unchanged: the greedy's prefix runs and the block rank checks rely on
+    it.  Integer entries tie, so pivot order matters."""
+    M = M.astype(float)
+    padded = np.concatenate([M, np.zeros((M.shape[0], extra))], axis=1)[None]
+    assert rank_many(padded, tol.stack_thresholds(padded))[0] == rank(M, tol)
+
+
+@st.composite
+def _mask_sets(draw):
+    """Distinct bitmasks over m = 1..12 rows, 0 to min(2^m, 200) of them:
+    the small families take the pairwise test, the large ones the sum over
+    subsets."""
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F = draw(st.integers(0, min(1 << m, 200)))
+    return rng.choice(1 << m, size=F, replace=False).astype(np.int64), m
+
+
+@PINNED
+@given(_mask_sets())
+@example((np.array([3, 1, 6, 7], dtype=np.int64), 3))
+@example((np.arange(1, 16, dtype=np.int64), 4))
+def test_inclusion_minimal_branches_equal_reference(case):
+    masks, m = case
+    minimal = masks[_inclusion_minimal(masks, m)].tolist()
+    assert sorted(minimal) == sorted(reference_inclusion_minimal(masks, m))
 
 
 _INT64_ENDS = [0, 1, -1, 2**63 - 1, 2**63 - 2, -(2**63), -(2**63) + 1]
