@@ -17,6 +17,7 @@ the mixing strata (_flats).  The searches hold vectors as stacked arrays
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import NamedTuple
@@ -34,6 +35,10 @@ MAX_COLS = 8
 # slices of at most MAX_COLS x MAX_COLS, to 1.3 MB whatever C(m, k) is.  The
 # row partition in graphs caps its stacks with it.
 CHUNK = 128
+
+# The block searches of the request that request_gap is serving, which its
+# gaps share (_block_basis); None outside one.
+_searches: ContextVar[dict | None] = ContextVar("searches", default=None)
 
 
 @dataclass(frozen=True)
@@ -476,8 +481,7 @@ def sparsest_basis(
         for cols, ok in zip(blocks.ranges(), full):
             if not ok:
                 raise RankError(f"matrix of shape {(m, len(cols))} must have full column rank")
-            ground = _flats(M[:, cols], tol)[0]
-            ground = ground.take(_independent(ground.values, len(cols), tol))
+            ground = _block_basis(M[:, cols], tol)
             coeffs = np.zeros((len(cols), n))
             coeffs[:, cols] = ground.coeffs
             parts.append(ground._replace(coeffs=coeffs))
@@ -538,6 +542,29 @@ def sparsest_basis(
     )
 
 
+def _once(store: dict | None, key, search):
+    """search(), run once per key in store, a dict one request owns (None
+    runs it afresh)."""
+    if store is None:
+        return search()
+    if key not in store:
+        store[key] = search()
+    return store[key]
+
+
+def _block_basis(M: np.ndarray, tol: Tolerance) -> _Vectors:
+    """The greedy basis over the ground set of one block's columns M,
+    searched once per request (_searches), keyed by M's shape and bytes and
+    the resolved tolerance: the gaps of one request that hold a block share
+    its search."""
+
+    def search():
+        ground = _flats(M, tol)[0]
+        return ground.take(_independent(ground.values, M.shape[1], tol))
+
+    return _once(_searches.get(), (M.shape, M.tobytes(), tol), search)
+
+
 def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResult:
     """rho+ (cheapest block-respecting basis) vs rho- (cheapest basis forced to
     mix); the factors are Type S independent iff rho+ < rho-.  M and each
@@ -561,12 +588,17 @@ def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResul
 def request_gap(M: np.ndarray, blocks: BlockSpec, tol: Tolerance, gaps: dict | None) -> GapResult:
     """sparsity_gap of a validated float matrix, searched once per request:
     gaps is a dict one request owns (None searches afresh), keyed by the
-    matrix's shape and bytes, the block sizes and the resolved tolerance."""
-    gaps = {} if gaps is None else gaps
-    key = (M.shape, M.tobytes(), blocks.sizes, tol)
-    if key not in gaps:
-        gaps[key] = sparsity_gap(M, blocks, tol)
-    return gaps[key]
+    matrix's shape and bytes, the block sizes and the resolved tolerance.
+    The gaps' block searches are kept in it too (_block_basis)."""
+
+    def search():
+        token = _searches.set(gaps)
+        try:
+            return sparsity_gap(M, blocks, tol)
+        finally:
+            _searches.reset(token)
+
+    return _once(gaps, (M.shape, M.tobytes(), blocks.sizes, tol), search)
 
 
 def pairwise_sparsity_gap(

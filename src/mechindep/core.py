@@ -10,7 +10,10 @@ classified scale-invariantly.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,51 +178,96 @@ def rank(M, tol: Tolerance | None = None, thr: float | None = None) -> int:
     return int(rank_many(A[None], thr)[0])
 
 
-@np.errstate(over="ignore", invalid="ignore")
+# The gather tables of rank_many, by trailing-block shape (M, N): row p*N+q
+# is the flat index map that exchanges row p into row 0 and column q into
+# column 0.  A table holds (M N)^2 entries, so only blocks of at most
+# TABLE_CAP entries get one: 20 x 8, the capped searches' largest block.
+TABLE_CAP = 160
+_tables: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _table(M: int, N: int) -> np.ndarray:
+    table = _tables.get((M, N))
+    if table is None:
+        rows, cols = (np.tile(np.arange(size), (size, 1)) for size in (M, N))
+        for ex in rows, cols:
+            ex[:, 0] = np.arange(len(ex))
+            np.fill_diagonal(ex, 0)
+        table = (rows[:, None, :, None] * N + cols[None, :, None, :]).reshape(M * N, M * N)
+        _tables[M, N] = table
+    return table
+
+
+def _exchanged(T: np.ndarray, flat: np.ndarray, pos: np.ndarray, M: int, N: int) -> np.ndarray:
+    """The (L, M, N) blocks of the flat blocks T (L, M N), pos = range(L),
+    each with the row and column of its entry flat[i] exchanged into row 0
+    and column 0: one gather through the table, or above TABLE_CAP the
+    row and column exchanged in place, in T."""
+    if M * N <= TABLE_CAP:
+        return T.ravel()[_table(M, N)[flat] + (pos * (M * N))[:, None]].reshape(-1, M, N)
+    S = T.reshape(-1, M, N)
+    p, q = np.divmod(flat, N)
+    row = S[pos, p]
+    S[pos, p] = S[:, 0]
+    S[:, 0] = row
+    col = S[pos, :, q]
+    S[pos, :, q] = S[:, :, 0]
+    S[:, :, 0] = col
+    return S
+
+
 def rank_many(stack, thr) -> np.ndarray:
     """Ranks of every slice of a (B, r, n) stack, each equal to rank(stack[b], thr=thr[b]).
 
     thr is a frozen threshold, scalar or one per slice.  Every slice runs the
-    same complete-pivoting elimination: the pivot is the row-major first
-    maximum of the trailing block, rows below it subtract the pivot row times
-    their entry divided by the pivot, as elementwise products, and only the
-    trailing block is updated, the one part later steps read.  A slice
-    retires once its pivot is at or below its threshold.  An overflow leaves
-    a non-finite entry in a trailing block, so its slice never retires and
-    the check of the slices left at the end finds it: InvalidInput.
+    same complete-pivoting elimination on its live trailing block, held
+    flat.  A step takes the row-major first maximum of |block| as the pivot
+    and retires the slices whose pivot is at or below their threshold.  It
+    gathers the rest once with the pivot's row exchanged into row 0 and its
+    column into column 0, through a cached table per block shape of at most
+    TABLE_CAP entries (in place, row and column, above it).  The next block
+    is the rest of the rows minus the pivot row times their entry divided
+    by the pivot, as elementwise products.
+
+    Every multiplier is at most 1 in magnitude, so a step at most doubles
+    the largest |entry|.  A stack whose largest |entry| is below the float
+    maximum / 2^min(r, n), at thresholds >= 0 (so that no zero pivot goes
+    on), cannot overflow and runs unguarded.  Any other runs with overflow
+    ignored: a block holds a non-finite entry exactly when its pivot is
+    non-finite (argmax picks it), so a slice that meets a non-finite pivot
+    and never retires overflowed, InvalidInput.
     """
     A = np.array(stack, dtype=float)
     if A.ndim != 3:
         raise InvalidInput(f"rank_many expects a (B, r, n) stack, got ndim={A.ndim}")
     B, m, n = A.shape
     thr = np.asarray(thr, dtype=float)
+    bound = math.ldexp(sys.float_info.max, -min(m, n))
+    guarded = A.size and not (np.abs(A).max() < bound and thr.min() >= 0)
     ranks = np.full(B, min(m, n), dtype=np.intp)
-    live = np.arange(B)
-    for r in range(min(m, n) if B else 0):
-        sub = np.abs(A[:, r:, r:]).reshape(live.size, -1)
-        flat = sub.argmax(axis=1)
-        idx = np.arange(live.size)
-        done = sub[idx, flat] <= thr
-        if done.any():
-            ranks[live[done]] = r
-            keep = ~done
-            live, A, flat = live[keep], A[keep], flat[keep]
-            thr = thr[keep] if thr.ndim else thr
-            if not live.size:
-                break
-            idx = np.arange(live.size)
-        pi, pj = np.divmod(flat, n - r)
-        pi += r
-        pj += r
-        row = A[idx, pi, :]
-        A[idx, pi, :] = A[:, r, :]
-        A[:, r, :] = row
-        col = A[idx, :, pj]
-        A[idx, :, pj] = A[:, :, r]
-        A[:, :, r] = col
-        below = A[:, r + 1 :, r] / A[:, r, r, None]
-        A[:, r + 1 :, r + 1 :] -= below[:, :, None] * A[:, None, r, r + 1 :]
-    if not np.isfinite(A).all():
+    live = pos = np.arange(B)
+    T = A.reshape(B, m * n)
+    bad = np.zeros(B, dtype=bool)  # guarded: the slice met a non-finite pivot
+    with np.errstate(over="ignore", invalid="ignore") if guarded else contextlib.nullcontext():
+        for r in range(min(m, n) if B else 0):
+            mag = np.abs(T)
+            flat = mag.argmax(axis=1)
+            pivot = mag[pos, flat]
+            if guarded:
+                bad |= ~np.isfinite(pivot)
+            done = pivot <= thr
+            if done.any():
+                ranks[live[done]] = r
+                keep = ~done
+                live, T, flat, bad = live[keep], T[keep], flat[keep], bad[keep]
+                thr = thr[keep] if thr.ndim else thr
+                if not live.size:
+                    return ranks
+                pos = np.arange(live.size)
+            S = _exchanged(T, flat, pos, m - r, n - r)
+            below = S[:, 1:, 0] / S[:, 0, 0, None]
+            T = (S[:, 1:, 1:] - below[:, :, None] * S[:, None, 0, 1:]).reshape(live.size, -1)
+    if guarded and bad.any():
         raise InvalidInput(OVERFLOW)
     return ranks
 

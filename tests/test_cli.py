@@ -24,6 +24,7 @@ from mechindep.io import (
     write_tensor_json,
 )
 from mechindep.errors import InvalidInput
+from mechindep.synth import OverlapTemplate, gen_overlap_jacobian
 from mechindep.topology import GridRegion, premise_report
 
 from golden import GOLDEN
@@ -221,6 +222,31 @@ def test_one_gap_per_instance_per_request(workdir, monkeypatch, capsys, argv, ca
     assert main(argv.split()) == first
     assert capsys.readouterr().out == out
     assert len(count) == 2 * calls
+
+
+def test_gaps_of_one_request_share_each_block_search(tmp_path, monkeypatch, capsys):
+    """gap --pairwise with K = 3 searches 7 ground sets: the whole matrix's
+    and each pair's mixing strata, and each block's once, not once per gap
+    that holds it.  The report bytes are those of searching each afresh."""
+    M, blocks, _ = gen_overlap_jacobian(OverlapTemplate(K=3, slot_dim=2, slot_out=3, seed=1))
+    path = tmp_path / "k3.csv"
+    write_matrix_csv(path, M)
+    argv = ["gap", "--pairwise", "--blocks", "2,2,2", "--format", "json", str(path)]
+    calls = []
+    flats = basis._flats
+
+    def counted(M, tol, blocks=None):
+        calls.append((M.shape, M.tobytes(), blocks))
+        return flats(M, tol, blocks)
+
+    monkeypatch.setattr(basis, "_flats", counted)
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert len(calls) == len(set(calls)) == 7
+    monkeypatch.setattr(basis, "_once", lambda store, key, search: search())
+    assert main(argv) == code
+    assert capsys.readouterr().out == out
+    assert len(calls) == 7 + 13
 
 
 @pytest.mark.parametrize("slices, orders", [("2", [2]), ("1", [2, 1])])

@@ -1,4 +1,5 @@
-"""Property tests: the batched rank kernel, the batched Gauss-Jordan
+"""Property tests: the batched rank kernel (and its ranks and overflow
+errors against the whole-stack kernel it replaced), the batched Gauss-Jordan
 null-space kernel, the greedy on value rows, the forced-mixing completion by
 one exchange on the greedy optimum, the array pass over the flats (stacked
 normalization, both branches of the inclusion-minimal filter) against the
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mechindep import graphs
+from mechindep import core, graphs
 from mechindep.basis import (
     CHUNK,
     BlockSpec,
@@ -47,6 +48,7 @@ from mechindep.basis import (
 )
 from mechindep.certificates import Certificate, _IntRows, _update, inputs_digest
 from mechindep.core import (
+    OVERFLOW,
     SupportMask,
     Tolerance,
     as_matrix,
@@ -86,6 +88,7 @@ from mechindep.graphs import (
     components,
     finest_rank_additive_partition,
 )
+from mechindep.synth import OverlapTemplate, gen_overlap_jacobian
 from mechindep.topology import GridRegion, _roots, premise_report, rectangle
 
 from oracles import (
@@ -250,6 +253,106 @@ def test_rank_many_and_rank_equal_scalar_rank(case):
     assert rank_many(S, thr).tolist() == expected
     assert [rank(S[b], thr=per_slice[b]) for b in range(S.shape[0])] == expected
     assert rank(S[0]) == scalar_rank(S[0])
+
+
+# The rank_many that carried the whole stack, with six fancy-index exchanges
+# per step and every call under errstate and a final finiteness check,
+# verbatim: ranks and overflow errors of the trailing-block kernel must match.
+@np.errstate(over="ignore", invalid="ignore")
+def reference_rank_many(stack, thr) -> np.ndarray:
+    A = np.array(stack, dtype=float)
+    if A.ndim != 3:
+        raise InvalidInput(f"rank_many expects a (B, r, n) stack, got ndim={A.ndim}")
+    B, m, n = A.shape
+    thr = np.asarray(thr, dtype=float)
+    ranks = np.full(B, min(m, n), dtype=np.intp)
+    live = np.arange(B)
+    for r in range(min(m, n) if B else 0):
+        sub = np.abs(A[:, r:, r:]).reshape(live.size, -1)
+        flat = sub.argmax(axis=1)
+        idx = np.arange(live.size)
+        done = sub[idx, flat] <= thr
+        if done.any():
+            ranks[live[done]] = r
+            keep = ~done
+            live, A, flat = live[keep], A[keep], flat[keep]
+            thr = thr[keep] if thr.ndim else thr
+            if not live.size:
+                break
+            idx = np.arange(live.size)
+        pi, pj = np.divmod(flat, n - r)
+        pi += r
+        pj += r
+        row = A[idx, pi, :]
+        A[idx, pi, :] = A[:, r, :]
+        A[:, r, :] = row
+        col = A[idx, :, pj]
+        A[idx, :, pj] = A[:, :, r]
+        A[:, :, r] = col
+        below = A[:, r + 1 :, r] / A[:, r, r, None]
+        A[:, r + 1 :, r + 1 :] -= below[:, :, None] * A[:, None, r, r + 1 :]
+    if not np.isfinite(A).all():
+        raise InvalidInput(OVERFLOW)
+    return ranks
+
+
+@st.composite
+def _kernel_stacks(draw):
+    """(B, r, n) stacks of small integers with ties; B, r or n may be 0, a
+    tenth are 17..20 x 10..12, whose first blocks are over the gather
+    table's cap.  Rows may be scaled by 10^-300..10^308 (some entries then
+    overflow to inf already) and entries set to NaN or inf.  The threshold
+    is scalar or per slice and coarse (a negative one leaves a zero pivot),
+    or the stack's own."""
+    if draw(st.integers(0, 9)):
+        B, r, n = draw(st.integers(0, 6)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    else:
+        B, r, n = draw(st.integers(1, 3)), draw(st.integers(17, 20)), draw(st.integers(10, 12))
+    S = draw(arrays(np.int64, (B, r, n), elements=_ENTRY, fill=st.nothing())).astype(float)
+    if S.size and not draw(st.integers(0, 2)):
+        scales = st.sampled_from([0, 0, 0, -300, 100, 300, 305, 306, 307, 308])
+        with np.errstate(over="ignore"):
+            S *= 10.0 ** draw(arrays(np.int64, (B, r, 1), elements=scales))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if S.size else 0):
+        S.flat[draw(st.integers(0, S.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    levels = st.sampled_from([Tolerance().threshold(2.0), 0.5, 1.0, 1.5, 2.5, -1.0])
+    kind = draw(st.sampled_from(["scalar", "per slice", "own"]))
+    if kind == "own" and S.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return S, Tolerance().stack_thresholds(S)
+    if kind == "per slice":
+        return S, np.array(draw(st.lists(levels, min_size=B, max_size=B)))
+    return S, draw(levels)
+
+
+def _rank_outcome(kernel, S, thr):
+    try:
+        return kernel(S, thr).tolist()
+    except InvalidInput as exc:
+        return str(exc)
+
+
+@settings(PINNED, max_examples=400)
+@given(_kernel_stacks())
+@example((np.zeros((1, 3, 2)), -1.0))  # a zero pivot that does not retire: 0 / 0
+def test_rank_many_equals_the_whole_stack_kernel(case):
+    """Equal ranks, and InvalidInput on the same stacks.  The suite makes a
+    RuntimeWarning an error, so the unguarded path must not overflow."""
+    S, thr = case
+    assert _rank_outcome(rank_many, S, thr) == _rank_outcome(reference_rank_many, S, thr)
+
+
+def test_rank_over_the_table_cap_equals_scalar_rank():
+    """Blocks over TABLE_CAP entries are exchanged in place and get no
+    gather table (a 400 x 60 block's would hold 24,000^2 entries); the
+    capped 20 x 8 gets one for its first block."""
+    rng = np.random.default_rng(0)
+    planted = gen_overlap_jacobian(OverlapTemplate(K=4, slot_dim=2, slot_out=5))[0]
+    wide = rng.standard_normal((60, 400))
+    for M in (wide.T, wide, planted, rng.standard_normal((20, 8))):
+        assert rank(M) == scalar_rank(M)
+    assert max(M * N for M, N in core._tables) <= core.TABLE_CAP
+    assert (20, 8) in core._tables
 
 
 # The zero-row handling that the partition's one grouping (graphs._groups)
