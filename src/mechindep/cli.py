@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -22,13 +21,13 @@ from .graphs import (
     to_dot,
 )
 from .io import (
-    _jsonable,
     certificate_lines,
     emit_report,
     read_matrix_csv,
     read_region_json,
     read_tensor_json,
     render,
+    to_json,
     write_matrix_csv,
 )
 from .synth import OverlapTemplate, gen_overlap_jacobian
@@ -213,9 +212,7 @@ def _run_synth(args: argparse.Namespace):
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
     write_matrix_csv(csv_path, M)
-    with open(json_path, "w") as fh:
-        json.dump(_jsonable(sidecar), fh, indent=2)
-        fh.write("\n")
+    Path(json_path).write_bytes(to_json(sidecar))
     header = {
         "command": "synth",
         "seed": args.seed,

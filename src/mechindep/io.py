@@ -124,32 +124,85 @@ def write_region_json(path, region: GridRegion) -> None:
         fh.write("\n")
 
 
-def _jsonable(obj):
-    # exact types only: np.float64 subclasses float, np.bool_ converts below
-    if type(obj) in (str, int, float, bool, type(None)):
-        return obj
+def _default(obj):
+    """The encoder's hook for numpy values: arrays as nested lists, integers
+    and bools as Python's, floats as float (np.float64 is a float already)."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.bool_, np.integer)):
         return obj.item()
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# indent None keeps json on its C encoder; the report separators are
+# indent=2's (",", ": "), the text witness line has the default ", "
+_COMPACT = json.JSONEncoder(separators=(",", ": "), default=_default)
+_LINE = json.JSONEncoder(default=_default)
+
+# byte -> 1 open bracket, 2 close bracket, 3 comma; code -> depth step
+_CLOSE = 2
+_CODE = np.zeros(256, dtype=np.int8)
+_CODE[list(b"[{")] = 1
+_CODE[list(b"]}")] = _CLOSE
+_CODE[ord(",")] = 3
+_STEP = np.array([0, 1, -1, 0])
+
+
+def to_json(doc) -> bytes:
+    """doc as json.dumps(doc, indent=2) writes it, plus a newline, from the C
+    encoder's compact text and one numpy pass that indents it.
+
+    indent=2 differs from the compact text by whitespace only: a newline and
+    two spaces per depth after each open bracket and each comma and before
+    each close bracket, except inside an empty [] or {}, and ": " in both.
+    The text is ASCII (ensure_ascii), and a bracket or comma inside a string
+    is masked out by the quotes around it: a byte is outside the strings iff
+    an even number of unescaped quotes precede it.  A quote is escaped iff
+    the run of backslashes before it is odd, since a backslash escapes the
+    next byte iff it sits at an even offset in its run; str.replace pairs
+    backslashes from the left, so a \\" it leaves is an escaped quote."""
+    text = _COMPACT.encode(doc)
+    masked = text.replace("\\\\", "__").replace('\\"', "__")
+    quotes = np.flatnonzero(np.frombuffer(masked.encode(), dtype=np.uint8) == ord('"'))
+    a = np.frombuffer(text.encode(), dtype=np.uint8)
+    at = np.flatnonzero(_CODE[a])
+    at = at[np.searchsorted(quotes, at) % 2 == 0]
+    kind = _CODE[a[at]]
+    depth = np.cumsum(_STEP[kind])
+    before = at + (kind != _CLOSE)  # an insertion goes before this byte
+    # an empty pair puts its open's and its close's insertion at one byte
+    alone = np.ones(at.size + 1, dtype=bool)
+    alone[1:-1] = before[1:] != before[:-1]
+    keep = alone[:-1] & alone[1:]
+    before, width = before[keep], 1 + 2 * depth[keep]
+    # each byte moves right by the widths inserted at or before it
+    place = np.zeros(a.size, dtype=np.intp)
+    place[before] = width
+    np.cumsum(place, out=place)
+    place += np.arange(a.size)
+    out = np.full(a.size + width.sum() + 1, ord(" "), dtype=np.uint8)
+    out[place] = a
+    out[place[before] - width] = ord("\n")
+    out[-1] = ord("\n")
+    return out.tobytes()
 
 
 def render(fmt: str, header: dict, payload: dict, text_lines) -> bytes:
     """One report, deterministically.  JSON is {"header": header, **payload}
-    (no "header" key when header is empty) and round-trips.  Text is one
-    "# key: value" line per header entry, then the lines text_lines() returns;
-    it is called for text output only."""
+    (no "header" key when header is empty) and round-trips; to_json writes
+    it byte for byte as json.dumps(doc, indent=2) does (to_json says why).
+    Text is one "# key: value" line per header entry, then the lines
+    text_lines() returns; it is called for text output only.
+
+    Keys: every report builds str keys except SliceSpec.fixed_1based, whose
+    keys are Python ints; json writes both as str(k) writes them.  Other keys
+    (bool, None, numpy) follow json's own key rules."""
     if fmt == "json":
         doc = {"header": header} if header else {}
         doc.update(payload)
-        return (json.dumps(_jsonable(doc), indent=2) + "\n").encode()
+        return to_json(doc)
     if fmt == "text":
         lines = [f"# {key}: {value}" for key, value in (header or {}).items()]
         lines.extend(text_lines())
@@ -165,9 +218,8 @@ def certificate_lines(certs) -> list[str]:
     lines = []
     for c in certs:
         lines.append(f"{c.criterion}: {'PASS' if c.holds else 'FAIL'}")
-        witness = _jsonable(c.witness)
-        if witness:
-            lines.append(f"  witness: {json.dumps(witness)}")
+        if c.witness:
+            lines.append(f"  witness: {_LINE.encode(c.witness)}")
         for note in c.notes:
             lines.append(f"  note: {note}")
     return lines

@@ -567,6 +567,25 @@ PINNED_RUNS = [
 ]
 
 
+# (synth command line, sidecar file, sha256 prefix of the file), recorded
+# while the sidecar was written by json.dump(..., indent=2)
+PINNED_SIDECARS = [
+    (SYNTH, "planted.json", "2577094fc0995c89313512c74026770f"),
+    (
+        "synth --k 3 --slot-dim 2 --slot-out 4 --overlap 0.5 --seed 3 --out olap",
+        "olap.json",
+        "08a486785ed2bbca634055cec911de29",
+    ),
+]
+
+
+@pytest.mark.parametrize("line, name, digest", PINNED_SIDECARS, ids=[r[1] for r in PINNED_SIDECARS])
+def test_synth_sidecar_bytes_pinned(workdir, monkeypatch, capsys, line, name, digest):
+    monkeypatch.chdir(workdir)
+    assert main(line.split()) == 0
+    assert hashlib.sha256((workdir / name).read_bytes()).hexdigest()[:32] == digest
+
+
 def _pinned_fixtures(root):
     """Beside workdir's matrices and region: a Hessian and an order-3 tensor
     for the 4-column D, and a directory of two CSVs for --batch."""

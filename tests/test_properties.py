@@ -13,13 +13,16 @@ rho-) against the exact oracles; and their invariance under row permutation
 and power-of-two row scaling.  The grid connectivity kernel against the
 flood-fill oracle, slice by slice; graph components against the BFS oracle;
 the M- and H_n-irreducibility checks against verbatim copies of the split
-searches they replaced; and the one-update digest of a cell array against the
-recursive digest of its nested list.
+searches they replaced; the one-update digest of a cell array against the
+recursive digest of its nested list; and the JSON reports and text witness
+lines of the compact C encoder and the numpy re-indent against the recursive
+conversion and indent=2 encoder they replaced.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
 
 import hashlib
+import json
 import re
 from unittest import mock
 
@@ -88,6 +91,7 @@ from mechindep.graphs import (
     components,
     finest_rank_additive_partition,
 )
+from mechindep.io import certificate_lines, to_json
 from mechindep.synth import OverlapTemplate, gen_overlap_jacobian
 from mechindep.topology import GridRegion, _roots, premise_report, rectangle
 
@@ -1682,3 +1686,85 @@ def test_premise_digest_of_a_full_box_is_pinned():
     """The digest the recursive encoder gave the full 40 x 40 x 40 box."""
     cert = premise_report(rectangle((40, 40, 40)))
     assert cert.inputs_digest == "d3c52ded8333d6c13b56461d56c22c92098cb25bd472a76a13d4600049b123b8"
+
+
+# io.render's conversion before the compact encode and the re-indent,
+# verbatim: with json.dumps(..., indent=2), the reference every report must
+# match byte for byte.
+def reference_jsonable(obj):
+    # exact types only: np.float64 subclasses float, np.bool_ converts below
+    if type(obj) in (str, int, float, bool, type(None)):
+        return obj
+    if isinstance(obj, np.ndarray):
+        return [reference_jsonable(x) for x in obj.tolist()]
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(x) for x in obj]
+    return obj
+
+
+def _zero_d_as_scalars(obj):
+    """obj with each 0-d array replaced by its scalar.  The reference cannot
+    convert a 0-d array (it iterates the scalar that tolist() returns), and
+    to_json writes the scalar."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 0:
+        return obj.item()
+    if isinstance(obj, dict):
+        return {k: _zero_d_as_scalars(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_zero_d_as_scalars(x) for x in obj]
+    return obj
+
+
+_JSON_CHARS = '"\\[]{},: \u00e9\n'
+_EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308]
+_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_ARRAY_DTYPES = st.sampled_from([np.float64, np.float32, np.int64, np.bool_])
+_SHAPES = st.sampled_from([(), (0, 0), (0, 2), (2, 0), (1, 1), (2, 3)])
+_JSON_LEAVES = (
+    st.text(_JSON_CHARS, max_size=8)
+    | _FLOATS
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([2**64, -(2**64) - 1, 0])
+    | st.booleans()
+    | st.none()
+    | _FLOATS.map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | st.tuples(_ARRAY_DTYPES, _SHAPES).flatmap(lambda ds: arrays(*ds))
+)
+_JSON_KEYS = st.text(_JSON_CHARS, max_size=6) | st.integers(-(2**70), 2**70)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_KEYS, inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(PINNED, max_examples=500)
+@given(_JSON_DOCS)
+@example({"a": [[], {}, [[{}], ()]], "": {"b": {}}})
+@example(['\\"', '\\\\"', 'x\\\\\\"[,]{"', '\\', '",["'])
+@example({'\\"': {"]": ["\\\\", np.zeros((2, 0)), np.float64(-0.0)]}, 7: np.array(True)})
+def test_to_json_and_witness_line_equal_indent_2_reference(doc):
+    """to_json writes json.dumps(x, indent=2) of the converted document and a
+    newline; a witness line is json.dumps of the converted witness."""
+    ref = reference_jsonable(_zero_d_as_scalars(doc))
+    assert to_json(doc) == (json.dumps(ref, indent=2) + "\n").encode()
+    witness = doc if isinstance(doc, dict) else {"w": doc}
+    lines = certificate_lines([Certificate("D", True, witness)])
+    if witness:
+        ref = reference_jsonable(_zero_d_as_scalars(witness))
+        assert lines[1] == f"  witness: {json.dumps(ref)}"
+    else:
+        assert lines == ["D: PASS"]
