@@ -30,9 +30,9 @@ from .errors import InvalidInput, InternalError, RankError, SizeError
 MAX_ROWS = 20
 MAX_COLS = 8
 
-# Row subsets per batched elimination, and forced-mixing strata per batch of
-# exchange tests.  It bounds the largest stack, the closure test's CHUNK * m
-# slices of at most MAX_COLS x MAX_COLS, to 1.3 MB whatever C(m, k) is.  The
+# Row subsets per batched elimination, and forced-mixing strata per solve.
+# It bounds the search's largest arrays, CHUNK null bases of MAX_COLS x
+# MAX_COLS and their products with M, to 0.16 MB whatever C(m, k) is.  The
 # row partition in graphs caps its stacks with it.
 CHUNK = 128
 
@@ -284,20 +284,6 @@ def _subset_chunks(m: int, k: int):
         yield np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
 
 
-def _closed_rows(M: np.ndarray, R: np.ndarray, thr: float) -> np.ndarray:
-    """(C, m) mask: row j of M is in the span of the k independent rows R[c],
-    i.e. stacking it under them keeps the rank at k.  Rows of R[c] are: a
-    copy of one never wins a pivot tie against it and ends exactly zero."""
-    (C, k), (m, n) = R.shape, M.shape
-    closed = np.zeros((C, m), dtype=bool)
-    closed[np.arange(C)[:, None], R] = True
-    stack = np.empty((C, m - k, k + 1, n))
-    stack[:, :, :k] = M[R][:, None]
-    stack[:, :, k] = M[np.nonzero(~closed)[1].reshape(C, m - k)]
-    closed[~closed] = rank_many(stack.reshape(-1, k + 1, n), thr) == k
-    return closed
-
-
 def achievable(M, T, tol: Tolerance | None = None) -> bool:
     """Can some nonzero column-space vector have its support inside T?
 
@@ -325,20 +311,21 @@ def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
     """The ground set and, with blocks, the mixing strata, from one pass
     over the flats of M's row matroid, hyperplanes first.
 
-    Level k ranks the k-row subsets R chunk by chunk in combinations order;
-    an independent R's null space attains T, the complement of its closure.
-    A flat's rank fixes its level, and each distinct T gets one null space,
-    its first subset's.  At level cols-1 each chunk's null vectors are
-    normalized in one step; the first vector of each support, filtered to
-    the inclusion-minimal supports and sorted by (size, rows), is the
-    ground set, returned as _Vectors.  With blocks the pass goes on down to
-    level 0: T is a mixing stratum iff the rows of its coefficient null
-    space touch more than one block (_touches of their largest entries): it
-    then cannot be covered by the finitely many block subspaces without
-    lying inside one.  A lower level has larger complements, so a T holding
-    an accepted stratum is skipped before its null space; the final
-    inclusion-minimal filter would drop it.  The strata are returned as
-    [(T bitmask, null basis)] sorted by (size, rows), None without blocks."""
+    Level k eliminates the k-row subsets R chunk by chunk in combinations
+    order, one null_space_many call each: R is independent iff its null
+    basis N has n - k columns, and then attains T, the complement of its
+    closure, which by core's closure rule is the union of the supports
+    _normalize gives M N's columns (an overflow is InvalidInput).  Each
+    distinct T keeps its first subset's N.  At level cols-1 the first vector
+    of each support, filtered to the inclusion-minimal supports and sorted by
+    (size, rows), is the ground set, returned as _Vectors.  With blocks the
+    pass goes on down to level 0: T is a mixing stratum iff the rows of its
+    coefficient null space touch more than one block (_touches of their
+    largest entries): it then cannot be covered by the finitely many block
+    subspaces without lying inside one.  A T holding an accepted stratum,
+    found at a higher level, is skipped: the final inclusion-minimal filter
+    would drop it.  The strata are returned as [(T bitmask, null basis)]
+    sorted by (size, rows), None without blocks."""
     m, n = M.shape
     thr = tol.matrix_threshold(M)
     bit = 1 << np.arange(m)
@@ -348,18 +335,21 @@ def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
     for k in range(n - 1, -1, -1) if blocks else [n - 1]:
         holding = _counter(np.fromiter(strata, dtype=np.int64, count=len(strata)), m)
         for R in _subset_chunks(m, k):
-            R = R[rank_many(M[R], thr) == k]
-            T, first = np.unique((~_closed_rows(M, R, thr) * bit).sum(axis=1), return_index=True)
+            N = null_space_many(M[R], thr, n - k)
+            with np.errstate(over="ignore", invalid="ignore"):
+                P = np.abs(np.matmul(M[None], N))
+                top = P.max(axis=1)
+                if not np.isfinite(top).all():
+                    raise InvalidInput(OVERFLOW)
+                open_ = (P / top[:, None] > tol.threshold(1.0)).any(axis=2)
+            T, first = np.unique(open_ @ bit, return_index=True)
             fresh = (T != 0) & ~met[T]
             fresh[fresh] = holding(T[fresh]) == 0
             if not fresh.any():
                 continue
             met[T[fresh]] = True
-            T, first = T[fresh], first[fresh]
-            T, first = T[np.argsort(first)], np.sort(first)
-            nulls = null_space_many(M[R[first]], thr)
-            full = [i for i, N in enumerate(nulls) if N.shape[1] == n - k]
-            T, N = T[full], np.array([nulls[i] for i in full]).reshape(-1, n, n - k)
+            first = np.sort(first[fresh])
+            T, N = open_[first] @ bit, N[first]
             if k == n - 1:
                 found.append(_normalize(M, N[:, :, 0], tol)[1])
             if blocks is not None:
@@ -440,6 +430,20 @@ def _representatives(M: np.ndarray, blocks: BlockSpec, N: np.ndarray, tol: Toler
     return reps, failed
 
 
+def _drops(basis: np.ndarray, coeffs: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """drop[s]: the last position j of the basis (n, n) whose swap for
+    coeffs[s] keeps rank n, -1 if none.  They are coefficient rows of a
+    full-column-rank M, so x_j is nonzero (above the threshold of max |x|)
+    for basis.T x = coeffs[s]: one solve, each basis row over its largest
+    |entry|, as rows of M far apart in scale spread theirs.  Singular: InternalError."""
+    try:
+        X = np.abs(np.linalg.solve((basis / np.abs(basis).max(axis=1)[:, None]).T, coeffs.T))
+    except np.linalg.LinAlgError as exc:
+        raise InternalError(f"the optimum's coefficients are singular: {exc}") from exc
+    above = X > np.maximum(tol.abs, tol.rel * X.max(axis=0))
+    return np.where(above.any(axis=0), len(X) - 1 - above[::-1].argmax(axis=0), -1)
+
+
 def sparsest_basis(
     M,
     blocks: BlockSpec,
@@ -465,10 +469,10 @@ def sparsest_basis(
     the span of the B* vectors before it.  The search runs on the stacked
     arrays of _flats: the greedy reads value rows (_independent), each chunk
     of CHUNK strata gets its representatives in one step (_representatives)
-    and its swaps in one rank_many call per position of B*, a stratum costs
-    the size of its T, and SubspaceVector is built only for the n vectors
-    returned.  M may
-    also be a _Checked input, as sparsity_gap passes one to both searches.
+    and the positions they drop from one solve against B*'s coefficients
+    (_drops), a stratum costs the size of its T, and SubspaceVector is
+    built only for the n vectors returned.  M may also be a _Checked input,
+    as sparsity_gap passes one to both searches.
     """
     tol = tol or Tolerance.default()
     M, blocks, full = M if isinstance(M, _Checked) else _search_input(M, blocks, tol)
@@ -511,17 +515,7 @@ def sparsest_basis(
                     f"stratum support {_members(int(T[s]))} not attained by representative "
                     f"{_members(int(reps.bits[s]))}",
                 )[failed[s] - 1])
-            # drop[s]: the last position of B* whose swap for reps[s] keeps
-            # rank n, -1 if none; one rank_many call per position
-            drop = np.full(len(T), -1)
-            for j in range(n - 1, -1, -1):
-                open_ = np.flatnonzero(drop < 0)
-                if not open_.size:
-                    break
-                trial = np.empty((open_.size, m, n))
-                trial[:, :, 0] = reps.values[open_]
-                trial[:, :, 1:] = np.delete(optimum.values.T, j, axis=1)
-                drop[open_[rank_many(trial, tol.stack_thresholds(trial)) == n]] = j
+            drop = _drops(optimum.coeffs, reps.coeffs, tol)
             swaps = np.flatnonzero(drop >= 0)
             if swaps.size:
                 cost = np.array([t.bit_count() for t in T.tolist()]) + sizes.sum() - sizes[drop]

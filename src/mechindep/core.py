@@ -5,7 +5,10 @@ Everything downstream reduces "is this entry zero" to one rule: an entry e of
 an object with magnitude scale s is zero iff |e| <= max(abs_tol, rel_tol * s).
 The scale is the largest absolute entry of the object the entry belongs to, so
 integer test matrices are classified exactly and well-scaled float inputs are
-classified scale-invariantly.
+classified scale-invariantly.  Closure follows it: row j of M is in the span
+of rows R iff its entry is zero at scale 1 in every column of M N, N a null
+basis of M[R], divided by its largest |entry|: the rule of a normalized
+vector's printed support.
 """
 
 from __future__ import annotations
@@ -289,9 +292,11 @@ def null_space(M, tol: Tolerance | None = None, thr: float | None = None) -> np.
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def null_space_many(stack, thr) -> list[np.ndarray]:
+def null_space_many(stack, thr, width: int | None = None):
     """Null-space bases of every slice of a (B, r, n) stack, each equal to
-    null_space(stack[b], thr=thr[b]).
+    null_space(stack[b], thr=thr[b]).  With a width w >= 1, only the bases
+    of width w, in slice order, as one (K, n, w) array whose slices are
+    bit-identical to their list entries; slices of other widths are dropped.
 
     thr is a frozen threshold, scalar or one per slice.  Every slice runs the
     same Gauss-Jordan elimination column by column: the pivot is the first
@@ -310,8 +315,6 @@ def null_space_many(stack, thr) -> list[np.ndarray]:
     if A.ndim != 3:
         raise InvalidInput(f"null_space_many expects a (B, r, n) stack, got ndim={A.ndim}")
     B, rows, cols = A.shape
-    if rows == 0:
-        return [np.eye(cols) for _ in range(B)]
     thr = np.asarray(thr, dtype=float)
     r = np.zeros(B, dtype=np.intp)
     piv_row = np.full((B, cols), -1, dtype=np.intp)
@@ -346,7 +349,10 @@ def null_space_many(stack, thr) -> list[np.ndarray]:
     free = piv_row < 0
     fb, fc = np.nonzero(free)
     X[fb, fc, fc] = 1.0
-    return [np.compress(free[b], X[b], axis=1) for b in range(B)]
+    if width is None:
+        return [np.compress(free[b], X[b], axis=1) for b in range(B)]
+    kept = free.sum(axis=1) == width
+    return np.take_along_axis(X[kept], np.nonzero(free[kept])[1].reshape(-1, 1, width), axis=2)
 
 
 def face_split(A, B) -> np.ndarray:

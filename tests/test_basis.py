@@ -335,6 +335,14 @@ def test_overflowing_arithmetic_is_invalid_input():
         search(np.ldexp(_HUGE, -1000))
 
 
+def test_overflow_in_the_closure_product_is_invalid_input(monkeypatch):
+    """The pass over the flats finds the overflow of M c in its product of M
+    with the subsets' null bases, before any vector is normalized."""
+    monkeypatch.setattr(basis, "_normalize", lambda *args: pytest.fail("normalized"))
+    with pytest.raises(InvalidInput, match="overflowed"):
+        basis._flats(_HUGE_PRODUCT, Tolerance())
+
+
 def test_gap_checks_the_matrix_once_and_each_block_once(monkeypatch):
     """Over a whole gap, M is ranked once and each block once, alone and
     padded with zero columns.  The columns are scaled to a largest entry of

@@ -1,13 +1,14 @@
 """Property tests: the batched rank kernel (and its ranks and overflow
 errors against the whole-stack kernel it replaced), the batched Gauss-Jordan
-null-space kernel, the greedy on value rows, the forced-mixing completion by
-one exchange on the greedy optimum, the array pass over the flats (stacked
-normalization, both branches of the inclusion-minimal filter) against the
-per-vector pass it replaced, the row partition's batched greedy basis
-and its zero rows, the adjacency-matrix edge rules of build_graph and
-check_type_m, and the audit's two batched route-b calls against verbatim
-copies of the scalar code they replaced; the batched D-graph component
-counter against build_graph and components; the
+null-space kernel and its stacked form, the greedy on value rows, the
+forced-mixing completion by one exchange on the greedy optimum and its swap
+by one solve against the per-position rank test, the array pass over the
+flats (stacked normalization, both branches of the inclusion-minimal
+filter) against the per-vector pass it replaced, the row partition's
+batched greedy basis and its zero rows, the adjacency-matrix edge rules of
+build_graph and check_type_m, and the audit's two batched route-b calls
+against verbatim copies of the scalar code they replaced; the batched
+D-graph component counter against build_graph and components; the
 row-matroid partition and the row-subset searches (minimal supports, rho+ and
 rho-) against the exact oracles; and their invariance under row permutation
 and power-of-two row scaling.  The grid connectivity kernel against the
@@ -31,18 +32,19 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mechindep import core, graphs
+from mechindep import basis, core, graphs
 from mechindep.basis import (
     CHUNK,
     BlockSpec,
     SubspaceVector,
     _check_search_size,
-    _closed_rows,
+    _drops,
     _flats,
     _inclusion_minimal,
     _independent,
     _members,
     _normalize,
+    _representatives,
     _require_full_column_rank,
     _subset_chunks,
     minimal_supports,
@@ -534,6 +536,24 @@ def test_null_space_many_equals_scalar_gauss_jordan(case):
     assert _same_bytes(null_space(S[0]), scalar_null_space(S[0]))
 
 
+@PINNED
+@given(_null_stacks(), st.booleans())
+def test_stacked_null_spaces_equal_the_per_slice_bases(case, zero_rows):
+    """For every width w >= 1, the stacked form keeps exactly the slices
+    whose basis has w columns, in order, each bit-identical to its list
+    entry, and drops the others; a zero-row stack's bases are all of width
+    n."""
+    S, thr = case
+    if zero_rows:
+        S = S[:, :0]
+    expected = null_space_many(S, thr)
+    for w in range(1, S.shape[2] + 1):
+        N = null_space_many(S, thr, w)
+        kept = [E for E in expected if E.shape[1] == w]
+        assert N.shape == (len(kept), S.shape[2], w)
+        assert all(_same_bytes(X, E) for X, E in zip(N, kept))
+
+
 # The per-start greedy that the lockstep multi-start greedy replaced, and
 # that the greedy on value rows (_independent) and the forced-mixing
 # exchange replace in turn, verbatim: the reference every completion must
@@ -638,8 +658,8 @@ def _two_block_cases(draw):
     """Full-column-rank sparse integer (half of them on a planted block
     pattern), Gaussian, or Gaussian matrices with rows scaled by 10^-4..10^4
     up to 9x5, split into two blocks.  Scaled rows near the zero threshold
-    make the closure rank test and a vector's support test disagree, so
-    that "stratum support ... not attained" fires."""
+    make the reference's closure rank test and a vector's support test
+    disagree, so that its "stratum support ... not attained" fires."""
     kind = draw(st.sampled_from(["integer", "gaussian", "row-scaled"]))
     if kind == "integer":
         M = draw(_int_matrices(9, 5, min_cols=2)).astype(float)
@@ -656,8 +676,8 @@ def _two_block_cases(draw):
     return M, BlockSpec((cut, n - cut))
 
 
-# rows scaled by 10^-5..10^4: "stratum support (1, 3, 5) not attained by
-# representative (1, 3, 4, 5)"
+# rows scaled by 10^-5..10^4: the reference raises "stratum support (1, 3, 5)
+# not attained by representative (1, 3, 4, 5)"
 _NOT_ATTAINED = np.array([
     [-257.01076898467346, -1098.1986938209586],
     [-3.735956685207676e-05, -5.4258830643446734e-05],
@@ -668,13 +688,35 @@ _NOT_ATTAINED = np.array([
 ])
 
 
+def _assert_attains_its_stratum(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
+    """The forced-mixing search returns a basis whose first vector mixes
+    and prints, as its support, the T of one of the strata of _flats."""
+    result = sparsest_basis(M, blocks, "forceMixing", tol)
+    strata = [_members(t) for t, _ in _flats(M, tol, blocks)[1]]
+    assert result.mixing_flags[0]
+    assert result.vectors[0].mask.members in strata
+    assert result.cost == sum(v.support_size for v in result.vectors)
+
+
+# rows scaled by 10^-4..10^4: B*'s coefficient rows run from 1e-4 to 1e4, and
+# a solve against them unscaled kept the representative, equal to B*'s first
+# vector, beside that vector
+_SPREAD_COEFFS = np.array([
+    [-2.3717228869412656e-05, -0.00010772428095680589, -7.330749666832632e-05],
+    [-155.4971993819339, -178.8080662794429, 37.74428120435387],
+    [-14036.571937208864, -4155.711028423005, -4981.353545249098],
+])
+
+
 @settings(PINNED, max_examples=160)
 @given(_two_block_cases())
-@example((_NOT_ATTAINED, BlockSpec((1, 1))))
+@example((_SPREAD_COEFFS, BlockSpec((2, 1))))
 def test_force_mixing_equals_forced_greedy_completions(case):
     """Vector bytes, or the InternalError message, of the per-vector
     reference.  The search finds B* before any representative, so there a
-    ground set short of rank n raises first."""
+    ground set short of rank n raises first.  Where the reference's closure
+    test finds a T that its representative does not attain, T is now the
+    support the representative prints, and the search returns a basis."""
     M, blocks = case
     tol = Tolerance()
     try:
@@ -687,6 +729,9 @@ def test_force_mixing_equals_forced_greedy_completions(case):
                 reference_greedy(ground, M.shape[1], tol)
             except InternalError as short:
                 message = str(short)
+        if "not attained" in message:
+            _assert_attains_its_stratum(M, blocks, tol)
+            return
         with pytest.raises(InternalError) as got:
             sparsest_basis(M, blocks, "forceMixing", tol)
         assert str(got.value) == message
@@ -696,12 +741,22 @@ def test_force_mixing_equals_forced_greedy_completions(case):
     assert result.cost == sum(v.support_size for v in result.vectors)
 
 
-def test_not_attained_example_raises():
-    """The pinned example above takes the error path in both codes."""
+def test_not_attained_example_returns_its_stratum():
+    """The pinned example raises in the reference and returns a basis now,
+    its mixing vector printing its stratum's T."""
     message = "stratum support (1, 3, 5) not attained by representative (1, 3, 4, 5)"
-    for search in (reference_force_mixing, lambda *a: sparsest_basis(a[0], a[1], "forceMixing", a[2])):
-        with pytest.raises(InternalError, match=re.escape(message)):
-            search(_NOT_ATTAINED, BlockSpec((1, 1)), Tolerance())
+    with pytest.raises(InternalError, match=re.escape(message)):
+        reference_force_mixing(_NOT_ATTAINED, BlockSpec((1, 1)), Tolerance())
+    _assert_attains_its_stratum(_NOT_ATTAINED, BlockSpec((1, 1)), Tolerance())
+
+
+def test_singular_optimum_coefficients_are_internal_error(monkeypatch):
+    """A B* whose coefficient matrix is singular (its first vector n times)
+    raises InternalError, not numpy's LinAlgError."""
+    monkeypatch.setattr(basis, "_independent", lambda values, n, tol: [0] * n)
+    M = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(InternalError, match="singular"):
+        sparsest_basis(M, BlockSpec((1, 1)), "forceMixing")
 
 
 @st.composite
@@ -1269,7 +1324,9 @@ def test_sparsity_gap_ignores_row_permutation_and_scaling(case):
 # The two row-subset loops that the one pass over the flats (basis._flats)
 # replaced, verbatim with the closure test and the inclusion-minimal filter
 # they used: the references its ground set and strata must match byte for
-# byte.
+# byte.  The closure test ranks every row of M under each subset; the
+# per-vector pass below called a variant that ranked only the rows outside
+# it, which gave the same masks.
 def reference_closed_rows(M: np.ndarray, subs: np.ndarray, thr: float) -> np.ndarray:
     """(C, m) mask: row j of M is in the span of the k rows subs[c], i.e.
     stacking it under them keeps the rank at k."""
@@ -1279,28 +1336,6 @@ def reference_closed_rows(M: np.ndarray, subs: np.ndarray, thr: float) -> np.nda
     stack[:, :, :k] = subs[:, None]
     stack[:, :, k] = M
     return (rank_many(stack.reshape(C * m, k + 1, n), thr) == k).reshape(C, m)
-
-
-@st.composite
-def _closure_cases(draw):
-    """Sparse integer matrices up to 9x6 with duplicated rows, so that pivots
-    tie, a level k < cols, and a threshold that may exceed the entries'
-    scale."""
-    M = draw(_int_matrices(9, 6)).astype(float)
-    m, n = M.shape
-    for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
-        M[draw(st.integers(0, m - 1))] = M[i]
-    k = draw(st.integers(0, min(m, n) - 1))
-    return M, k, draw(st.sampled_from([Tolerance().threshold(2.0), 0.5, 1.0, 1.5, 2.5]))
-
-
-@PINNED
-@given(_closure_cases())
-def test_closed_rows_equal_reference(case):
-    M, k, thr = case
-    for R in _subset_chunks(M.shape[0], k):
-        R = R[rank_many(M[R], thr) == k]
-        assert np.array_equal(_closed_rows(M, R, thr), reference_closed_rows(M, M[R], thr))
 
 
 def reference_inclusion_minimal(masks, m: int) -> list[int]:
@@ -1394,11 +1429,11 @@ def reference_mixing_strata(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
 
 
 @st.composite
-def _flat_cases(draw):
-    """Full-column-rank matrices up to 9x6 with two or three blocks:
-    Gaussian, Gaussian with about half the entries zeroed, sparse integer
-    (half of them on a planted block pattern), and Gaussian with rows scaled
-    by powers of ten.
+def _flat_cases(draw, kinds=("gaussian", "half-sparse", "integer", "row-scaled")):
+    """Full-column-rank matrices up to 9x6 with two or three blocks, of the
+    kinds drawn: Gaussian, Gaussian with about half the entries zeroed,
+    sparse integer (half of them on a planted block pattern), and Gaussian
+    with rows scaled by powers of ten.
 
     The scaled rows stay within 10^4 of each other, so every row is at least
     10^3 above the zero threshold rel * max|M|.  Nearer that threshold the
@@ -1407,7 +1442,7 @@ def _flat_cases(draw):
     different supports, and the reference keeps each support's first vector
     while the one pass keeps the hyperplane's first.
     """
-    kind = draw(st.sampled_from(["gaussian", "half-sparse", "integer", "row-scaled"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "integer":
         M = draw(_int_matrices(9, 6, min_cols=2)).astype(float)
     else:
@@ -1446,6 +1481,42 @@ def test_flats_equal_the_two_subset_loops(case):
         assert [t for t, _ in strata] == [t for t, _ in reference]
         assert all(_same_bytes(N, E) for (_, N), (_, E) in zip(strata, reference))
     assert _vector_bytes(reference_flats(M, tol, blocks)[0]) == expected
+
+
+# The exchange tests that _drops replaced, verbatim: one rank_many call per
+# position of B*, on the value rows of B* and of the representatives.
+def reference_drops(optimum, reps, m: int, n: int, tol: Tolerance) -> np.ndarray:
+    # drop[s]: the last position of B* whose swap for reps[s] keeps
+    # rank n, -1 if none; one rank_many call per position
+    drop = np.full(len(reps.values), -1)
+    for j in range(n - 1, -1, -1):
+        open_ = np.flatnonzero(drop < 0)
+        if not open_.size:
+            break
+        trial = np.empty((open_.size, m, n))
+        trial[:, :, 0] = reps.values[open_]
+        trial[:, :, 1:] = np.delete(optimum.values.T, j, axis=1)
+        drop[open_[rank_many(trial, tol.stack_thresholds(trial)) == n]] = j
+    return drop
+
+
+@settings(PINNED, max_examples=200)
+@given(_flat_cases(["gaussian", "half-sparse", "integer"]))
+def test_drops_equal_the_rank_test_per_position(case):
+    """One solve against B*'s coefficients drops, for every stratum's
+    representative, the position the rank test per position drops."""
+    M, blocks = case
+    tol = Tolerance()
+    m, n = M.shape
+    ground, strata = _flats(M, tol, blocks)
+    optimum = ground.take(_independent(ground.values, n, tol))
+    N = np.zeros((len(strata), n, max(null.shape[1] for _, null in strata)))
+    for s, (_, null) in enumerate(strata):
+        N[s, :, : null.shape[1]] = null
+    reps, failed = _representatives(M, blocks, N, tol)
+    assert not failed.any()
+    expected = reference_drops(optimum, reps, m, n, tol)
+    assert _drops(optimum.coeffs, reps.coeffs, tol).tolist() == expected.tolist()
 
 
 # The per-vector basis code that the array path replaced, verbatim but for
@@ -1522,7 +1593,7 @@ def reference_flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = No
             below, counted = reference_below(strata, m), len(strata)
         for R in _subset_chunks(m, k):
             R = R[rank_many(M[R], thr) == k]
-            open_bits = (~_closed_rows(M, R, thr) * bit).sum(axis=1).tolist()
+            open_bits = (~reference_closed_rows(M, M[R], thr) * bit).sum(axis=1).tolist()
             fresh = []
             for i, T in enumerate(open_bits):
                 if T and T not in met and (below is None or not below[T]):
