@@ -31,9 +31,8 @@ MAX_ROWS = 20
 MAX_COLS = 8
 
 # Row subsets per batched elimination, and forced-mixing strata per solve.
-# It bounds the search's largest arrays, CHUNK null bases of MAX_COLS x
-# MAX_COLS and their products with M, to 0.16 MB whatever C(m, k) is.  The
-# row partition in graphs caps its stacks with it.
+# It bounds the search's largest array, a chunk's products M N, to 0.16 MB
+# whatever C(m, k) is.  The row partition in graphs caps its stacks with it.
 CHUNK = 128
 
 # The block searches of the request that request_gap is serving, which its
@@ -220,23 +219,29 @@ def _search_input(M, blocks, tol: Tolerance) -> _Checked:
     return _Checked(M, blocks, ranks[1:] == blocks.sizes)
 
 
-def _normalize(M: np.ndarray, C: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, _Vectors]:
-    """The vectors M c of the rows c of C (F, n): the mask of those above M's
-    zero threshold, and those with their c, divided by their first entry of
-    largest magnitude, supports the entries above the threshold of 1.  The
-    stacked matmul gives each row the bits of M @ c; an overflow in it is
-    InvalidInput."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        V = np.matmul(M[None], C[:, :, None])[:, :, 0]
-    piv = np.abs(V).argmax(axis=1)
-    top = np.abs(V[np.arange(len(V)), piv])
+def _printed(V: np.ndarray, axis: int, tol: Tolerance) -> np.ndarray:
+    """Printed supports of the vectors along axis of V: the entries above the
+    threshold of 1 over their vector's largest |entry|.  A zero vector has
+    none; a non-finite one, an overflowed product, is InvalidInput."""
+    top = (A := np.abs(V)).max(axis=axis, keepdims=True)
     if not np.isfinite(top).all():
         raise InvalidInput(OVERFLOW)
-    alive = ~(top <= tol.matrix_threshold(M))
+    with np.errstate(invalid="ignore"):
+        return A / top > tol.threshold(1.0)
+
+
+def _normalize(M: np.ndarray, C: np.ndarray, tol: Tolerance, V=None) -> tuple[np.ndarray, _Vectors]:
+    """The vectors M c of the rows c of C (F, n), the stacked matmul's rows or
+    V's: the mask of those above M's zero threshold, and those with their c,
+    over their first entry of largest magnitude, supports _printed."""
+    if V is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = np.matmul(M[None], C[:, :, None])[:, :, 0]
+    bits = _printed(V, 1, tol) @ (1 << np.arange(M.shape[0]))
+    piv = np.abs(V).argmax(axis=1)
+    alive = ~(np.abs(V[np.arange(len(V)), piv]) <= tol.matrix_threshold(M))
     scale = V[alive, piv[alive]][:, None]
-    V = V[alive] / scale
-    bits = (np.abs(V) > tol.threshold(1.0)) @ (1 << np.arange(M.shape[0]))
-    return alive, _Vectors(V, C[alive] / scale, bits)
+    return alive, _Vectors(V[alive] / scale, C[alive] / scale, bits[alive])
 
 
 def _members(bits: int) -> tuple[int, ...]:
@@ -312,20 +317,19 @@ def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
     over the flats of M's row matroid, hyperplanes first.
 
     Level k eliminates the k-row subsets R chunk by chunk in combinations
-    order, one null_space_many call each: R is independent iff its null
-    basis N has n - k columns, and then attains T, the complement of its
-    closure, which by core's closure rule is the union of the supports
-    _normalize gives M N's columns (an overflow is InvalidInput).  Each
-    distinct T keeps its first subset's N.  At level cols-1 the first vector
+    order, one null_space_many call each: R is independent iff its null basis
+    N has n - k columns, and then attains T, the complement of its closure: by
+    core's closure rule, the union of the _printed supports of M N's columns.
+    Each distinct T keeps its first subset's N.  At level n-1 the first vector
     of each support, filtered to the inclusion-minimal supports and sorted by
-    (size, rows), is the ground set, returned as _Vectors.  With blocks the
-    pass goes on down to level 0: T is a mixing stratum iff the rows of its
-    coefficient null space touch more than one block (_touches of their
-    largest entries): it then cannot be covered by the finitely many block
-    subspaces without lying inside one.  A T holding an accepted stratum,
-    found at a higher level, is skipped: the final inclusion-minimal filter
-    would drop it.  The strata are returned as [(T bitmask, null basis)]
-    sorted by (size, rows), None without blocks."""
+    (size, rows), is the ground set, as _Vectors.  With blocks the pass goes
+    on down to level 0: T is a mixing stratum iff the rows of its coefficient
+    null space touch more than one block (_touches of their largest entries):
+    it then cannot be covered by the finitely many block subspaces without
+    lying inside one.  A T holding an accepted stratum from a higher level is
+    skipped: the final inclusion-minimal filter would drop it.  The strata are
+    returned as [(T bitmask, null basis)] sorted by (size, rows), None without
+    blocks."""
     m, n = M.shape
     thr = tol.matrix_threshold(M)
     bit = 1 << np.arange(m)
@@ -337,11 +341,8 @@ def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
         for R in _subset_chunks(m, k):
             N = null_space_many(M[R], thr, n - k)
             with np.errstate(over="ignore", invalid="ignore"):
-                P = np.abs(np.matmul(M[None], N))
-                top = P.max(axis=1)
-                if not np.isfinite(top).all():
-                    raise InvalidInput(OVERFLOW)
-                open_ = (P / top[:, None] > tol.threshold(1.0)).any(axis=2)
+                V = np.matmul(M[None], N)
+            open_ = _printed(V, 1, tol).any(axis=2)
             T, first = np.unique(open_ @ bit, return_index=True)
             fresh = (T != 0) & ~met[T]
             fresh[fresh] = holding(T[fresh]) == 0
@@ -351,7 +352,7 @@ def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
             first = np.sort(first[fresh])
             T, N = open_[first] @ bit, N[first]
             if k == n - 1:
-                found.append(_normalize(M, N[:, :, 0], tol)[1])
+                found.append(_normalize(M, N[:, :, 0], tol, V[first, :, 0])[1])
             if blocks is not None:
                 mixing = _touches(np.abs(N).max(axis=2), blocks, tol).sum(axis=1) > 1
                 strata.update(zip(T[mixing].tolist(), N[mixing]))
@@ -432,15 +433,15 @@ def _representatives(M: np.ndarray, blocks: BlockSpec, N: np.ndarray, tol: Toler
 
 def _drops(basis: np.ndarray, coeffs: np.ndarray, tol: Tolerance) -> np.ndarray:
     """drop[s]: the last position j of the basis (n, n) whose swap for
-    coeffs[s] keeps rank n, -1 if none.  They are coefficient rows of a
-    full-column-rank M, so x_j is nonzero (above the threshold of max |x|)
-    for basis.T x = coeffs[s]: one solve, each basis row over its largest
-    |entry|, as rows of M far apart in scale spread theirs.  Singular: InternalError."""
+    coeffs[s] keeps rank n, -1 if none: as M has full column rank, the last
+    j _printed for x, basis.T x = coeffs[s].  One solve, each basis row over
+    its largest |entry|, as rows of M far apart in scale spread theirs.
+    Singular: InternalError."""
     try:
-        X = np.abs(np.linalg.solve((basis / np.abs(basis).max(axis=1)[:, None]).T, coeffs.T))
+        X = np.linalg.solve((basis / np.abs(basis).max(axis=1)[:, None]).T, coeffs.T)
     except np.linalg.LinAlgError as exc:
         raise InternalError(f"the optimum's coefficients are singular: {exc}") from exc
-    above = X > np.maximum(tol.abs, tol.rel * X.max(axis=0))
+    above = _printed(X, 0, tol)
     return np.where(above.any(axis=0), len(X) - 1 - above[::-1].argmax(axis=0), -1)
 
 
@@ -464,15 +465,15 @@ def sparsest_basis(
     certificates reporting rho-).  The greedy completion of a forced vector f
     is one exchange on the greedy optimum B*: f, then B* without the last of
     its vectors whose swap for f keeps rank n (the last of f's fundamental
-    circuit).  The greedy keeps every vector of B* before that one, skips
-    it, keeps the rest, and rejects every other candidate, which lies in
-    the span of the B* vectors before it.  The search runs on the stacked
-    arrays of _flats: the greedy reads value rows (_independent), each chunk
-    of CHUNK strata gets its representatives in one step (_representatives)
-    and the positions they drop from one solve against B*'s coefficients
-    (_drops), a stratum costs the size of its T, and SubspaceVector is
-    built only for the n vectors returned.  M may also be a _Checked input,
-    as sparsity_gap passes one to both searches.
+    circuit).  The greedy keeps every vector of B* before that one, skips it,
+    keeps the rest, and rejects every other candidate, which lies in the span
+    of the B* vectors before it.  The search runs on the stacked arrays of
+    _flats: the greedy reads value rows (_independent), each chunk of CHUNK
+    strata gets its representatives in one step (_representatives) and the
+    positions they drop from one solve against B*'s coefficients (_drops), a
+    stratum costs the size of its T, and SubspaceVector is built only for the n
+    vectors returned.  M may also be a _Checked input, as sparsity_gap passes
+    one to both searches.
     """
     tol = tol or Tolerance.default()
     M, blocks, full = M if isinstance(M, _Checked) else _search_input(M, blocks, tol)

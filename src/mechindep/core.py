@@ -6,9 +6,8 @@ an object with magnitude scale s is zero iff |e| <= max(abs_tol, rel_tol * s).
 The scale is the largest absolute entry of the object the entry belongs to, so
 integer test matrices are classified exactly and well-scaled float inputs are
 classified scale-invariantly.  Closure follows it: row j of M is in the span
-of rows R iff its entry is zero at scale 1 in every column of M N, N a null
-basis of M[R], divided by its largest |entry|: the rule of a normalized
-vector's printed support.
+of rows R iff, in every column of M N (N a null basis of M[R]) over its
+largest |entry|, row j's entry is zero at scale 1, as in a printed support.
 """
 
 from __future__ import annotations

@@ -1319,6 +1319,9 @@ def test_sparsity_gap_ignores_row_permutation_and_scaling(case):
     assert _gap_summary(M[list(perm)].astype(float), blocks) == before
     scaled = M.astype(float) * np.ldexp(1.0, exponents)[:, None]
     assert _gap_summary(scaled, blocks) == before
+    # all of M scaled: its coefficients scale as 2^-45, far below the absolute
+    # tolerance
+    assert _gap_summary(np.ldexp(M.astype(float), 45), blocks) == before
 
 
 # The two row-subset loops that the one pass over the flats (basis._flats)
@@ -1517,6 +1520,9 @@ def test_drops_equal_the_rank_test_per_position(case):
     assert not failed.any()
     expected = reference_drops(optimum, reps, m, n, tol)
     assert _drops(optimum.coeffs, reps.coeffs, tol).tolist() == expected.tolist()
+    # the coefficients of M times 2^45: the drops do not depend on M's scale
+    assert _drops(optimum.coeffs, np.ldexp(reps.coeffs, -45), tol).tolist() == expected.tolist()
+    assert _drops(np.ldexp(optimum.coeffs, 45), reps.coeffs, tol).tolist() == expected.tolist()
 
 
 # The per-vector basis code that the array path replaced, verbatim but for
