@@ -172,9 +172,9 @@ class _Vectors(NamedTuple):
 
 def _touches(A: np.ndarray, blocks: BlockSpec, tol: Tolerance) -> np.ndarray:
     """(S, K) mask of the blocks each row of A (S, n) touches: those with an
-    entry above the threshold of the row's own largest |entry|."""
-    A = np.abs(A)
-    above = A > np.maximum(tol.abs, tol.rel * A.max(axis=1))[:, None]
+    entry in the row's _printed support, so the mask does not change when A
+    is scaled."""
+    above = _printed(A, 1, tol)
     return np.logical_or.reduceat(above, [cols[0] for cols in blocks.ranges()], axis=1)
 
 
@@ -249,15 +249,27 @@ def _members(bits: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
 
 
+# the number of set bits of each byte, and each byte with its 8 bits reversed
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint64)
+_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint64)
+
+
 def _order(bits: np.ndarray, m: int) -> np.ndarray:
     """The order of distinct bitmasks over m rows by (size, sorted members):
     of two sets of one size, the one holding the first row where they
-    differ comes first: the larger mask read with its m bits reversed."""
-    size, reversed_ = np.zeros((2, len(bits)), dtype=np.int64)
-    for i in range(m):
-        size += bits >> i & 1
-        reversed_ |= (bits >> i & 1) << (m - 1 - i)
-    return np.lexsort((-reversed_, size))
+    differ comes first: the larger mask read with its m bits reversed.
+
+    Size and reversal come a byte at a time from 256-entry tables: the
+    reversed bytes, in reverse order, reverse all 8 w bits of w bytes, and a
+    shift drops the 8 w - m bits past row m."""
+    width = -(-m // 8)
+    size, reversed_ = np.zeros((2, len(bits)), dtype=np.uint64)
+    for i in range(width):
+        byte = (bits >> 8 * i & 0xFF).astype(np.intp)
+        size += _POPCOUNT[byte]
+        reversed_ |= _REVERSED[byte] << np.uint64(8 * (width - 1 - i))
+    reversed_ >>= np.uint64(8 * width - m)
+    return np.lexsort((-reversed_.astype(np.int64), size))
 
 
 def _counter(masks: np.ndarray, m: int):

@@ -157,12 +157,9 @@ def column_supports(M: np.ndarray, tol: Tolerance | None = None) -> list[Support
     columns of very different magnitude are judged consistently."""
     tol = tol or Tolerance.default()
     M = as_matrix(M)
-    thr = tol.matrix_threshold(M)
-    out = []
-    for j in range(M.shape[1]):
-        members = tuple(int(i) + 1 for i in np.flatnonzero(np.abs(M[:, j]) > thr))
-        out.append(SupportMask(universe=M.shape[0], members=members))
-    return out
+    above = np.abs(M) > tol.matrix_threshold(M)
+    rows = np.arange(1, M.shape[0] + 1)
+    return [SupportMask(universe=M.shape[0], members=tuple(rows[col].tolist())) for col in above.T]
 
 
 def rank(M, tol: Tolerance | None = None, thr: float | None = None) -> int:

@@ -73,13 +73,14 @@ def _holds(criterion: str, witness: dict, note: str, digest: str) -> Certificate
     )
 
 
-def _cross_pairs(blocks: BlockSpec):
-    ranges = blocks.ranges()
-    for i in range(blocks.K):
-        for j in range(i + 1, blocks.K):
-            for a in ranges[i]:
-                for b in ranges[j]:
-                    yield i, j, a, b
+def _cross_hits(blocks: BlockSpec, mask: np.ndarray) -> list:
+    """The column pairs (a, b) in different blocks, a < b, where the (n, n)
+    boolean mask holds, ordered by block of a, block of b, a, b: a stable
+    sort by blocks of the pairs in row-major order."""
+    block = np.repeat(np.arange(blocks.K), blocks.sizes)
+    a, b = np.nonzero(mask & (block[:, None] < block))
+    owner = block.tolist()
+    return sorted(zip(a.tolist(), b.tolist()), key=lambda p: (owner[p[0]], owner[p[1]]))
 
 
 def _first_split(cols):
@@ -114,18 +115,20 @@ def _supports_payload(supports: list[SupportMask]) -> list[list[int]]:
 
 
 def check_type_d(J, blocks, tol: Tolerance | None = None) -> Certificate:
-    """Type D: cross-block column supports are pairwise disjoint."""
+    """Type D: cross-block column supports are pairwise disjoint.  The pairs
+    that share a row come from one boolean product (graphs.adjacency's D
+    rule), in _cross_hits order."""
     M, blocks, tol = _prepare(J, blocks, tol)
     digest = inputs_digest(M, blocks)
     supports = column_supports(M, tol)
     witness = {"columnSupports": _supports_payload(supports)}
     if blocks.K == 1:
         return _holds("D", witness, SINGLE_BLOCK_NOTE, digest)
-    violations = []
-    for _, _, a, b in _cross_pairs(blocks):
-        shared = sorted(supports[a].as_set() & supports[b].as_set())
-        if shared:
-            violations.append({"pair": [a + 1, b + 1], "sharedRows": shared})
+    shared = adjacency(M, "D", tol.matrix_threshold(M))
+    violations = [
+        {"pair": [a + 1, b + 1], "sharedRows": sorted(supports[a].as_set() & supports[b].as_set())}
+        for a, b in _cross_hits(blocks, shared)
+    ]
     witness["violations"] = violations
     return Certificate(criterion="D", holds=not violations, witness=witness, inputs_digest=digest)
 
@@ -168,19 +171,18 @@ def check_type_m(J, blocks, tol: Tolerance | None = None) -> Certificate:
         )
     nested = adjacency(M, "M", tol.matrix_threshold(M))
     violations = []
-    for _, _, a, b in _cross_pairs(blocks):
-        if nested[a, b]:
-            sa, sb = supports[a].as_set(), supports[b].as_set()
-            direction = "left-in-right" if sa <= sb else "right-in-left"
-            if sa == sb:
-                direction = "equal"
-            violations.append(
-                {
-                    "pair": [a + 1, b + 1],
-                    "direction": direction,
-                    "supports": [sorted(sa), sorted(sb)],
-                }
-            )
+    for a, b in _cross_hits(blocks, nested):
+        sa, sb = supports[a].as_set(), supports[b].as_set()
+        direction = "left-in-right" if sa <= sb else "right-in-left"
+        if sa == sb:
+            direction = "equal"
+        violations.append(
+            {
+                "pair": [a + 1, b + 1],
+                "direction": direction,
+                "supports": [sorted(sa), sorted(sb)],
+            }
+        )
     holds = not violations
     row_route = _row_route_type_m(M, blocks, tol)
     if row_route != holds:
@@ -253,15 +255,30 @@ def check_type_s_pairwise(
 
 
 def check_type_o(J, blocks, tol: Tolerance | None = None) -> Certificate:
-    """Type O: cross-block columns are orthogonal (zero inner products)."""
+    """Type O: cross-block columns are orthogonal (zero inner products).
+
+    Pair (a, b) violates it iff |dot| exceeds the threshold of |a| |b|, dot
+    and norms computed per pair.  The norms are computed once per column,
+    and one Gram matrix screens the pairs first: its entries differ from the
+    per-pair dots by rounding alone, by at most 2 m eps |a| |b| plus m
+    subnormals for m rows.  So a pair whose Gram entry is at most half its
+    threshold less m (4 eps |a| |b| + one subnormal) cannot violate; the
+    rest are decided per pair, in _cross_hits order."""
     M, blocks, tol = _prepare(J, blocks, tol)
     digest = inputs_digest(M, blocks)
     if blocks.K == 1:
         return _holds("O", {}, SINGLE_BLOCK_NOTE, digest)
+    norm = np.array([np.linalg.norm(M[:, c]) for c in range(M.shape[1])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.outer(norm, norm)
+        slack = len(M) * (4 * np.finfo(float).eps * scale + np.finfo(float).smallest_subnormal)
+        # einsum's own loop: a BLAS product allocates 0.66 MB on its first call
+        gram = np.abs(np.einsum("ij,ik->jk", M, M))
+        near = ~(gram <= np.maximum(tol.abs, tol.rel * scale) / 2 - slack)
     violations = []
-    for _, _, a, b in _cross_pairs(blocks):
+    for a, b in _cross_hits(blocks, near):
         dot = float(M[:, a] @ M[:, b])
-        scale = float(np.linalg.norm(M[:, a]) * np.linalg.norm(M[:, b]))
+        scale = float(norm[a] * norm[b])
         if abs(dot) > tol.threshold(scale):
             violations.append({"pair": [a + 1, b + 1], "innerProduct": dot})
     return Certificate(

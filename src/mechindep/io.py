@@ -103,12 +103,27 @@ def read_tensor_json(path) -> np.ndarray:
     return T
 
 
+# json.dump's separators on the C encoder, and the list items it encodes at once
+_PLAIN = json.JSONEncoder()
+_PART = 1024
+
+
+def _write_listing(path, dims: list, key: str, parts) -> None:
+    """{"dims": dims, key: the items of the nonempty lists parts, in order}
+    and a newline, byte for byte as json.dump writes it, encoding one part at
+    a time on the C encoder: a list's items are joined by ", " either way."""
+    with open(path, "w") as fh:
+        fh.write(f'{{"dims": {_PLAIN.encode(dims)}, "{key}": [')
+        for i, part in enumerate(parts):
+            fh.write((", " if i else "") + _PLAIN.encode(part)[1:-1])
+        fh.write("]}\n")
+
+
 def write_tensor_json(path, T) -> None:
     T = np.asarray(T, dtype=float)
-    payload = {"dims": list(T.shape), "entries": [float(x) for x in T.ravel()]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    flat = T.ravel()
+    parts = (flat[i : i + _PART].tolist() for i in range(0, flat.size, _PART))
+    _write_listing(path, list(T.shape), "entries", parts)
 
 
 def read_region_json(path) -> GridRegion:
@@ -118,10 +133,9 @@ def read_region_json(path) -> GridRegion:
 
 
 def write_region_json(path, region: GridRegion) -> None:
-    payload = {"dims": list(region.dims), "occupied": region.occupied_1based()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    cells = region.coords
+    parts = ((cells[i : i + _PART] + 1).tolist() for i in range(0, len(cells), _PART))
+    _write_listing(path, list(region.dims), "occupied", parts)
 
 
 def _default(obj):

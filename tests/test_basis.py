@@ -362,3 +362,17 @@ def test_gap_checks_the_matrix_once_and_each_block_once(monkeypatch):
         monkeypatch.setattr(module, "rank_many", counted)
     sparsity_gap(M, (1, 1, 1))
     assert seen == [1, 1, 1, 1]
+
+
+def test_mixing_flags_do_not_change_when_the_matrix_is_scaled():
+    """Mixing is judged by the printed-support rule, which is scale-free: at
+    M times 2^45 the coefficients fall below the absolute tolerance, and the
+    flags, touched blocks and is_mixing still read those of M."""
+    M = np.array([(1, 2, 0), (0, 1, 3), (2, 0, 1), (1, 1, 1), (0, 2, 1)], dtype=float)
+    blocks, tol = BlockSpec((2, 1)), Tolerance()
+    for exp in (-20, 0, 45):
+        result = sparsest_basis(np.ldexp(M, exp), blocks, "forceMixing")
+        assert result.cost == 8
+        assert result.mixing_flags == [True, False, True]
+        assert [v.touched_blocks(blocks, tol) for v in result.vectors] == [(1, 2), (1,), (1, 2)]
+        assert [v.is_mixing(blocks, tol) for v in result.vectors] == [True, False, True]

@@ -17,7 +17,10 @@ the M- and H_n-irreducibility checks against verbatim copies of the split
 searches they replaced; the one-update digest of a cell array against the
 recursive digest of its nested list; and the JSON reports and text witness
 lines of the compact C encoder and the numpy re-indent against the recursive
-conversion and indent=2 encoder they replaced.
+conversion and indent=2 encoder they replaced; Type D's boolean product and
+Type O's Gram screen against the loops over every cross-block pair, the
+support order from byte tables against the loop over rows, and the region
+and tensor files written in encoded parts against json.dump.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -44,6 +47,7 @@ from mechindep.basis import (
     _independent,
     _members,
     _normalize,
+    _order,
     _representatives,
     _require_full_column_rank,
     _subset_chunks,
@@ -66,15 +70,19 @@ from mechindep.core import (
 )
 from mechindep.criteria import (
     H_SPLIT_NOTE,
-    _cross_pairs,
+    SINGLE_BLOCK_NOTE,
+    _cross_hits,
     _first_split,
+    _holds,
     _prepare,
     _row_route_type_m,
     _supports_payload,
+    check_type_d,
     check_type_d_irreducible,
     check_type_h_irreducible,
     check_type_m,
     check_type_m_irreducible,
+    check_type_o,
 )
 from mechindep.errors import (
     DegenerateColumn,
@@ -93,7 +101,13 @@ from mechindep.graphs import (
     components,
     finest_rank_additive_partition,
 )
-from mechindep.io import certificate_lines, to_json
+from mechindep.io import (
+    _PART,
+    certificate_lines,
+    to_json,
+    write_region_json,
+    write_tensor_json,
+)
 from mechindep.synth import OverlapTemplate, gen_overlap_jacobian
 from mechindep.topology import GridRegion, _roots, premise_report, rectangle
 
@@ -1030,6 +1044,17 @@ def reference_build_graph(obj, kind: str = "D", tol: Tolerance | None = None) ->
     raise InvalidInput(f"unknown graph kind {kind!r}")
 
 
+# criteria's loop over the cross-block column pairs, which _cross_hits
+# replaced, verbatim: the pair order the references below report in.
+def _cross_pairs(blocks: BlockSpec):
+    ranges = blocks.ranges()
+    for i in range(blocks.K):
+        for j in range(i + 1, blocks.K):
+            for a in ranges[i]:
+                for b in ranges[j]:
+                    yield i, j, a, b
+
+
 def reference_check_type_m(J, blocks, tol: Tolerance | None = None) -> Certificate:
     """Type M: every cross-block column pair is mutually non-included.
 
@@ -1845,3 +1870,189 @@ def test_to_json_and_witness_line_equal_indent_2_reference(doc):
         assert lines[1] == f"  witness: {json.dumps(ref)}"
     else:
         assert lines == ["D: PASS"]
+
+
+# check_type_d and check_type_o as they looped over every cross-block pair,
+# verbatim but for their names: the reference for one boolean product (D)
+# and the Gram screen with per-pair decisions (O).
+def reference_check_type_d(J, blocks, tol: Tolerance | None = None) -> Certificate:
+    """Type D: cross-block column supports are pairwise disjoint."""
+    M, blocks, tol = _prepare(J, blocks, tol)
+    digest = inputs_digest(M, blocks)
+    supports = column_supports(M, tol)
+    witness = {"columnSupports": _supports_payload(supports)}
+    if blocks.K == 1:
+        return _holds("D", witness, SINGLE_BLOCK_NOTE, digest)
+    violations = []
+    for _, _, a, b in _cross_pairs(blocks):
+        shared = sorted(supports[a].as_set() & supports[b].as_set())
+        if shared:
+            violations.append({"pair": [a + 1, b + 1], "sharedRows": shared})
+    witness["violations"] = violations
+    return Certificate(criterion="D", holds=not violations, witness=witness, inputs_digest=digest)
+
+
+def reference_check_type_o(J, blocks, tol: Tolerance | None = None) -> Certificate:
+    """Type O: cross-block columns are orthogonal (zero inner products)."""
+    M, blocks, tol = _prepare(J, blocks, tol)
+    digest = inputs_digest(M, blocks)
+    if blocks.K == 1:
+        return _holds("O", {}, SINGLE_BLOCK_NOTE, digest)
+    violations = []
+    for _, _, a, b in _cross_pairs(blocks):
+        dot = float(M[:, a] @ M[:, b])
+        scale = float(np.linalg.norm(M[:, a]) * np.linalg.norm(M[:, b]))
+        if abs(dot) > tol.threshold(scale):
+            violations.append({"pair": [a + 1, b + 1], "innerProduct": dot})
+    return Certificate(
+        criterion="O",
+        holds=not violations,
+        witness={"violations": violations},
+        inputs_digest=digest,
+    )
+
+
+_CROSS_TOLS = [Tolerance(), Tolerance(rel=0.3), Tolerance(rel=1e-15, abs=0.0), Tolerance(0.0, 0.0)]
+
+
+@st.composite
+def _cross_cases(draw):
+    """(M, blocks, tol): 1-30 rows, 2-12 columns cut into 1-5 blocks.  Sparse
+    integers (shared rows and exact zeros); Gaussians; orthonormal columns
+    plus multiples of the first at about the relative threshold (inner
+    products at the screen's edge); each with rows scaled by 2^+-60, or
+    entries near the float limit or subnormal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 30)), draw(st.integers(2, 12))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4)))
+    blocks = BlockSpec(tuple(np.diff([0, *cuts, n]).tolist()))
+    tol = draw(st.sampled_from(_CROSS_TOLS))
+    kind = draw(st.sampled_from(["integer", "gaussian", "orthogonal"]))
+    if kind == "integer":
+        M = rng.choice([0, 0, 0, 1, -1, 2], size=(m, n)).astype(float)
+    elif kind == "gaussian":
+        M = rng.standard_normal((m, n))
+    else:
+        m = max(m, n)
+        Q = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        near = rng.choice([0.0, 1e-16, 0.5, 1.0, 1.0 + 1e-7, 2.0], size=n) * max(tol.rel, 1e-12)
+        M = Q + np.outer(Q[:, 0], near)
+    scaling = draw(st.sampled_from(["none", "rows", "huge", "tiny"]))
+    if scaling == "rows":
+        M = np.ldexp(M, rng.integers(-60, 61, size=(m, 1)))
+    elif scaling == "huge":
+        M = M * 1e154 * rng.choice([1.0, 1e100], size=(1, n))
+    elif scaling == "tiny":
+        M = M * 1e-160 * rng.choice([1.0, 1e-150], size=(1, n))
+    return M, blocks, tol
+
+
+# a pair whose Gram entry rounds to 0 and whose per-pair dot to 1 with
+# numpy 2.4.6 and OpenBLAS 0.3.31: only the screen's slack keeps it
+_ROUNDED_APART = np.array(
+    [[1.0, 2.0**52], [1.0, 3.0], [1.0, -1.0], [1.0, 2.0**52], [1.0, -1.0], [1.0, -(2.0**53)]]
+)
+
+
+@settings(PINNED, max_examples=400)
+@given(_cross_cases())
+@example((_ROUNDED_APART, BlockSpec((1, 1)), Tolerance(0.0, 0.0)))
+def test_type_d_and_o_equal_the_pairwise_loops(case):
+    """The same report bytes, inner products and non-finite ones included,
+    and the same pairs in the same order as the loops over _cross_pairs."""
+    M, blocks, tol = case
+    everywhere = np.ones((blocks.total, blocks.total), dtype=bool)
+    assert _cross_hits(blocks, everywhere) == [(a, b) for _, _, a, b in _cross_pairs(blocks)]
+    for check, reference in ((check_type_d, reference_check_type_d), (check_type_o, reference_check_type_o)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = to_json(reference(M, blocks, tol).to_dict())
+            assert to_json(check(M, blocks, tol).to_dict()) == want
+
+
+# basis._order as it looped over the m rows, verbatim but for its name and
+# docstring.
+def reference_order(bits: np.ndarray, m: int) -> np.ndarray:
+    size, reversed_ = np.zeros((2, len(bits)), dtype=np.int64)
+    for i in range(m):
+        size += bits >> i & 1
+        reversed_ |= (bits >> i & 1) << (m - 1 - i)
+    return np.lexsort((-reversed_, size))
+
+
+@st.composite
+def _bitmask_sets(draw):
+    """Distinct bitmasks over m = 0..62 rows, in random order: uniform ones,
+    and sparse ones so that sizes tie and the reversed order decides."""
+    m = draw(st.integers(0, 62))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(0, 80))
+    if m == 0:
+        return np.zeros(min(count, 1), dtype=np.int64), m
+    bits = rng.integers(0, 1 << m, size=count, dtype=np.int64)
+    sparse = rng.random((count, m)) < draw(st.sampled_from([0.05, 0.2, 0.5]))
+    bits[::2] = (sparse[::2] * (1 << np.arange(m, dtype=np.int64))).sum(axis=1)
+    bits = np.unique(bits)
+    return bits[rng.permutation(len(bits))], m
+
+
+@PINNED
+@given(_bitmask_sets())
+@example((np.array([(1 << 62) - 1, 1 << 61, 1, 0], dtype=np.int64), 62))
+def test_order_equals_the_row_loop(case):
+    bits, m = case
+    assert _order(bits, m).tolist() == reference_order(bits, m).tolist()
+
+
+# io's region and tensor writers as they called json.dump, verbatim but for
+# their names: the reference for the chunked C-encoder writers.
+def reference_write_tensor_json(path, T) -> None:
+    T = np.asarray(T, dtype=float)
+    payload = {"dims": list(T.shape), "entries": [float(x) for x in T.ravel()]}
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
+def reference_write_region_json(path, region: GridRegion) -> None:
+    payload = {"dims": list(region.dims), "occupied": region.occupied_1based()}
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
+@PINNED
+@given(
+    st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_region_and_tensor_files_equal_json_dump(tmp_path_factory, dims, density, seed):
+    """Random regions (empty ones too) and tensors of the same dims (NaN,
+    infinities, -0.0 and subnormals among the entries) are written byte for
+    byte as json.dump writes them."""
+    rng = np.random.default_rng(seed)
+    region = GridRegion(dims, map(tuple, np.argwhere(rng.random(dims) < density).tolist()))
+    T = rng.standard_normal(dims) * 10.0 ** rng.integers(-320, 300, size=dims)
+    T.flat[rng.integers(0, T.size, size=3)] = rng.choice([np.nan, np.inf, -np.inf, -0.0], size=3)
+    out = tmp_path_factory.mktemp("files")
+    for write, reference, obj in (
+        (write_region_json, reference_write_region_json, region),
+        (write_tensor_json, reference_write_tensor_json, T),
+    ):
+        write(out / "new.json", obj)
+        reference(out / "ref.json", obj)
+        assert (out / "new.json").read_bytes() == (out / "ref.json").read_bytes()
+
+
+def test_files_past_one_encoded_part_equal_json_dump(tmp_path):
+    """A region and a tensor that span several encoded parts, and a last part
+    of one item, are written as json.dump writes them."""
+    region = rectangle((1, 2 * _PART + 1))
+    T = np.random.default_rng(5).standard_normal((2 * _PART + 1, 1))
+    for write, reference, obj in (
+        (write_region_json, reference_write_region_json, region),
+        (write_tensor_json, reference_write_tensor_json, T),
+    ):
+        write(tmp_path / "new.json", obj)
+        reference(tmp_path / "ref.json", obj)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()

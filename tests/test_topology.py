@@ -1,17 +1,26 @@
-"""Grid-region connectivity, k-slice reports, and the premise certificate."""
+"""Grid-region connectivity, k-slice reports, and the premise certificate;
+the cell-key kernels against verbatim copies of the sort-based kernels they
+replaced."""
 
 import json
+import math
 import re
-from itertools import permutations, product
+from functools import cached_property
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mechindep.errors import InvalidInput
 from mechindep.certificates import inputs_digest
 from mechindep.io import emit_report, read_region_json
 from mechindep.topology import (
     GridRegion,
+    SliceReport,
+    SliceSpec,
+    SliceVerdict,
+    _roots,
     is_connected,
     premise_report,
     rectangle,
@@ -294,3 +303,167 @@ def test_huge_grid_runs_on_occupied_cells_only():
     assert_matches_oracle(r)
     cert = premise_report(r)
     assert not cert.holds and cert.witness["slicesAllConnected"]
+
+
+# The sort-based grid kernels the int64 cell key replaced, verbatim but for
+# their names, most docstrings and comments, and _axis_edges as a function
+# of a region: the reference for the key's dedupe and order, its
+# searchsorted neighbours, its one-unique slice grouping and its
+# warm-started components.
+def reference_inside_sorted(arr: np.ndarray, dims, base: int) -> np.ndarray:
+    """The cells of arr, with coordinates counted from base, 0-based in
+    lexicographic order and each once; a cell outside the grid is InvalidInput."""
+    last = np.array(dims, dtype=np.int64) + (base - 1)
+    outside = ((arr < base) | (arr > last)).any(axis=1)
+    if outside.any():
+        raise InvalidInput(f"cell {arr[outside.argmax()].tolist()} outside grid {list(dims)}")
+    arr = arr[np.lexsort(arr.T[::-1])] - base
+    keep = np.ones(len(arr), dtype=bool)
+    keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    return arr[keep]
+
+
+def reference_axis_edges(self) -> list:
+    coords = self.coords
+    edges = []
+    for axis in range(self.K):
+        others = [coords[:, b] for b in reversed(range(self.K)) if b != axis]
+        order = np.lexsort([coords[:, axis]] + others).astype(np.int32)
+        s = coords[order]
+        same = np.delete(s[1:] == s[:-1], axis, axis=1).all(axis=1)
+        step = same & (s[1:, axis] - s[:-1, axis] == 1)
+        edges.append((order[:-1][step], order[1:][step]))
+    return edges
+
+
+def reference_roots(n: int, edges) -> np.ndarray:
+    lo = np.concatenate([e[0] for e in edges])
+    hi = np.concatenate([e[1] for e in edges])
+    parent = np.arange(n, dtype=np.int32)
+    while True:
+        a, b = parent[lo], parent[hi]
+        cross = a != b
+        if not cross.any():
+            return parent
+        lo, hi, a, b = lo[cross], hi[cross], a[cross], b[cross]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
+def reference_slices_connected(region, k: int) -> SliceReport:
+    if not len(region.coords):
+        raise InvalidInput("empty region")
+    K = region.K
+    if not 1 <= k < K:
+        raise InvalidInput(f"slice order {k} outside 1..{K - 1}")
+    coords = region.coords
+    verdicts = []
+    for free in combinations(range(K), k):
+        fixed_axes = [a for a in range(K) if a not in free]
+        parent = reference_roots(len(coords), [region._axis_edges[a] for a in free])
+        roots = parent == np.arange(len(coords))
+        order = np.lexsort(coords[:, fixed_axes[::-1]].T)
+        keys = coords[order][:, fixed_axes]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        group = np.cumsum(first) - 1
+        comps = np.bincount(group[roots[order]], minlength=group[-1] + 1)
+        sizes = np.diff(np.append(np.flatnonzero(first), len(keys)))
+        for key, c, size in zip(keys[first].tolist(), comps.tolist(), sizes.tolist()):
+            verdicts.append(
+                SliceVerdict(
+                    spec=SliceSpec(fixed=tuple(zip(fixed_axes, key)), free_axes=free),
+                    connected=c == 1,
+                    cell_count=size,
+                )
+            )
+    all_ok = all(v.connected for v in verdicts)
+    return SliceReport(k=k, all_connected=all_ok, verdicts=tuple(verdicts))
+
+
+class ReferenceRegion:
+    """A region as the sort-based kernels held it: coords and the edges."""
+
+    def __init__(self, dims, arr, base):
+        self.dims = tuple(dims)
+        self.coords = reference_inside_sorted(arr, dims, base)
+
+    K = property(lambda self: len(self.dims))
+    _axis_edges = cached_property(reference_axis_edges)
+
+
+@st.composite
+def _cell_lists(draw):
+    """(dims, cells, base): K = 1..6 axes, cells listed in random order with
+    repeats, counted from base 0 or 1.  A third of the grids have a volume
+    beyond int64 (K >= 2, axes up to 2^62) with their cells in a window of a
+    few cells per axis at a random offset, so that they have neighbours."""
+    K = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if K >= 2 and draw(st.integers(0, 2)) == 0:
+        dims = [int(d) for d in rng.choice([3, 2**31, 2**40, 2**62], size=K)]
+        dims[0] = 2**62 if math.prod(dims) <= 2**63 - 1 else dims[0]
+        assert math.prod(dims) > 2**63 - 1
+    else:
+        dims = [int(d) for d in rng.integers(1, 6, size=K)]
+    window = np.minimum(dims, rng.integers(1, 5, size=K))
+    offset = [int(rng.integers(0, d - w + 1)) for d, w in zip(dims, window.tolist())]
+    count = draw(st.integers(1, 3 * int(np.prod(window))))
+    cells = rng.integers(0, window, size=(count, K)) + np.array(offset, dtype=np.int64)
+    base = draw(st.integers(0, 1))
+    return dims, (cells + base).tolist(), base
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_cell_lists())
+@example(([2**40, 2**40, 3], [[1, 1, 1], [1, 1, 2], [2**40, 2**40, 3]], 1))
+@example(([1], [[0]], 0))
+@example(([3, 1, 2, 1, 2, 3], [[2, 0, 1, 0, 1, 2], [0, 0, 0, 0, 0, 0], [2, 0, 1, 0, 1, 2]], 0))
+def test_cell_key_kernels_equal_the_sort_kernels(case):
+    """The key's cells, edge sets, connectivity, every slice verdict of every
+    order (asked in the order a topology request asks them, then again from
+    a fresh region, order K-1 first) and premise digest equal the sort-based
+    kernels'; the key is each cell's row-major index, None beyond int64."""
+    dims, cells, base = case
+    arr = np.array(cells, dtype=np.int64)
+    ref = ReferenceRegion(dims, arr, base)
+    build = GridRegion.from_occupied if base else GridRegion
+    r = build(dims, cells)
+    assert r.coords.tolist() == ref.coords.tolist()
+    if math.prod(dims) > 2**63 - 1:
+        assert r.key is None
+    else:
+        assert r.key.dtype == np.int64 and (np.diff(r.key) > 0).all()
+        assert r.key.tolist() == [int(np.ravel_multi_index(c, dims)) for c in r.coords]
+    n = len(ref.coords)
+    for got, want in zip(r._axis_edges, ref._axis_edges):
+        assert got[0].dtype == got[1].dtype == np.int32
+        assert sorted(zip(*(e.tolist() for e in got))) == sorted(zip(*(e.tolist() for e in want)))
+    assert np.array_equal(_roots(n, r._axis_edges), reference_roots(n, ref._axis_edges))
+    connected = not reference_roots(n, ref._axis_edges).any()
+    cert = premise_report(r)
+    assert is_connected(r) == cert.witness["isConnected"] == connected
+    assert cert.inputs_digest == inputs_digest(list(dims), ref.coords.tolist())
+    orders = range(1, len(dims))
+    for fresh in (False, True):
+        region = build(dims, cells) if fresh else r
+        for k in sorted(orders, reverse=fresh):
+            want = reference_slices_connected(ref, k)
+            assert slices_connected(region, k) == want
+            if k == len(dims) - 1:
+                assert cert.witness["slicesAllConnected"] == want.all_connected
+                assert cert.witness["sliceCount"] == len(want.verdicts)
+    if len(dims) == 1:
+        assert cert.witness["slicesAllConnected"] is None
+
+
+def test_warm_start_leaves_its_labels_unchanged():
+    """_roots joins a start's components without writing to the start."""
+    start = np.array([0, 0, 2, 3], dtype=np.int32)
+    edges = [(np.array([1], dtype=np.int32), np.array([2], dtype=np.int32))]
+    assert _roots(4, edges, start).tolist() == [0, 0, 0, 3]
+    assert start.tolist() == [0, 0, 2, 3]
