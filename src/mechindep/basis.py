@@ -17,6 +17,7 @@ the mixing strata (_flats).  The searches hold vectors as stacked arrays
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -35,9 +36,21 @@ MAX_COLS = 8
 # whatever C(m, k) is.  The row partition in graphs caps its stacks with it.
 CHUNK = 128
 
-# The block searches of the request that request_gap is serving, which its
-# gaps share (_block_basis); None outside one.
+# The searches of the request one_request has opened, by key (_once); None
+# outside one.
 _searches: ContextVar[dict | None] = ContextVar("searches", default=None)
+
+
+@contextmanager
+def one_request():
+    """Open a request: within it, the gaps of one matrix, blocks and
+    tolerance are searched once (sparsity_gap), and so is each block's basis
+    (_block_basis), whichever checker asks.  The memo is dropped on exit."""
+    token = _searches.set({})
+    try:
+        yield
+    finally:
+        _searches.reset(token)
 
 
 @dataclass(frozen=True)
@@ -549,9 +562,10 @@ def sparsest_basis(
     )
 
 
-def _once(store: dict | None, key, search):
-    """search(), run once per key in store, a dict one request owns (None
-    runs it afresh)."""
+def _once(key, search):
+    """search(), run once per key within a request (one_request), afresh
+    outside one."""
+    store = _searches.get()
     if store is None:
         return search()
     if key not in store:
@@ -561,56 +575,45 @@ def _once(store: dict | None, key, search):
 
 def _block_basis(M: np.ndarray, tol: Tolerance) -> _Vectors:
     """The greedy basis over the ground set of one block's columns M,
-    searched once per request (_searches), keyed by M's shape and bytes and
-    the resolved tolerance: the gaps of one request that hold a block share
-    its search."""
+    searched once per request (_once), keyed by M's shape and bytes and the
+    resolved tolerance: the gaps of one request that hold a block share its
+    search."""
 
     def search():
         ground = _flats(M, tol)[0]
         return ground.take(_independent(ground.values, M.shape[1], tol))
 
-    return _once(_searches.get(), (M.shape, M.tobytes(), tol), search)
+    return _once((M.shape, M.tobytes(), tol), search)
 
 
 def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResult:
     """rho+ (cheapest block-respecting basis) vs rho- (cheapest basis forced to
     mix); the factors are Type S independent iff rho+ < rho-.  M and each
-    block are checked for full column rank once, for both searches."""
+    block are checked for full column rank once, for both searches.  Within
+    a request (one_request) each gap is searched once, keyed by M's shape
+    and bytes, the block sizes and the resolved tolerance."""
     tol = tol or Tolerance.default()
     blocks = BlockSpec.coerce(blocks)
     if blocks.K < 2:
         raise InvalidInput("the sparsity gap needs at least two blocks")
-    checked = _search_input(M, blocks, tol)
-    respecting = sparsest_basis(checked, blocks, "blockRespecting", tol)
-    mixing = sparsest_basis(checked, blocks, "forceMixing", tol)
-    return GapResult(
-        rho_plus=respecting.cost,
-        rho_minus=mixing.cost,
-        independent=respecting.cost < mixing.cost,
-        respecting=respecting,
-        mixing=mixing,
-    )
-
-
-def request_gap(M: np.ndarray, blocks: BlockSpec, tol: Tolerance, gaps: dict | None) -> GapResult:
-    """sparsity_gap of a validated float matrix, searched once per request:
-    gaps is a dict one request owns (None searches afresh), keyed by the
-    matrix's shape and bytes, the block sizes and the resolved tolerance.
-    The gaps' block searches are kept in it too (_block_basis)."""
+    M = as_matrix(M)
 
     def search():
-        token = _searches.set(gaps)
-        try:
-            return sparsity_gap(M, blocks, tol)
-        finally:
-            _searches.reset(token)
+        checked = _search_input(M, blocks, tol)
+        respecting = sparsest_basis(checked, blocks, "blockRespecting", tol)
+        mixing = sparsest_basis(checked, blocks, "forceMixing", tol)
+        return GapResult(
+            rho_plus=respecting.cost,
+            rho_minus=mixing.cost,
+            independent=respecting.cost < mixing.cost,
+            respecting=respecting,
+            mixing=mixing,
+        )
 
-    return _once(gaps, (M.shape, M.tobytes(), blocks.sizes, tol), search)
+    return _once((M.shape, M.tobytes(), blocks.sizes, tol), search)
 
 
-def pairwise_sparsity_gap(
-    M, blocks: BlockSpec, tol: Tolerance | None = None, gaps: dict | None = None
-) -> list[list[bool]]:
+def pairwise_sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> list[list[bool]]:
     """K x K table: entry (i, j) is the Type S verdict for the two-block
     submatrix of blocks i and j; the diagonal is vacuously True."""
     tol = tol or Tolerance.default()
@@ -623,5 +626,5 @@ def pairwise_sparsity_gap(
     for i, j in combinations(range(K), 2):
         pair = BlockSpec((blocks.sizes[i], blocks.sizes[j]))
         sub = M[:, ranges[i] + ranges[j]]
-        table[i][j] = table[j][i] = request_gap(sub, pair, tol, gaps).independent
+        table[i][j] = table[j][i] = sparsity_gap(sub, pair, tol).independent
     return table

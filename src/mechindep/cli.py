@@ -10,7 +10,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .basis import BlockSpec
+from .basis import BlockSpec, one_request
 from .core import DEFAULT_ABS, Tolerance
 from .errors import InternalError, InvalidInput, MechIndepError
 from .graphs import (
@@ -35,20 +35,19 @@ from .topology import premise_report, slices_connected
 from . import criteria as cr
 
 # criterion code -> (checker, the tensor option it needs).  Each checker takes
-# the Jacobian, the blocks, the tolerance, the tensors read from --hessian and
-# --third and the request's gaps (basis.request_gap), and looks its function
-# up in the criteria module when called, so a function replaced there (as a
-# profiler does) is the one that runs.
+# the Jacobian, the blocks, the tolerance and the tensors read from --hessian
+# and --third, and looks its function up in the criteria module when called,
+# so a function replaced there (as a profiler does) is the one that runs.
 CRITERIA = {
-    "d": (lambda M, b, tol, t, g: cr.check_type_d(M, b, tol), None),
-    "m": (lambda M, b, tol, t, g: cr.check_type_m(M, b, tol), None),
-    "s": (lambda M, b, tol, t, g: cr.check_type_s(M, b, tol, g), None),
-    "o": (lambda M, b, tol, t, g: cr.check_type_o(M, b, tol), None),
-    "s-pairwise": (lambda M, b, tol, t, g: cr.check_type_s_pairwise(M, b, tol, g), None),
-    "h2": (lambda M, b, tol, t, g: cr.check_type_h(t["hessian"], b, 2, tol), "hessian"),
-    "h3": (lambda M, b, tol, t, g: cr.check_type_h(t["third"], b, 3, tol), "third"),
-    "contrast": (lambda M, b, tol, t, g: cr.contrast_certificate(M, b, tol), None),
-    "hierarchy": (lambda M, b, tol, t, g: cr.hierarchy_audit(M, b, t["hessian"], tol, g), None),
+    "d": (lambda M, b, tol, t: cr.check_type_d(M, b, tol), None),
+    "m": (lambda M, b, tol, t: cr.check_type_m(M, b, tol), None),
+    "s": (lambda M, b, tol, t: cr.check_type_s(M, b, tol), None),
+    "o": (lambda M, b, tol, t: cr.check_type_o(M, b, tol), None),
+    "s-pairwise": (lambda M, b, tol, t: cr.check_type_s_pairwise(M, b, tol), None),
+    "h2": (lambda M, b, tol, t: cr.check_type_h(t["hessian"], b, 2, tol), "hessian"),
+    "h3": (lambda M, b, tol, t: cr.check_type_h(t["third"], b, 3, tol), "third"),
+    "contrast": (lambda M, b, tol, t: cr.contrast_certificate(M, b, tol), None),
+    "hierarchy": (lambda M, b, tol, t: cr.hierarchy_audit(M, b, t["hessian"], tol), None),
 }
 
 
@@ -58,7 +57,7 @@ def _blockspec(args: argparse.Namespace) -> BlockSpec:
     return BlockSpec(args.blocks)
 
 
-def _analyze_one(path: str, args: argparse.Namespace, gaps: dict) -> list:
+def _analyze_one(path: str, args: argparse.Namespace) -> list:
     M = read_matrix_csv(path)
     blocks = _blockspec(args)
     tensors = {
@@ -72,7 +71,7 @@ def _analyze_one(path: str, args: argparse.Namespace, gaps: dict) -> list:
         check, needs = CRITERIA[code]
         if needs and tensors[needs] is None:
             raise InvalidInput(f"criterion {code} needs --{needs}")
-        certs.append(check(M, blocks, args.tol, tensors, gaps))
+        certs.append(check(M, blocks, args.tol, tensors))
     return certs
 
 
@@ -89,9 +88,8 @@ def _run_analyze(args: argparse.Namespace):
         "criteria": ",".join(args.criteria),
     }
     header.update(_tol_header(args.tol))
-    gaps: dict = {}
     if not args.batch:
-        certs = _analyze_one(args.input_path, args, gaps)
+        certs = _analyze_one(args.input_path, args)
         body = emit_report(certs, args.fmt, header)
         return (0 if all(c.holds for c in certs) else 1), body
     directory = Path(args.input_path)
@@ -100,7 +98,7 @@ def _run_analyze(args: argparse.Namespace):
     files = sorted(p for p in directory.iterdir() if p.suffix == ".csv")
     if not files:
         raise InvalidInput(f"no .csv files in {directory}")
-    sections = [(str(p.name), _analyze_one(str(p), args, gaps)) for p in files]
+    sections = [(str(p.name), _analyze_one(str(p), args)) for p in files]
     all_hold = all(c.holds for _, certs in sections for c in certs)
     payload = {
         "files": [
@@ -139,10 +137,9 @@ def _run_decompose(args: argparse.Namespace):
 def _run_gap(args: argparse.Namespace):
     M = read_matrix_csv(args.input_path)
     blocks = _blockspec(args)
-    gaps: dict = {}
-    certs = [cr.check_type_s(M, blocks, args.tol, gaps)]
+    certs = [cr.check_type_s(M, blocks, args.tol)]
     if args.pairwise:
-        certs.append(cr.check_type_s_pairwise(M, blocks, args.tol, gaps))
+        certs.append(cr.check_type_s_pairwise(M, blocks, args.tol))
     header = {
         "command": "gap",
         "input": args.input_path,
@@ -165,13 +162,11 @@ def _run_gap(args: argparse.Namespace):
 
 def _run_topology(args: argparse.Namespace):
     region = read_region_json(args.input_path)
-    # --slices K-1 shares the premises' slice report; another order follows it
-    rep = slices_connected(region, args.slices) if args.slices == region.K - 1 else None
-    cert = premise_report(region, rep)
+    cert = premise_report(region)
     header = {"command": "topology", "input": args.input_path}
     payload = {"certificates": [cert.to_dict()]}
     if args.slices is not None:
-        rep = rep or slices_connected(region, args.slices)
+        rep = slices_connected(region, args.slices)
         payload["slices"] = {
             "k": rep.k,
             "allConnected": rep.all_connected,
@@ -246,10 +241,12 @@ def _run_audit(args: argparse.Namespace):
 
 
 def run(args: argparse.Namespace):
-    """Run one parsed command line; returns (exit code, report bytes)."""
+    """Run one parsed command line as one request (basis.one_request);
+    returns (exit code, report bytes)."""
     if args.fmt == "dot" and args.command != "decompose":
         raise InvalidInput("dot output is only available for decompose")
-    return args.handler(args)
+    with one_request():
+        return args.handler(args)
 
 
 def _parse_blocks(text: str) -> tuple:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import BlockSpec, pairwise_sparsity_gap, request_gap, sparsity_gap
+from .basis import BlockSpec, pairwise_sparsity_gap, sparsity_gap
 from .certificates import Certificate, inputs_digest
 from .core import SupportMask, Tolerance, as_matrix, as_tensor, column_supports, l0_norm, rank
 from .errors import (
@@ -136,22 +136,13 @@ def check_type_d(J, blocks, tol: Tolerance | None = None) -> Certificate:
 def _row_route_type_m(M: np.ndarray, blocks: BlockSpec, tol: Tolerance) -> bool:
     """Dual Type M route via row supports: for column k, the columns whose
     supports contain supp(col k) are exactly the rows' support intersection
-    over supp(col k); Type M holds iff that set never leaves k's own block."""
-    thr = tol.matrix_threshold(M)
-    m, n = M.shape
-    row_sets = [set(np.flatnonzero(np.abs(M[r, :]) > thr)) for r in range(m)]
-    ranges = blocks.ranges()
-    for k in range(n):
-        rows_k = np.flatnonzero(np.abs(M[:, k]) > thr)
-        if rows_k.size == 0:
-            raise DegenerateColumn(f"column {k + 1} has empty support")
-        owners = set(range(n))
-        for r in rows_k:
-            owners &= row_sets[r]
-        own_block = set(ranges[blocks.block_of(k)])
-        if not owners <= own_block:
-            return False
-    return True
+    over supp(col k); Type M holds iff that set never leaves k's own block.
+    One reduce over the rows: column c owns k iff every row in supp(k) is in
+    supp(c).  check_type_m has refused zero columns before it runs."""
+    S = np.abs(M) > tol.matrix_threshold(M)
+    owns = (S[:, :, None] | ~S[:, None, :]).all(axis=0)  # owns[c, k]
+    block = np.repeat(np.arange(blocks.K), blocks.sizes)
+    return not (owns & (block[:, None] != block)).any()
 
 
 def check_type_m(J, blocks, tol: Tolerance | None = None) -> Certificate:
@@ -217,13 +208,10 @@ def _basis_payload(result) -> dict:
     }
 
 
-def check_type_s(
-    J, blocks, tol: Tolerance | None = None, gaps: dict | None = None
-) -> Certificate:
-    """Type S: the sparsity gap rho+ < rho- (block mixing strictly costs);
-    gaps as in basis.request_gap."""
+def check_type_s(J, blocks, tol: Tolerance | None = None) -> Certificate:
+    """Type S: the sparsity gap rho+ < rho- (block mixing strictly costs)."""
     M, blocks, tol = _prepare(J, blocks, tol)
-    gap = request_gap(M, blocks, tol, gaps)
+    gap = sparsity_gap(M, blocks, tol)
     return Certificate(
         criterion="S",
         holds=gap.independent,
@@ -238,12 +226,10 @@ def check_type_s(
     )
 
 
-def check_type_s_pairwise(
-    J, blocks, tol: Tolerance | None = None, gaps: dict | None = None
-) -> Certificate:
+def check_type_s_pairwise(J, blocks, tol: Tolerance | None = None) -> Certificate:
     """Type S restricted to every pair of blocks; the table diagonal is vacuous."""
     M, blocks, tol = _prepare(J, blocks, tol)
-    table = pairwise_sparsity_gap(M, blocks, tol, gaps)
+    table = pairwise_sparsity_gap(M, blocks, tol)
     holds = all(table[i][j] for i in range(blocks.K) for j in range(blocks.K))
     return Certificate(
         criterion="S-pairwise",
@@ -699,9 +685,7 @@ def contrast_certificate(J, blocks, tol: Tolerance | None = None) -> Certificate
     )
 
 
-def hierarchy_audit(
-    J, blocks, hessian=None, tol: Tolerance | None = None, gaps: dict | None = None
-) -> Certificate:
+def hierarchy_audit(J, blocks, hessian=None, tol: Tolerance | None = None) -> Certificate:
     """Check the implication arrows among the criteria on one instance:
     D=>M, D=>S, D=>H2 (when a Hessian is supplied), and S=>M evaluated in the
     sparsest block-respecting basis.  Violations are reported in the witness,
@@ -722,7 +706,7 @@ def hierarchy_audit(
     gap = None
     if blocks.K >= 2:
         try:
-            gap = request_gap(M, blocks, tol, gaps)
+            gap = sparsity_gap(M, blocks, tol)
             verdicts["S"] = gap.independent
         except (SizeError, RankError) as exc:
             verdicts["S"] = None

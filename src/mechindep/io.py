@@ -103,19 +103,19 @@ def read_tensor_json(path) -> np.ndarray:
     return T
 
 
-# json.dump's separators on the C encoder, and the list items it encodes at once
-_PLAIN = json.JSONEncoder()
+# the list items _write_listing encodes at once
 _PART = 1024
 
 
 def _write_listing(path, dims: list, key: str, parts) -> None:
     """{"dims": dims, key: the items of the nonempty lists parts, in order}
     and a newline, byte for byte as json.dump writes it, encoding one part at
-    a time on the C encoder: a list's items are joined by ", " either way."""
+    a time on the C encoder with json.dump's separators (_LINE): a list's
+    items are joined by ", " either way."""
     with open(path, "w") as fh:
-        fh.write(f'{{"dims": {_PLAIN.encode(dims)}, "{key}": [')
+        fh.write(f'{{"dims": {_LINE.encode(dims)}, "{key}": [')
         for i, part in enumerate(parts):
-            fh.write((", " if i else "") + _PLAIN.encode(part)[1:-1])
+            fh.write((", " if i else "") + _LINE.encode(part)[1:-1])
         fh.write("]}\n")
 
 
@@ -151,7 +151,8 @@ def _default(obj):
 
 
 # indent None keeps json on its C encoder; the report separators are
-# indent=2's (",", ": "), the text witness line has the default ", "
+# indent=2's (",", ": "), the text witness line and the listing files have
+# json.dump's (", ", ": ")
 _COMPACT = json.JSONEncoder(separators=(",", ": "), default=_default)
 _LINE = json.JSONEncoder(default=_default)
 

@@ -167,6 +167,12 @@ class GridRegion:
             self._labels[axes] = _roots(len(self.coords), [self._axis_edges[axes[-1]]], start)
         return self._labels[axes]
 
+    @cached_property
+    def _reports(self) -> dict:
+        """slices_connected's report of each order asked so far, keyed by the
+        order."""
+        return {}
+
     @classmethod
     def from_occupied(cls, dims, occupied) -> "GridRegion":
         """Build from 1-based coordinate lists (the file format)."""
@@ -281,12 +287,15 @@ def slices_connected(region: GridRegion, k: int) -> SliceReport:
     A k-slice picks k axes to stay free and one coordinate for each of the
     other axes; its cells inherit orthogonal adjacency in the free axes.
     Slices come in order of their free axes, then of their fixed coordinates.
+    Each order's report is computed once per region.
     """
     if not len(region.coords):
         raise InvalidInput("empty region")
     K = region.K
     if not 1 <= k < K:
         raise InvalidInput(f"slice order {k} outside 1..{K - 1}")
+    if k in region._reports:
+        return region._reports[k]
     coords = region.coords
     cells = np.arange(len(coords))
     verdicts = []
@@ -307,24 +316,22 @@ def slices_connected(region: GridRegion, k: int) -> SliceReport:
                 )
             )
     all_ok = all(v.connected for v in verdicts)
-    return SliceReport(k=k, all_connected=all_ok, verdicts=tuple(verdicts))
+    region._reports[k] = SliceReport(k=k, all_connected=all_ok, verdicts=tuple(verdicts))
+    return region._reports[k]
 
 
-def premise_report(region: GridRegion, slices: SliceReport | None = None) -> Certificate:
+def premise_report(region: GridRegion) -> Certificate:
     """Bundle the two grid-checkable premises of the local-to-global
     disentanglement result: the region is connected and every (K-1)-slice is
-    connected.  The injectivity premise cannot be read off a grid.  slices is
-    the region's (K-1)-slice report when the caller has already computed it."""
+    connected.  The injectivity premise cannot be read off a grid."""
     if not len(region.coords):
         raise InvalidInput("empty region")
-    if slices is not None and slices.k != region.K - 1:
-        raise InvalidInput(f"premises need the {region.K - 1}-slices, got order {slices.k}")
     digest = inputs_digest(list(region.dims), _IntRows(region.coords))
     connected = is_connected(region)
     witness: dict = {"isConnected": connected, "dims": list(region.dims)}
     notes = [LOCAL_INJECTIVITY_NOTE, DISCRETIZATION_NOTE]
     if region.K >= 2:
-        rep = slices if slices is not None else slices_connected(region, region.K - 1)
+        rep = slices_connected(region, region.K - 1)
         witness["sliceOrder"] = rep.k
         witness["slicesAllConnected"] = rep.all_connected
         witness["sliceCount"] = len(rep.verdicts)

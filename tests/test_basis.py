@@ -364,6 +364,30 @@ def test_gap_checks_the_matrix_once_and_each_block_once(monkeypatch):
     assert seen == [1, 1, 1, 1]
 
 
+def test_gaps_are_shared_within_a_request_only(monkeypatch):
+    """Outside a request every sparsity_gap call searches; within one the
+    same gap is searched once and each call gets its result."""
+    searches = []
+    flats = basis._flats
+
+    def counted(M, tol, blocks=None):
+        searches.append(blocks is not None)
+        return flats(M, tol, blocks)
+
+    monkeypatch.setattr(basis, "_flats", counted)
+    M = np.array(GOLDEN["C"]["matrix"], dtype=float)
+    outside = [sparsity_gap(M, (1, 1, 1)), sparsity_gap(M, (1, 1, 1))]
+    assert searches.count(True) == 2
+    with basis.one_request():
+        inside = [sparsity_gap(M, (1, 1, 1)), sparsity_gap(M.tolist(), BlockSpec((1, 1, 1)))]
+    assert inside[0] is inside[1]
+    assert searches.count(True) == 3
+    assert basis._searches.get() is None
+    assert {(g.rho_plus, g.rho_minus) for g in outside + inside} == {
+        (outside[0].rho_plus, outside[0].rho_minus)
+    }
+
+
 def test_mixing_flags_do_not_change_when_the_matrix_is_scaled():
     """Mixing is judged by the printed-support rule, which is scale-free: at
     M times 2^45 the coefficients fall below the absolute tolerance, and the

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mechindep import basis, cli, topology
+from mechindep import basis, topology
 from mechindep.basis import BlockSpec
 from mechindep.cli import _build_parser, main, run
 from mechindep.criteria import check_type_d, check_type_m, check_type_s
@@ -199,6 +199,21 @@ def test_gap_pairwise_table(workdir, capsys):
     assert "pairwise 1: T T T" in out
 
 
+def _count_gap_searches(monkeypatch) -> list:
+    """A list that grows by one per gap searched: each gap search makes one
+    forced-mixing pass over the flats, the only _flats call given blocks."""
+    searches = []
+    flats = basis._flats
+
+    def counted(M, tol, blocks=None):
+        if blocks is not None:
+            searches.append(M.shape)
+        return flats(M, tol, blocks)
+
+    monkeypatch.setattr(basis, "_flats", counted)
+    return searches
+
+
 @pytest.mark.parametrize("argv, calls", [
     ("analyze --criteria d,m,s,hierarchy --blocks 2,2 D.csv", 1),
     ("gap --pairwise --blocks 2,2 D.csv", 1),
@@ -207,21 +222,14 @@ def test_gap_pairwise_table(workdir, capsys):
 def test_one_gap_per_instance_per_request(workdir, monkeypatch, capsys, argv, calls):
     """Checkers of one request that ask for the same gap share one search;
     a second identical request searches again."""
-    count = []
-    search = basis.sparsity_gap
-
-    def counted(*args, **kwargs):
-        count.append(1)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(basis, "sparsity_gap", counted)
+    searches = _count_gap_searches(monkeypatch)
     monkeypatch.chdir(workdir)
     first = main(argv.split())
     out = capsys.readouterr().out
-    assert len(count) == calls
+    assert len(searches) == calls
     assert main(argv.split()) == first
     assert capsys.readouterr().out == out
-    assert len(count) == 2 * calls
+    assert len(searches) == 2 * calls
 
 
 def test_gaps_of_one_request_share_each_block_search(tmp_path, monkeypatch, capsys):
@@ -243,7 +251,7 @@ def test_gaps_of_one_request_share_each_block_search(tmp_path, monkeypatch, caps
     code = main(argv)
     out = capsys.readouterr().out
     assert len(calls) == len(set(calls)) == 7
-    monkeypatch.setattr(basis, "_once", lambda store, key, search: search())
+    monkeypatch.setattr(basis, "_once", lambda key, search: search())
     assert main(argv) == code
     assert capsys.readouterr().out == out
     assert len(calls) == 7 + 13
@@ -256,28 +264,36 @@ def test_one_slice_report_per_order_per_request(tmp_path, monkeypatch, capsys, s
     region = hollow_cube_mask()
     path = tmp_path / "cube.json"
     write_region_json(path, region)
-    seen = []
-    compute = topology.slices_connected
+    made = []
+    report = topology.SliceReport
 
-    def counted(region, k):
-        seen.append(k)
-        return compute(region, k)
+    def counted(**fields):
+        made.append(fields["k"])
+        return report(**fields)
 
-    monkeypatch.setattr(topology, "slices_connected", counted)
-    monkeypatch.setattr(cli, "slices_connected", counted)
+    monkeypatch.setattr(topology, "SliceReport", counted)
     assert main(["topology", "--slices", slices, "--format", "json", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert seen == orders
+    assert made == orders
+    monkeypatch.undo()
     assert doc["certificates"] == [premise_report(region).to_dict()]
-    rep = compute(region, int(slices))
+    rep = topology.slices_connected(region, int(slices))
     assert doc["slices"]["allConnected"] is rep.all_connected is (slices == "2")
     assert [s["cells"] for s in doc["slices"]["slices"]] == [v.cell_count for v in rep.verdicts]
 
 
-def test_premises_refuse_a_slice_report_of_another_order():
-    region = hollow_cube_mask()
-    with pytest.raises(InvalidInput, match="premises need the 2-slices, got order 1"):
-        premise_report(region, topology.slices_connected(region, 1))
+def test_a_failed_request_closes_its_scope(workdir, monkeypatch, capsys):
+    """A request that exits 2 after a gap search still drops its memo: the
+    searches after it, outside a request, run afresh."""
+    searches = _count_gap_searches(monkeypatch)
+    monkeypatch.chdir(workdir)
+    assert basis._searches.get() is None
+    assert main(["analyze", "--criteria", "s,x", "--blocks", "2,2", "D.csv"]) == 2
+    assert "unknown criterion 'x'" in capsys.readouterr().err
+    assert basis._searches.get() is None
+    M = read_matrix_csv(workdir / "D.csv")
+    assert check_type_s(M, (2, 2)).holds is check_type_s(M, (2, 2)).holds
+    assert len(searches) == 3
 
 
 def test_parser_built_once_per_process(workdir, monkeypatch, capsys):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mechindep import topology
 from mechindep.errors import InvalidInput
 from mechindep.certificates import inputs_digest
 from mechindep.io import emit_report, read_region_json
@@ -176,6 +177,27 @@ def test_two_rectangles_sharing_x_columns():
     rep = slices_connected(r, 1)
     x_slices = [v for v in rep.verdicts if v.spec.free_axes == (0,)]
     assert x_slices and all(v.connected for v in x_slices)
+
+
+def test_each_order_is_computed_once_per_region(monkeypatch):
+    """slices_connected keeps each order's report on its region: asked twice,
+    it is computed once; an equal region computes its own."""
+    made = []
+    report = SliceReport
+
+    def counted(**fields):
+        made.append(fields["k"])
+        return report(**fields)
+
+    monkeypatch.setattr(topology, "SliceReport", counted)
+    r = hollow_cube_mask()
+    first = slices_connected(r, 2)
+    assert slices_connected(r, 2) is first
+    assert made == [2]
+    assert premise_report(r).witness["sliceCount"] == len(first.verdicts)
+    assert made == [2]
+    assert slices_connected(hollow_cube_mask(), 2) == first
+    assert made == [2, 2]
 
 
 def test_slice_range_guard():
