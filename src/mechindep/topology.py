@@ -14,6 +14,7 @@ from itertools import chain, combinations, product
 import numpy as np
 
 from .certificates import Certificate, _IntRows, inputs_digest
+from .core import as_int
 from .errors import InvalidInput
 
 LOCAL_INJECTIVITY_NOTE = (
@@ -70,41 +71,52 @@ def _cell_array(rows: list, K: int) -> np.ndarray:
     return arr
 
 
-def _inside_sorted(arr: np.ndarray, dims, base: int) -> tuple:
-    """The cells of arr, with coordinates counted from base, 0-based in
-    lexicographic order and each once, and their keys (GridRegion.key); a
-    cell outside the grid is InvalidInput.
-
-    Lexicographic order is the order of the row-major keys, so a strictly
-    increasing key needs no sort.  A grid whose volume exceeds int64 has no
-    keys and sorts its rows."""
-    last = np.array(dims, dtype=np.int64) + (base - 1)
-    outside = ((arr < base) | (arr > last)).any(axis=1)
-    if outside.any():
-        raise InvalidInput(f"cell {arr[outside.argmax()].tolist()} outside grid {list(dims)}")
-    arr = arr - base
-    if math.prod(dims) > _INT64_MAX:
-        arr = arr[np.lexsort(arr.T[::-1])]
-        keep = np.ones(len(arr), dtype=bool)
-        keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-        return arr[keep], None
-    key = np.ravel_multi_index(arr.T, dims)
-    if not (key[1:] > key[:-1]).all():
-        key, first = np.unique(key, return_index=True)
-        arr = arr[first]
-    return arr, key
-
-
 class GridRegion:
     """Occupied cells of a K-axis grid, held as coords: an (N, K) int64 array
     of 0-based coordinates in the order of sorted(cells), each cell once; and
-    as key: each cell's row-major index in the grid, an (N,) strictly
-    increasing int64 array, or None when the grid's volume exceeds int64."""
+    as key: each cell's row-major index in the grid, coords @ the axis
+    strides, an (N,) strictly increasing array.  The strides and keys are
+    int64 when the grid's volume fits int64 and Python integers in object
+    arrays when it does not, so that no key wraps."""
 
     def __init__(self, dims, cells):
+        self._build(dims, cells, 0, "cells")
+
+    @classmethod
+    def from_occupied(cls, dims, occupied) -> "GridRegion":
+        """Build from 1-based coordinate lists (the file format)."""
+        region = cls.__new__(cls)
+        region._build(dims, occupied, 1, "occupied")
+        return region
+
+    def _build(self, dims, cells, base: int, name: str) -> None:
+        """Check the cells, given with coordinates counted from base, and
+        keep them 0-based in key order, each once; a cell outside the grid is
+        InvalidInput.  Lexicographic order is key order, so a strictly
+        increasing key needs no sort."""
         _check_dims(dims)
+        try:
+            rows = list(cells)
+        except TypeError:
+            raise InvalidInput(f"{name} must be a list of cells, got {cells!r}")
+        arr = _cell_array(rows, len(dims))
+        last = np.array(dims, dtype=np.int64) + (base - 1)
+        outside = ((arr < base) | (arr > last)).any(axis=1)
+        if outside.any():
+            raise InvalidInput(f"cell {arr[outside.argmax()].tolist()} outside grid {list(dims)}")
         self.dims = tuple(dims)
-        self.coords, self.key = _inside_sorted(_cell_array(list(cells), len(dims)), dims, 0)
+        wide = math.prod(dims) > _INT64_MAX
+        strides = [math.prod(dims[a + 1 :]) for a in range(len(dims))]
+        self._strides = np.array(strides, dtype=object if wide else np.int64)
+        arr -= base  # a fresh array, so in place
+        self.coords = arr
+        self.key = self.coords @ self._strides
+        if not (self.key[1:] > self.key[:-1]).all():
+            self.key, first = np.unique(self.key, return_index=True)
+            self.coords = self.coords[first]
+        # _roots_along's labels of each axis tuple and slices_connected's
+        # report of each order, kept as they are asked for
+        self._labels, self._reports = {}, {}
 
     def __eq__(self, other):
         same = isinstance(other, GridRegion) and self.dims == other.dims
@@ -127,36 +139,18 @@ class GridRegion:
         cells adjacent along it, lo < hi.
 
         The cell one step up axis a from a cell below the axis's last
-        coordinate has the key key + stride[a], and one searchsorted in the
-        sorted keys finds it if it is occupied.  Without keys, sorting by the
-        other coordinates and then by the axis puts each line along the axis
-        in order, so adjacent cells are consecutive rows one step apart on the
-        axis and equal on every other one.  O(N log N) in the N occupied
+        coordinate has the key key + strides[a], and one searchsorted in the
+        sorted keys finds it if it is occupied.  O(N log N) in the N occupied
         cells, whatever the grid's volume."""
-        coords, key = self.coords, self.key
+        key = self.key
         edges = []
         for axis in range(self.K):
-            if key is None:
-                others = [coords[:, b] for b in reversed(range(self.K)) if b != axis]
-                order = np.lexsort([coords[:, axis]] + others).astype(np.int32)
-                s = coords[order]
-                same = np.delete(s[1:] == s[:-1], axis, axis=1).all(axis=1)
-                step = same & (s[1:, axis] - s[:-1, axis] == 1)
-                lo, hi = order[:-1][step], order[1:][step]
-            else:
-                lo = np.flatnonzero(coords[:, axis] < self.dims[axis] - 1)
-                up = key[lo] + math.prod(self.dims[axis + 1 :])
-                hi = np.searchsorted(key, up)
-                hit = key[np.minimum(hi, len(key) - 1)] == up
-                lo, hi = lo[hit].astype(np.int32), hi[hit].astype(np.int32)
-            edges.append((lo, hi))
+            lo = np.flatnonzero(self.coords[:, axis] < self.dims[axis] - 1)
+            up = key[lo] + self._strides[axis]
+            hi = np.searchsorted(key, up)
+            hit = key[np.minimum(hi, len(key) - 1)] == up
+            edges.append((lo[hit].astype(np.int32), hi[hit].astype(np.int32)))
         return edges
-
-    @cached_property
-    def _labels(self) -> dict:
-        """_roots of the cells joined along each axis tuple asked of
-        _roots_along so far, keyed by the tuple."""
-        return {}
 
     def _roots_along(self, axes: tuple) -> np.ndarray:
         """_roots of the cells under the edges of the axes, a nonempty sorted
@@ -166,25 +160,6 @@ class GridRegion:
             start = self._roots_along(axes[:-1]) if len(axes) > 1 else None
             self._labels[axes] = _roots(len(self.coords), [self._axis_edges[axes[-1]]], start)
         return self._labels[axes]
-
-    @cached_property
-    def _reports(self) -> dict:
-        """slices_connected's report of each order asked so far, keyed by the
-        order."""
-        return {}
-
-    @classmethod
-    def from_occupied(cls, dims, occupied) -> "GridRegion":
-        """Build from 1-based coordinate lists (the file format)."""
-        _check_dims(dims)
-        try:
-            rows = list(occupied)
-        except TypeError:
-            raise InvalidInput(f"occupied must be a list of cells, got {occupied!r}")
-        region = cls.__new__(cls)
-        region.dims = tuple(dims)
-        region.coords, region.key = _inside_sorted(_cell_array(rows, len(dims)), dims, 1)
-        return region
 
     def occupied_1based(self) -> list:
         return (self.coords + 1).tolist()
@@ -259,28 +234,6 @@ def is_connected(region: GridRegion) -> bool:
     return not region._roots_along(tuple(range(region.K))).any()
 
 
-def _slice_groups(region: GridRegion, fixed_axes: list) -> tuple:
-    """The slices that fix fixed_axes, in order of their fixed coordinates:
-    a cell index of each, each cell's slice, and each slice's cell count.
-
-    With keys, one unique of the cells' row-major index in the fixed axes;
-    its order is that of the fixed coordinates.  Without, a sort by them."""
-    coords = region.coords
-    if region.key is not None:
-        fixed = np.ravel_multi_index(coords[:, fixed_axes].T, [region.dims[a] for a in fixed_axes])
-        _, first, group, sizes = np.unique(
-            fixed, return_index=True, return_inverse=True, return_counts=True
-        )
-        return first, group, sizes
-    order = np.lexsort(coords[:, fixed_axes[::-1]].T)
-    keys = coords[order][:, fixed_axes]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    return order[first], group, np.diff(np.append(np.flatnonzero(first), len(keys)))
-
-
 def slices_connected(region: GridRegion, k: int) -> SliceReport:
     """Connectivity verdict for every nonempty k-slice of the region.
 
@@ -292,6 +245,7 @@ def slices_connected(region: GridRegion, k: int) -> SliceReport:
     if not len(region.coords):
         raise InvalidInput("empty region")
     K = region.K
+    k = as_int(k, "slice order k", -math.inf)
     if not 1 <= k < K:
         raise InvalidInput(f"slice order {k} outside 1..{K - 1}")
     if k in region._reports:
@@ -304,7 +258,12 @@ def slices_connected(region: GridRegion, k: int) -> SliceReport:
         # edges along the free axes never leave a slice, so each slice's
         # component count is the number of roots among its cells
         roots = region._roots_along(free) == cells
-        first, group, sizes = _slice_groups(region, fixed_axes)
+        # the key of the cells' fixed coordinates alone orders the slices by
+        # those coordinates, as the key orders the cells
+        fixed = coords[:, fixed_axes] @ region._strides[fixed_axes]
+        _, first, group, sizes = np.unique(
+            fixed, return_index=True, return_inverse=True, return_counts=True
+        )
         comps = np.bincount(group[roots], minlength=len(first))
         keys = coords[first][:, fixed_axes]
         for key, c, size in zip(keys.tolist(), comps.tolist(), sizes.tolist()):
@@ -355,5 +314,5 @@ def premise_report(region: GridRegion) -> Certificate:
 
 def rectangle(dims) -> GridRegion:
     """Fully occupied box, the convex sanity case."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(as_int(d, "axis length", 1) for d in dims)
     return GridRegion(dims, product(*[range(d) for d in dims]))

@@ -4,6 +4,7 @@ replaced."""
 
 import json
 import math
+import operator
 import re
 from functools import cached_property
 from itertools import combinations, permutations, product
@@ -50,6 +51,8 @@ def test_region_validation(tmp_path):
         ((2, 2), frozenset({(0,)}), "cell (0,) must be 2 integer coordinates"),
         ((2, 2), frozenset({(0.5, 1)}), "cell (0.5, 1) must be 2 integer coordinates"),
         ((2, 2), [(0, 0), (0, 0), (-1, 0)], "cell [-1, 0] outside grid [2, 2]"),
+        ((2, 2), 5, "cells must be a list of cells, got 5"),
+        ((2, 2), None, "cells must be a list of cells, got None"),
     ]
     for dims, cells, message in constructed:
         with pytest.raises(InvalidInput, match=re.escape(message)):
@@ -201,11 +204,27 @@ def test_each_order_is_computed_once_per_region(monkeypatch):
 
 
 def test_slice_range_guard():
-    r = rectangle((2, 2))
-    with pytest.raises(InvalidInput):
-        slices_connected(r, 0)
-    with pytest.raises(InvalidInput):
-        slices_connected(r, 2)
+    """k is an integer in 1..K-1: numpy integers are accepted, bools and
+    floats are not."""
+    r = rectangle((2, 2, 2))
+    for k in (0, -1, 3):
+        with pytest.raises(InvalidInput, match=re.escape(f"slice order {k} outside 1..2")):
+            slices_connected(r, k)
+    for k in (True, 1.0, 2.0, "1", None):
+        with pytest.raises(InvalidInput, match="slice order k must be an integer"):
+            slices_connected(r, k)
+    rep = slices_connected(r, np.int64(2))
+    assert type(rep.k) is int and rep == slices_connected(rectangle((2, 2, 2)), 2)
+
+
+def test_rectangle_checks_its_lengths():
+    """rectangle never truncates a length; numpy integers are lengths."""
+    for dims in ([2.5, 2], [2.0, 2], [True, 2], [0, 2]):
+        with pytest.raises(InvalidInput, match="axis length must be an integer >= 1"):
+            rectangle(dims)
+    r = rectangle(np.array([2, 3]))
+    assert r.dims == (2, 3) and all(type(d) is int for d in r.dims)
+    assert len(r.cells) == 6 and is_connected(r)
 
 
 def test_verdicts_invariant_under_axis_permutation_and_mirror():
@@ -327,11 +346,11 @@ def test_huge_grid_runs_on_occupied_cells_only():
     assert not cert.holds and cert.witness["slicesAllConnected"]
 
 
-# The sort-based grid kernels the int64 cell key replaced, verbatim but for
-# their names, most docstrings and comments, and _axis_edges as a function
-# of a region: the reference for the key's dedupe and order, its
-# searchsorted neighbours, its one-unique slice grouping and its
-# warm-started components.
+# The sort-based grid kernels the cell key replaced, verbatim but for their
+# names, most docstrings and comments, and _axis_edges as a function of a
+# region, and now the only copy of that code: the reference for the key's
+# dedupe and order, its searchsorted neighbours, its one-unique slice
+# grouping and its warm-started components, on every grid.
 def reference_inside_sorted(arr: np.ndarray, dims, base: int) -> np.ndarray:
     """The cells of arr, with coordinates counted from base, 0-based in
     lexicographic order and each once; a cell outside the grid is InvalidInput."""
@@ -449,18 +468,17 @@ def test_cell_key_kernels_equal_the_sort_kernels(case):
     """The key's cells, edge sets, connectivity, every slice verdict of every
     order (asked in the order a topology request asks them, then again from
     a fresh region, order K-1 first) and premise digest equal the sort-based
-    kernels'; the key is each cell's row-major index, None beyond int64."""
+    kernels'; the key is each cell's row-major index, in Python integers
+    beyond int64."""
     dims, cells, base = case
     arr = np.array(cells, dtype=np.int64)
     ref = ReferenceRegion(dims, arr, base)
     build = GridRegion.from_occupied if base else GridRegion
     r = build(dims, cells)
     assert r.coords.tolist() == ref.coords.tolist()
-    if math.prod(dims) > 2**63 - 1:
-        assert r.key is None
-    else:
-        assert r.key.dtype == np.int64 and (np.diff(r.key) > 0).all()
-        assert r.key.tolist() == [int(np.ravel_multi_index(c, dims)) for c in r.coords]
+    assert r.key.dtype == (object if math.prod(dims) > 2**63 - 1 else np.int64)
+    strides = [math.prod(dims[a + 1 :]) for a in range(len(dims))]
+    assert r.key.tolist() == [sum(map(operator.mul, c, strides)) for c in ref.coords.tolist()]
     n = len(ref.coords)
     for got, want in zip(r._axis_edges, ref._axis_edges):
         assert got[0].dtype == got[1].dtype == np.int32
