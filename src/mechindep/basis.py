@@ -17,6 +17,7 @@ the mixing strata (_flats).  The searches hold vectors as stacked arrays
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -25,7 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import OVERFLOW, SupportMask, Tolerance, as_matrix, null_space_many, rank, rank_many
+from .core import (
+    OVERFLOW, SupportMask, Tolerance, as_int, as_matrix, null_space_many, rank, rank_many
+)
 from .errors import InvalidInput, InternalError, RankError, SizeError
 
 MAX_ROWS = 20
@@ -327,7 +330,7 @@ def achievable(M, T, tol: Tolerance | None = None) -> bool:
             raise InvalidInput("mask universe does not match the row count")
         members = T.as_set()
     else:
-        members = set(int(i) for i in T)
+        members = {as_int(i, "support index", -math.inf) for i in T}
         if members and (min(members) < 1 or max(members) > M.shape[0]):
             raise InvalidInput(f"support indices {sorted(members)} out of range")
     keep = [r for r in range(M.shape[0]) if (r + 1) not in members]

@@ -8,6 +8,7 @@ verdict by hand, and whose digest ties it to the exact input values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .basis import BlockSpec, pairwise_sparsity_gap, sparsity_gap
 from .certificates import Certificate, inputs_digest
-from .core import SupportMask, Tolerance, as_matrix, as_tensor, column_supports, l0_norm, rank
+from .core import Tolerance, as_int, as_matrix, as_tensor, column_supports, l0_norm, rank
 from .errors import (
     DegenerateColumn,
     InternalError,
@@ -54,16 +55,27 @@ def _prepare(J, blocks, tol):
     return M, BlockSpec.covering(blocks, M.shape[1]), tol
 
 
-def _block_columns(blocks: BlockSpec, block_index: int) -> list[int]:
-    """The 0-based columns of the 1-based block block_index."""
+def _block_columns(blocks: BlockSpec, block_index) -> tuple[int, list[int]]:
+    """The 1-based block index as an int, and the 0-based columns of its block."""
+    block_index = as_int(block_index, "block index", -math.inf)
     if not 1 <= block_index <= blocks.K:
         raise InvalidInput(f"block index {block_index} outside 1..{blocks.K}")
-    return blocks.ranges()[block_index - 1]
+    return block_index, blocks.ranges()[block_index - 1]
 
 
-def _check_order(n: int):
+def _check_order(n) -> int:
+    """The derivative order n as an int, 2 or 3."""
+    n = as_int(n, "order", -math.inf)
     if n not in (2, 3):
         raise InvalidInput(f"order must be 2 or 3, got {n}")
+    return n
+
+
+def _block_max(A: np.ndarray, rows: BlockSpec, cols: BlockSpec) -> np.ndarray:
+    """The largest entry of the 2-D array A in each (row block, column block)
+    pair, as a (rows.K, cols.K) array: one maximum.reduceat along each axis."""
+    A = np.maximum.reduceat(A, np.cumsum((0, *rows.sizes[:-1])), axis=0)
+    return np.maximum.reduceat(A, np.cumsum((0, *cols.sizes[:-1])), axis=1)
 
 
 def _holds(criterion: str, witness: dict, note: str, digest: str) -> Certificate:
@@ -110,7 +122,7 @@ def _component_split(cols, adjacent: np.ndarray, kind: str) -> list | None:
     return [[c + 1 for c in part_a], [c + 1 for c in cols if c not in set(part_a)]]
 
 
-def _supports_payload(supports: list[SupportMask]) -> list[list[int]]:
+def _supports_payload(supports) -> list[list[int]]:
     return [list(s.members) for s in supports]
 
 
@@ -279,38 +291,34 @@ def check_type_h(tensor, blocks, n: int = 2, tol: Tolerance | None = None) -> Ce
     """Type H_n: all order-n cross-block derivative slices vanish (n in {2, 3}).
 
     A cross slice fixes the first two derivative indices in two different
-    blocks and lets any remaining index range over everything.
-    """
+    blocks and lets any remaining index range over everything.  |T| is
+    reduced once to each coordinate pair's largest slice entry (the max
+    graphs.adjacency takes for H) and then to each ordered block pair's
+    (_block_max); only the pairs above the threshold are searched, for the
+    first largest entry of their sub-tensor in C order, the witness."""
     tol = tol or Tolerance.default()
-    _check_order(n)
+    n = _check_order(n)
     blocks = BlockSpec.coerce(blocks)
     T = as_tensor(tensor, n, blocks.total)
     digest = inputs_digest(T, blocks, n)
     criterion = f"H{n}"
     if blocks.K == 1:
         return _holds(criterion, {}, "single block: no cross-block slices, holds vacuously", digest)
-    thr = tol.threshold(np.abs(T).max())
-    ranges = blocks.ranges()
+    A = np.abs(T)
+    thr = tol.threshold(A.max())
+    pair_max = _block_max(A.max(axis=(0, *range(3, n + 1))), blocks, blocks)
+    cut = np.cumsum((0, *blocks.sizes))
     violations = []
-    for i in range(blocks.K):
-        for j in range(blocks.K):
-            if i == j:
-                continue
-            sub = T[np.ix_(range(T.shape[0]), ranges[i], ranges[j])]
-            flat = np.abs(sub).reshape(sub.shape[0], len(ranges[i]), len(ranges[j]), -1)
-            if flat.max() > thr:
-                idx = np.unravel_index(int(np.argmax(flat)), flat.shape)
-                x, ai, bj, rest = idx
-                full_index = [int(x) + 1, ranges[i][ai] + 1, ranges[j][bj] + 1]
-                if n == 3:
-                    full_index.append(int(rest) + 1)
-                violations.append(
-                    {
-                        "blockPair": [i + 1, j + 1],
-                        "index": full_index,
-                        "value": float(T[tuple(k - 1 for k in full_index)]),
-                    }
-                )
+    for i, j in np.argwhere((pair_max > thr) & ~np.eye(blocks.K, dtype=bool)).tolist():
+        sub = A[:, cut[i] : cut[i + 1], cut[j] : cut[j + 1]]
+        index = np.add(np.unravel_index(np.argmax(sub), sub.shape), (0, cut[i], cut[j], 0)[: n + 1])
+        violations.append(
+            {
+                "blockPair": [i + 1, j + 1],
+                "index": (index + 1).tolist(),
+                "value": float(T[tuple(index)]),
+            }
+        )
     return Certificate(
         criterion=criterion,
         holds=not violations,
@@ -330,9 +338,9 @@ def check_type_h_irreducible(
     disconnected; the witness is the component of the block's first
     coordinate against the rest."""
     tol = tol or Tolerance.default()
-    _check_order(n)
+    n = _check_order(n)
     blocks = BlockSpec.coerce(blocks)
-    cols = _block_columns(blocks, block_index)
+    block_index, cols = _block_columns(blocks, block_index)
     T = as_tensor(tensor, n, blocks.total)
     digest = inputs_digest(T, blocks, n, block_index)
     criterion = f"H{n}-irreducible"
@@ -365,9 +373,11 @@ def check_separability(
     """Order-n separability at a point: each block's within-block order-n image
     must intersect the span of the other blocks' within-block images together
     with all lower-order derivative images only at zero, decided by rank
-    additivity; a zero within-block image fails with a degenerate-block note."""
+    additivity; a zero within-block image fails with a degenerate-block note.
+    The K block images are gathered once; block k's competitors are the
+    others' images and the lower-order images, column-stacked in that order."""
     tol = tol or Tolerance.default()
-    _check_order(n)
+    n = _check_order(n)
     blocks = BlockSpec.coerce(blocks)
     if len(tensors) != n:
         raise InvalidInput(f"need derivative tensors of orders 1..{n}, got {len(tensors)}")
@@ -380,41 +390,27 @@ def check_separability(
     for T in highers:
         if T.shape[0] != d_x:
             raise ShapeError("output dimension differs across derivative orders")
-    top = highers[-1]
-    ranges = blocks.ranges()
-
-    def block_image(cols) -> np.ndarray:
-        sub = top[np.ix_(range(d_x), cols, cols)]
-        return sub.reshape(d_x, -1)
-
+    cut = np.cumsum((0, *blocks.sizes))
+    images = [highers[-1][:, a:b, a:b].reshape(d_x, -1) for a, b in zip(cut, cut[1:])]
     lower_cols = [J] + [T.reshape(d_x, -1) for T in highers[:-1]]
 
-    details = []
-    notes = []
-    holds = True
-    for k, cols in enumerate(ranges):
-        img = block_image(cols)
-        comp_parts = [block_image(other) for o, other in enumerate(ranges) if o != k]
-        comp_parts += lower_cols
-        comp = np.column_stack(comp_parts)
-        r_img = rank(img, tol)
-        r_comp = rank(comp, tol)
+    details, notes, holds = [], [], True
+    for k, img in enumerate(images):
+        comp = np.column_stack(images[:k] + images[k + 1 :] + lower_cols)
+        r_img, r_comp = rank(img, tol), rank(comp, tol)
         r_joint = rank(np.column_stack([img, comp]), tol)
-        degenerate = r_img == 0
-        ok = (not degenerate) and (r_img + r_comp == r_joint)
-        if degenerate:
+        if r_img == 0:
             notes.append(f"degenerate block {k + 1}: zero within-block order-{n} image")
+        holds = holds and r_img > 0 and r_img + r_comp == r_joint
         details.append(
             {
                 "block": k + 1,
-                "imageRank": int(r_img),
-                "competitorRank": int(r_comp),
-                "jointRank": int(r_joint),
-                "degenerate": bool(degenerate),
+                "imageRank": r_img,
+                "competitorRank": r_comp,
+                "jointRank": r_joint,
+                "degenerate": r_img == 0,
             }
         )
-        if not ok:
-            holds = False
     return Certificate(
         criterion="separability",
         holds=holds,
@@ -434,7 +430,7 @@ def check_type_d_irreducible(
     omits the first is one side of a 2-partition, 2^(c-1) - 1 in all, and the
     witness reports the first group against the rest."""
     M, blocks, tol = _prepare(J, blocks, tol)
-    cols = _block_columns(blocks, block_index)
+    block_index, cols = _block_columns(blocks, block_index)
     sub = M[:, cols]
     digest = inputs_digest(M, blocks, block_index)
     if np.abs(sub).max() <= tol.matrix_threshold(M):
@@ -474,7 +470,7 @@ def check_type_m_irreducible(
     block's first column against the rest.  Zero columns outside the block
     play no part."""
     M, blocks, tol = _prepare(J, blocks, tol)
-    cols = _block_columns(blocks, block_index)
+    block_index, cols = _block_columns(blocks, block_index)
     digest = inputs_digest(M, blocks, block_index)
     supports = column_supports(M, tol)
     empty = [c + 1 for c in cols if len(supports[c]) == 0]
@@ -501,7 +497,7 @@ def check_type_s_irreducible(
     """S-irreducibility of one block: no 2-partition of its columns makes the
     block's submatrix Type S independent."""
     M, blocks, tol = _prepare(J, blocks, tol)
-    cols = _block_columns(blocks, block_index)
+    block_index, cols = _block_columns(blocks, block_index)
     digest = inputs_digest(M, blocks, block_index)
     if len(cols) == 1:
         return _holds("S-irreducible", {"block": block_index}, ONE_DIMENSIONAL_NOTE, digest)
@@ -532,7 +528,10 @@ def check_type_s_irreducible(
 
 def check_support_union(Jg, Jghat, B, tol: Tolerance | None = None) -> Certificate:
     """After a basis change Jghat = Jg B, each target column's support must be
-    the union of the source supports selected by B's column support."""
+    the union of the source supports selected by B's column support.  Every
+    matrix's supports are its entries above its own matrix_threshold, as
+    column_supports classifies them, and all the expected unions are one
+    boolean product: the source supports times B's selected entries."""
     tol = tol or Tolerance.default()
     Jg = as_matrix(Jg)
     Jghat = as_matrix(Jghat)
@@ -550,24 +549,17 @@ def check_support_union(Jg, Jghat, B, tol: Tolerance | None = None) -> Certifica
     if np.abs(product - Jghat).max() > tol.threshold(scale):
         raise InvalidInput("Jghat does not equal Jg x B within tolerance")
     digest = inputs_digest(Jg, Jghat, B)
-    src_supports = column_supports(Jg, tol)
-    tgt_supports = column_supports(Jghat, tol)
-    thr_b = tol.matrix_threshold(B)
-    mismatches = []
-    for k in range(B.shape[1]):
-        selected = np.flatnonzero(np.abs(B[:, k]) > thr_b)
-        expected: set[int] = set()
-        for i in selected:
-            expected |= src_supports[i].as_set()
-        actual = tgt_supports[k].as_set()
-        if expected != actual:
-            mismatches.append(
-                {
-                    "column": k + 1,
-                    "expectedUnion": sorted(expected),
-                    "actual": sorted(actual),
-                }
-            )
+    source, selected, actual = (np.abs(X) > tol.matrix_threshold(X) for X in (Jg, B, Jghat))
+    expected = source @ selected
+    rows = np.arange(1, Jg.shape[0] + 1)
+    mismatches = [
+        {
+            "column": k + 1,
+            "expectedUnion": rows[expected[:, k]].tolist(),
+            "actual": rows[actual[:, k]].tolist(),
+        }
+        for k in np.flatnonzero((expected != actual).any(axis=0)).tolist()
+    ]
     return Certificate(
         criterion="supportUnion",
         holds=not mismatches,
@@ -612,7 +604,9 @@ def extract_assignment(
     """Read the block permutation off an invertible basis-change matrix.
 
     Succeeds when every source block-row of B loads exactly one target
-    block-column and the induced map covers all target blocks.
+    block-column and the induced map covers all target blocks.  The loaded
+    blocks are read off one table: the largest |B| entry of every (source,
+    target) block pair, from _block_max, against B's threshold.
     """
     tol = tol or Tolerance.default()
     B = as_matrix(B)
@@ -627,35 +621,18 @@ def extract_assignment(
     if rank(B, tol) < B.shape[0]:
         raise RankError("B must be invertible")
     digest = inputs_digest(B, src_blocks, tgt_blocks)
-    thr = tol.matrix_threshold(B)
-    sigma = {}
-    violations = []
-    for i, rows in enumerate(src_blocks.ranges()):
-        loaded = []
-        for j, cols in enumerate(tgt_blocks.ranges()):
-            if np.abs(B[np.ix_(rows, cols)]).max() > thr:
-                loaded.append(j + 1)
-        if len(loaded) == 1:
-            sigma[i + 1] = loaded[0]
-        else:
-            violations.append({"blockRow": i + 1, "nonzeroTargetBlocks": loaded})
+    loaded = _block_max(np.abs(B), src_blocks, tgt_blocks) > tol.matrix_threshold(B)
+    targets = [(np.flatnonzero(row) + 1).tolist() for row in loaded]
+    sigma = {str(i + 1): t[0] for i, t in enumerate(targets) if len(t) == 1}
+    violations = [
+        {"blockRow": i + 1, "nonzeroTargetBlocks": t} for i, t in enumerate(targets) if len(t) != 1
+    ]
     missing = sorted(set(range(1, tgt_blocks.K + 1)) - set(sigma.values()))
-    if violations or missing:
-        witness: dict = {"violations": violations}
-        if missing:
-            witness["missingTargets"] = missing
-        return Certificate(
-            criterion="assignment",
-            holds=False,
-            witness=witness,
-            inputs_digest=digest,
-        )
-    return Certificate(
-        criterion="assignment",
-        holds=True,
-        witness={"sigma": {str(k): v for k, v in sorted(sigma.items())}},
-        inputs_digest=digest,
-    )
+    holds = not violations and not missing
+    witness: dict = {"sigma": sigma} if holds else {"violations": violations}
+    if missing:
+        witness["missingTargets"] = missing
+    return Certificate(criterion="assignment", holds=holds, witness=witness, inputs_digest=digest)
 
 
 def compositional_contrast(J, blocks) -> float:

@@ -93,6 +93,17 @@ def test_triangle_singleton_not_achievable():
     assert achievable(M, {1, 2})
 
 
+def test_achievable_support_indices_are_integers():
+    M = np.array(MAT_TRIANGLE, dtype=float)
+    assert achievable(M, [np.int64(1), np.int32(2)]) == achievable(M, {1, 2})
+    for T in ([1.5, 2], ["1", 2], [True, 2], [None]):
+        with pytest.raises(InvalidInput, match="support index must be an integer"):
+            achievable(M, T)
+    for T in ([0, 1], [np.int64(4)]):
+        with pytest.raises(InvalidInput, match=r"support indices \[.*\] out of range"):
+            achievable(M, T)
+
+
 def test_minimal_supports_match_golden():
     for name in ("A", "B", "C"):
         gold = GOLDEN[name]

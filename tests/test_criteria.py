@@ -231,6 +231,49 @@ def test_type_h_shape_and_order_guards():
     assert check_type_h(np.zeros((2, 3, 3)), (3,), 2).holds  # single block vacuous
 
 
+def test_derivative_order_is_an_integer():
+    H = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+    T = np.zeros((1, 2, 2, 2))
+    for n, X in ((np.int64(2), H), (np.int32(3), T)):
+        assert check_type_h(X, (1, 1), n).to_dict() == check_type_h(X, (1, 1), int(n)).to_dict()
+        assert check_type_h_irreducible(X, (1, 1), 1, n).criterion == f"H{n}-irreducible"
+    sep = check_separability([np.eye(2), SQ_H], (1, 1), np.int64(2))
+    assert sep.to_dict() == check_separability([np.eye(2), SQ_H], (1, 1), 2).to_dict()
+    checks = (
+        lambda n: check_type_h(H, (1, 1), n),
+        lambda n: check_type_h_irreducible(H, (1, 1), 1, n),
+        lambda n: check_separability([np.eye(2), SQ_H], (1, 1), n),
+    )
+    for check in checks:
+        for n in (2.0, True, "2", None):
+            with pytest.raises(InvalidInput, match="order must be an integer"):
+                check(n)
+        with pytest.raises(InvalidInput, match="order must be 2 or 3, got 4"):
+            check(np.int64(4))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda i: check_type_d_irreducible(np.array([[1.0, 1.0], [0.0, 1.0]]), (1, 1), i),
+        lambda i: check_type_m_irreducible(np.array([[1.0, 1.0], [0.0, 1.0]]), (1, 1), i),
+        lambda i: check_type_s_irreducible(np.array([[1.0, 1.0], [0.0, 1.0]]), (1, 1), i),
+        lambda i: check_type_h_irreducible(np.eye(2)[None], (1, 1), i),
+    ],
+    ids=["D", "M", "S", "H2"],
+)
+def test_block_index_is_an_integer(check):
+    cert = check(np.int64(2))
+    assert cert.to_dict() == check(2).to_dict()
+    assert type(cert.witness["block"]) is int
+    for index in (True, 1.0, "1", None):
+        with pytest.raises(InvalidInput, match="block index must be an integer"):
+            check(index)
+    for index in (0, np.int64(3)):
+        with pytest.raises(InvalidInput, match=f"block index {index} outside 1..2"):
+            check(index)
+
+
 @pytest.mark.parametrize(
     "check",
     [

@@ -20,7 +20,10 @@ lines of the compact C encoder and the numpy re-indent against the recursive
 conversion and indent=2 encoder they replaced; Type D's boolean product and
 Type O's Gram screen against the loops over every cross-block pair, the
 support order from byte tables against the loop over rows, and the region
-and tensor files written in encoded parts against json.dump.
+and tensor files written in encoded parts against json.dump; Type H_n and
+the block assignment from one block-maximum table, the support unions from
+one boolean product and separability's block images gathered once against
+the loops over block pairs, columns and blocks they replaced.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -71,18 +74,23 @@ from mechindep.core import (
 from mechindep.criteria import (
     H_SPLIT_NOTE,
     SINGLE_BLOCK_NOTE,
+    _check_order,
     _cross_hits,
     _first_split,
     _holds,
     _prepare,
     _row_route_type_m,
     _supports_payload,
+    check_separability,
+    check_support_union,
     check_type_d,
     check_type_d_irreducible,
+    check_type_h,
     check_type_h_irreducible,
     check_type_m,
     check_type_m_irreducible,
     check_type_o,
+    extract_assignment,
 )
 from mechindep.errors import (
     DegenerateColumn,
@@ -90,6 +98,7 @@ from mechindep.errors import (
     InvalidInput,
     MechIndepError,
     RankError,
+    ShapeError,
 )
 from mechindep.graphs import (
     FactorGraph,
@@ -2093,3 +2102,374 @@ def test_files_past_one_encoded_part_equal_json_dump(tmp_path):
         write(tmp_path / "new.json", obj)
         reference(tmp_path / "ref.json", obj)
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+# check_type_h, check_separability, check_support_union and
+# extract_assignment as they looped over block pairs, blocks or columns,
+# verbatim but for their names: the references for the block-maximum table
+# (_block_max) behind H_n and the assignment, the one boolean product of the
+# support unions, and the block images gathered once.
+def reference_check_type_h(tensor, blocks, n: int = 2, tol: Tolerance | None = None) -> Certificate:
+    """Type H_n: all order-n cross-block derivative slices vanish (n in {2, 3}).
+
+    A cross slice fixes the first two derivative indices in two different
+    blocks and lets any remaining index range over everything.
+    """
+    tol = tol or Tolerance.default()
+    _check_order(n)
+    blocks = BlockSpec.coerce(blocks)
+    T = as_tensor(tensor, n, blocks.total)
+    digest = inputs_digest(T, blocks, n)
+    criterion = f"H{n}"
+    if blocks.K == 1:
+        return _holds(criterion, {}, "single block: no cross-block slices, holds vacuously", digest)
+    thr = tol.threshold(np.abs(T).max())
+    ranges = blocks.ranges()
+    violations = []
+    for i in range(blocks.K):
+        for j in range(blocks.K):
+            if i == j:
+                continue
+            sub = T[np.ix_(range(T.shape[0]), ranges[i], ranges[j])]
+            flat = np.abs(sub).reshape(sub.shape[0], len(ranges[i]), len(ranges[j]), -1)
+            if flat.max() > thr:
+                idx = np.unravel_index(int(np.argmax(flat)), flat.shape)
+                x, ai, bj, rest = idx
+                full_index = [int(x) + 1, ranges[i][ai] + 1, ranges[j][bj] + 1]
+                if n == 3:
+                    full_index.append(int(rest) + 1)
+                violations.append(
+                    {
+                        "blockPair": [i + 1, j + 1],
+                        "index": full_index,
+                        "value": float(T[tuple(k - 1 for k in full_index)]),
+                    }
+                )
+    return Certificate(
+        criterion=criterion,
+        holds=not violations,
+        witness={"violations": violations},
+        inputs_digest=digest,
+    )
+
+
+def reference_check_separability(
+    tensors, blocks, n: int = 2, tol: Tolerance | None = None
+) -> Certificate:
+    """Order-n separability at a point: each block's within-block order-n image
+    must intersect the span of the other blocks' within-block images together
+    with all lower-order derivative images only at zero, decided by rank
+    additivity; a zero within-block image fails with a degenerate-block note."""
+    tol = tol or Tolerance.default()
+    _check_order(n)
+    blocks = BlockSpec.coerce(blocks)
+    if len(tensors) != n:
+        raise InvalidInput(f"need derivative tensors of orders 1..{n}, got {len(tensors)}")
+    d_s = blocks.total
+    J = as_matrix(tensors[0])
+    if J.shape[1] != d_s:
+        raise ShapeError(f"first-order tensor has {J.shape[1]} columns, blocks need {d_s}")
+    highers = [as_tensor(tensors[k - 1], k, d_s) for k in range(2, n + 1)]
+    d_x = J.shape[0]
+    for T in highers:
+        if T.shape[0] != d_x:
+            raise ShapeError("output dimension differs across derivative orders")
+    top = highers[-1]
+    ranges = blocks.ranges()
+
+    def block_image(cols) -> np.ndarray:
+        sub = top[np.ix_(range(d_x), cols, cols)]
+        return sub.reshape(d_x, -1)
+
+    lower_cols = [J] + [T.reshape(d_x, -1) for T in highers[:-1]]
+
+    details = []
+    notes = []
+    holds = True
+    for k, cols in enumerate(ranges):
+        img = block_image(cols)
+        comp_parts = [block_image(other) for o, other in enumerate(ranges) if o != k]
+        comp_parts += lower_cols
+        comp = np.column_stack(comp_parts)
+        r_img = rank(img, tol)
+        r_comp = rank(comp, tol)
+        r_joint = rank(np.column_stack([img, comp]), tol)
+        degenerate = r_img == 0
+        ok = (not degenerate) and (r_img + r_comp == r_joint)
+        if degenerate:
+            notes.append(f"degenerate block {k + 1}: zero within-block order-{n} image")
+        details.append(
+            {
+                "block": k + 1,
+                "imageRank": int(r_img),
+                "competitorRank": int(r_comp),
+                "jointRank": int(r_joint),
+                "degenerate": bool(degenerate),
+            }
+        )
+        if not ok:
+            holds = False
+    return Certificate(
+        criterion="separability",
+        holds=holds,
+        witness={"blocks": details},
+        notes=tuple(notes),
+        inputs_digest=inputs_digest(*(np.asarray(t, dtype=float) for t in tensors), blocks, n),
+    )
+
+
+def reference_check_support_union(Jg, Jghat, B, tol: Tolerance | None = None) -> Certificate:
+    """After a basis change Jghat = Jg B, each target column's support must be
+    the union of the source supports selected by B's column support."""
+    tol = tol or Tolerance.default()
+    Jg = as_matrix(Jg)
+    Jghat = as_matrix(Jghat)
+    B = as_matrix(B)
+    if B.shape[0] != B.shape[1]:
+        raise InvalidInput(f"B must be square, got {B.shape}")
+    if Jg.shape[1] != B.shape[0] or Jghat.shape != (Jg.shape[0], B.shape[1]):
+        raise ShapeError(
+            f"shapes do not compose: Jg {Jg.shape}, B {B.shape}, Jghat {Jghat.shape}"
+        )
+    if rank(B, tol) < B.shape[0]:
+        raise RankError("B must be invertible")
+    product = Jg @ B
+    scale = max(np.abs(product).max(), np.abs(Jghat).max())
+    if np.abs(product - Jghat).max() > tol.threshold(scale):
+        raise InvalidInput("Jghat does not equal Jg x B within tolerance")
+    digest = inputs_digest(Jg, Jghat, B)
+    src_supports = column_supports(Jg, tol)
+    tgt_supports = column_supports(Jghat, tol)
+    thr_b = tol.matrix_threshold(B)
+    mismatches = []
+    for k in range(B.shape[1]):
+        selected = np.flatnonzero(np.abs(B[:, k]) > thr_b)
+        expected: set[int] = set()
+        for i in selected:
+            expected |= src_supports[i].as_set()
+        actual = tgt_supports[k].as_set()
+        if expected != actual:
+            mismatches.append(
+                {
+                    "column": k + 1,
+                    "expectedUnion": sorted(expected),
+                    "actual": sorted(actual),
+                }
+            )
+    return Certificate(
+        criterion="supportUnion",
+        holds=not mismatches,
+        witness={"mismatches": mismatches},
+        inputs_digest=digest,
+    )
+
+
+def reference_extract_assignment(
+    B, src_blocks, tgt_blocks, tol: Tolerance | None = None
+) -> Certificate:
+    """Read the block permutation off an invertible basis-change matrix.
+
+    Succeeds when every source block-row of B loads exactly one target
+    block-column and the induced map covers all target blocks.
+    """
+    tol = tol or Tolerance.default()
+    B = as_matrix(B)
+    if B.shape[0] != B.shape[1]:
+        raise InvalidInput(f"B must be square, got {B.shape}")
+    src_blocks = BlockSpec.coerce(src_blocks)
+    tgt_blocks = BlockSpec.coerce(tgt_blocks)
+    if src_blocks.total != B.shape[0] or tgt_blocks.total != B.shape[1]:
+        raise InvalidInput(
+            f"blocks {src_blocks.sizes}/{tgt_blocks.sizes} do not cover B {B.shape}"
+        )
+    if rank(B, tol) < B.shape[0]:
+        raise RankError("B must be invertible")
+    digest = inputs_digest(B, src_blocks, tgt_blocks)
+    thr = tol.matrix_threshold(B)
+    sigma = {}
+    violations = []
+    for i, rows in enumerate(src_blocks.ranges()):
+        loaded = []
+        for j, cols in enumerate(tgt_blocks.ranges()):
+            if np.abs(B[np.ix_(rows, cols)]).max() > thr:
+                loaded.append(j + 1)
+        if len(loaded) == 1:
+            sigma[i + 1] = loaded[0]
+        else:
+            violations.append({"blockRow": i + 1, "nonzeroTargetBlocks": loaded})
+    missing = sorted(set(range(1, tgt_blocks.K + 1)) - set(sigma.values()))
+    if violations or missing:
+        witness: dict = {"violations": violations}
+        if missing:
+            witness["missingTargets"] = missing
+        return Certificate(
+            criterion="assignment",
+            holds=False,
+            witness=witness,
+            inputs_digest=digest,
+        )
+    return Certificate(
+        criterion="assignment",
+        holds=True,
+        witness={"sigma": {str(k): v for k, v in sorted(sigma.items())}},
+        inputs_digest=digest,
+    )
+
+
+def _report(check, *args):
+    """A certificate's report bytes, or the error the checker raised."""
+    out = _outcome(check, *args)
+    return to_json(out) if isinstance(out, dict) else out
+
+
+# With rel 0.5 and a largest entry of 2, or with abs 1 and rel 0, the
+# threshold is exactly 1: entries of 1 sit on it and _ABOVE_ONE just above.
+_ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+_LEVELS = [0.0, 0.0, 1.0, -1.0, _ABOVE_ONE, 2.0, -2.0]
+_BLOCK_TOLS = [Tolerance(), Tolerance(rel=0.5), Tolerance(rel=0.0, abs=1.0)]
+
+
+def _splits(draw, n: int) -> tuple[int, ...]:
+    """Block sizes of a random split of n columns into 1-5 blocks."""
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
+    return tuple(np.diff([0, *cuts, n]).tolist())
+
+
+@st.composite
+def _cross_tensor_cases(draw):
+    """(T, blocks, n, tol): an order-2 or 3 derivative tensor of 1-3 outputs,
+    not symmetric, over K = 1..5 blocks of uneven sizes 1-3.  Entries are
+    _LEVELS at a drawn density, all zero at density 0; equal entries tie, so
+    the C order of the first largest one decides the witness."""
+    n = draw(st.sampled_from([2, 3]))
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 3)),) + (sum(sizes),) * n
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+    T = rng.choice(_LEVELS, size=shape) * (rng.random(shape) < density)
+    return T, sizes, n, draw(st.sampled_from(_BLOCK_TOLS))
+
+
+@settings(PINNED, max_examples=300)
+@given(_cross_tensor_cases())
+def test_type_h_equals_the_block_pair_loop(case):
+    T, blocks, n, tol = case
+    assert _report(check_type_h, T, blocks, n, tol) == _report(
+        reference_check_type_h, T, blocks, n, tol
+    )
+
+
+@st.composite
+def _assignment_cases(draw):
+    """(B, source blocks, target blocks, tol): B carries 1-4 source blocks of
+    sizes 1-3 onto a permutation of them, each by an upper-triangular block
+    with 2 on its diagonal, plus _LEVELS entries anywhere at a drawn density (B may turn
+    singular); the target split is that permutation of the sizes or another
+    split of the columns."""
+    src = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    order = draw(st.permutations(range(len(src))))
+    tgt = [src[o] for o in order]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(src)
+    row, col = np.cumsum([0, *src]), np.cumsum([0, *tgt])
+    B = np.zeros((n, n))
+    for j, o in enumerate(order):
+        s = src[o]
+        B[row[o] : row[o] + s, col[j] : col[j] + s] = 2 * np.eye(s) + np.triu(rng.choice(_LEVELS, (s, s)), 1)
+    density = draw(st.sampled_from([0.0, 0.0, 0.05, 0.2]))
+    B += rng.choice(_LEVELS, (n, n)) * (rng.random((n, n)) < density)
+    if draw(st.booleans()):
+        tgt = _splits(draw, n)
+    return B, tuple(src), tuple(tgt), draw(st.sampled_from(_BLOCK_TOLS))
+
+
+@settings(PINNED, max_examples=300)
+@given(_assignment_cases())
+def test_assignment_equals_the_block_pair_loop(case):
+    B, src, tgt, tol = case
+    assert _report(extract_assignment, B, src, tgt, tol) == _report(
+        reference_extract_assignment, B, src, tgt, tol
+    )
+
+
+_PAIR = np.array([[2.0, 1.0], [2.0, -1.0]])
+
+
+@st.composite
+def _union_cases(draw):
+    """(Jg, Jghat, B, tol) with Jghat = Jg B exactly: Jg sparse integers of
+    1-6 rows and 1-6 columns, zero columns among them at times.  B is a
+    column permutation of two unit-triangular integer factors (invertible),
+    integers in -2..2, or 2x2 blocks [[2, 1], [2, -1]] with rows and columns
+    permuted: at rel 0.5 their second columns select no source column,
+    though B has full rank.  At times one column of B is zero (singular)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    Jg = rng.choice([0.0, 0.0, 1.0, -1.0, 2.0], (m, n))
+    Jg[:, rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    kind = draw(st.sampled_from(["triangular", "integer", "pairs"]))
+    if kind == "triangular":
+        upper, lower = (np.eye(n) + np.triu(rng.choice([0.0, 0.0, 1.0, -1.0, 2.0], (n, n)), 1) for _ in "ul")
+        B = (upper @ lower.T)[:, rng.permutation(n)]
+    elif kind == "integer":
+        B = rng.choice([0.0, 1.0, -1.0, 2.0, -2.0], (n, n))
+    else:
+        B = np.kron(np.eye(n // 2 + 1), _PAIR)[:n, :n]
+        B = B[rng.permutation(n)][:, rng.permutation(n)]
+    if not draw(st.integers(0, 5)):
+        B[:, rng.integers(n)] = 0.0
+    return Jg, Jg @ B, B, draw(st.sampled_from([Tolerance(), Tolerance(rel=0.5)]))
+
+
+@settings(PINNED, max_examples=300)
+@given(_union_cases())
+@example((np.array([[1.0, -1.0]]), np.array([[0.0, 2.0]]), _PAIR, Tolerance(rel=0.5)))
+def test_support_union_equals_the_column_loop(case):
+    """In the example B has full rank, yet its second column has no entry
+    above B's threshold, 1: that column's expected union is empty and its
+    support is not."""
+    Jg, Jghat, B, tol = case
+    assert _report(check_support_union, Jg, Jghat, B, tol) == _report(
+        reference_check_support_union, Jg, Jghat, B, tol
+    )
+
+
+@st.composite
+def _separability_cases(draw):
+    """(tensors, blocks, n, tol): derivative tensors of orders 1..n (n = 2
+    or 3) of 1-4 outputs over K = 1..4 blocks of sizes 1-3, sparse integers,
+    the highest order not symmetric; at times the first order is zero (a
+    critical point) or one block's within-block image is (a degenerate
+    block).  Planted cases give output x to block x mod K alone: the highest
+    order is zero off its block's within-block slices, and the lower orders
+    zero at times, so that separability can hold."""
+    n = draw(st.sampled_from([2, 3]))
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d_x, d_s = draw(st.integers(1, 4)), sum(sizes)
+    density = draw(st.sampled_from([0.3, 0.6])) / d_s ** (n - 2)
+    shapes = [(d_x,) + (d_s,) * k for k in range(1, n + 1)]
+    tensors = [rng.choice([1.0, -1.0, 2.0], s) * (rng.random(s) < density) for s in shapes]
+    if draw(st.booleans()):
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        owner = np.arange(d_x) % len(sizes)
+        planted = (owner[:, None, None] == block[:, None]) & (block[:, None] == block)
+        tensors[-1] *= planted.reshape(planted.shape + (1,) * (n - 2))
+        for lower in tensors[:-1]:
+            lower *= draw(st.sampled_from([0.0, 1.0]))
+    if draw(st.booleans()):
+        tensors[0][:] = 0.0
+    if not draw(st.integers(0, 3)):
+        k = draw(st.integers(0, len(sizes) - 1))
+        a, b = sum(sizes[:k]), sum(sizes[: k + 1])
+        tensors[-1][:, a:b, a:b] = 0.0
+    return tensors, sizes, n, draw(st.sampled_from([Tolerance(), Tolerance(rel=0.3)]))
+
+
+@settings(PINNED, max_examples=200)
+@given(_separability_cases())
+def test_separability_equals_the_per_block_images(case):
+    tensors, blocks, n, tol = case
+    assert _report(check_separability, tensors, blocks, n, tol) == _report(
+        reference_check_separability, tensors, blocks, n, tol
+    )
