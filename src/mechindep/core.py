@@ -92,10 +92,11 @@ class SupportMask:
 
 def as_int(value, name: str, low: int) -> int:
     """value as an int; InvalidInput unless it is a Python or numpy integer
-    (not a bool) of at least low.  A float is never truncated, as BlockSpec
-    sizes are not."""
+    (not a bool) of at least low, a bound unnamed when -inf.  A float is never
+    truncated, as BlockSpec sizes are not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise InvalidInput(f"{name} must be an integer >= {low}, got {value!r}")
+        bound = "" if low == -math.inf else f" >= {low}"
+        raise InvalidInput(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 

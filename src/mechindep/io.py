@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -14,7 +15,23 @@ from .topology import GridRegion
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Plain CSV of numbers; parse failures point at the line and column."""
+    """Plain CSV of numbers: one np.fromiter over the nonblank rows' cells as
+    csv.reader reads them (it parses a str as float() does), or, when that
+    fails, _read_cells, which raises what the first bad line raises."""
+    widths = []  # of the nonblank rows, as fromiter reaches them
+    try:
+        with open(path, newline="") as fh:
+            rows = (r for r in csv.reader(fh) if r and not all(not c.strip() for c in r))
+            M = np.fromiter(chain.from_iterable(widths.append(len(r)) or r for r in rows), float)
+    except (csv.Error, ValueError):
+        return _read_cells(path)
+    if len(set(widths)) == 1 and np.isfinite(M).all():
+        return M.reshape(len(widths), widths[0])
+    return _read_cells(path)
+
+
+def _read_cells(path) -> np.ndarray:
+    """read_matrix_csv cell by cell: the first bad cell or row raises."""
     rows = []
     width = None
     with open(path, newline="") as fh:
@@ -47,11 +64,12 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, M) -> None:
+    """M's rows of float reprs as csv.writer writes them: no repr needs quotes."""
     M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise InvalidInput(f"{path}: a matrix CSV needs a 2-D array, got shape {M.shape}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in M:
-            writer.writerow([repr(float(x)) for x in row])
+        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in M.tolist()))
 
 
 def _read_json(path, kind: str, second: str) -> dict:
@@ -86,9 +104,9 @@ def read_tensor_json(path) -> np.ndarray:
         raise InvalidInput(
             f"{path}: entries must be a flat list of numbers, got {type(entries).__name__}"
         )
-    for i, e in enumerate(entries):
-        if type(e) not in (int, float):
-            raise InvalidInput(f"{path}: entry {i} is not a number: {e!r}")
+    if not set(map(type, entries)) <= {int, float}:
+        i, e = next((i, e) for i, e in enumerate(entries) if type(e) not in (int, float))
+        raise InvalidInput(f"{path}: entry {i} is not a number: {e!r}")
     expected = math.prod(dims)
     if len(entries) != expected:
         raise InvalidInput(

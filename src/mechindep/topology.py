@@ -7,6 +7,7 @@ Verdicts are about the discretization, not the continuum region it samples.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
@@ -56,19 +57,19 @@ def _cell_array(rows: list, K: int) -> np.ndarray:
 
     A float, string, bool or null coordinate, a wrong arity, or an integer
     beyond int64 is InvalidInput, naming the first such cell."""
-    if not rows:
-        return np.zeros((0, K), dtype=np.int64)
     arr = None
     try:
         kinds = set(map(type, chain.from_iterable(rows)))
-        if all(t is int or issubclass(t, np.integer) for t in kinds):
-            arr = np.array(rows, dtype=np.int64)
+        # numpy takes no coordinates from a set, mapping or bytes row
+        kinds |= {t for t in set(map(type, rows)) if issubclass(t, (Set, Mapping, bytes))}
+        if all(t is int or issubclass(t, np.integer) for t in kinds) and {*map(len, rows)} <= {K}:
+            arr = np.fromiter(chain.from_iterable(rows), np.int64, count=len(rows) * K)
     except (TypeError, ValueError, OverflowError):
         pass
-    if arr is None or arr.shape != (len(rows), K):
+    if arr is None:
         bad = next((r for r in rows if not _is_cell(r, K)), rows[0])
         raise InvalidInput(f"cell {bad!r} must be {K} integer coordinates")
-    return arr
+    return arr.reshape(len(rows), K)
 
 
 class GridRegion:

@@ -4,6 +4,7 @@ thin-adapter property (CLI verdicts equal direct library verdicts)."""
 import argparse
 import hashlib
 import json
+import re
 import sys
 
 import numpy as np
@@ -45,6 +46,20 @@ def test_matrix_csv_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix_csv(path, M)
     assert np.array_equal(read_matrix_csv(path), M)
+
+
+def test_matrix_csv_writer_needs_a_2d_array(tmp_path):
+    """A 1-D or 3-D array is InvalidInput naming its shape, raised before the
+    file is made; an empty 2-D array writes one line per row, as csv.writer
+    does."""
+    path = tmp_path / "m.csv"
+    for shape in ((3,), (2, 2, 2)):
+        with pytest.raises(InvalidInput, match=re.escape(f"got shape {shape}")):
+            write_matrix_csv(path, np.zeros(shape))
+        assert not path.exists()
+    for shape, text in (((0, 3), b""), ((3, 0), b"\r\n" * 3)):
+        write_matrix_csv(path, np.zeros(shape))
+        assert path.read_bytes() == text
 
 
 def test_matrix_csv_diagnostics(tmp_path):

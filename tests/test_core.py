@@ -20,8 +20,10 @@ from mechindep.core import (
     rank,
     support,
 )
+from mechindep.criteria import check_type_h
 from mechindep.errors import InvalidInput
 from mechindep.graphs import adjacency
+from mechindep.topology import rectangle, slices_connected
 
 from golden import GOLDEN, MAT_DISJOINT
 from oracles import exact_rank
@@ -181,6 +183,17 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.zeros((0, 3)))
     with pytest.raises(InvalidInput):
         as_matrix([["a", "b"]])
+
+
+def test_as_int_names_no_bound_of_minus_infinity():
+    """Callers that range-check the integer themselves pass a low of -inf,
+    and the message names no bound; a finite low is still named."""
+    with pytest.raises(InvalidInput, match=r"^order must be an integer, got 2\.0$"):
+        check_type_h(np.zeros((1, 2, 2)), (1, 1), 2.0)
+    with pytest.raises(InvalidInput, match=r"^slice order k must be an integer, got True$"):
+        slices_connected(rectangle((2, 2)), True)
+    with pytest.raises(InvalidInput, match=r"^axis length must be an integer >= 1, got 0$"):
+        rectangle([0, 2])
 
 
 def test_all_is_sorted_and_lists_every_public_name():

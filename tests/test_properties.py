@@ -23,14 +23,19 @@ support order from byte tables against the loop over rows, and the region
 and tensor files written in encoded parts against json.dump; Type H_n and
 the block assignment from one block-maximum table, the support unions from
 one boolean product and separability's block images gathered once against
-the loops over block pairs, columns and blocks they replaced.
+the loops over block pairs, columns and blocks they replaced; and the
+whole-file matrix CSV reader and writer, tensor reader and region cell
+array against the cell-by-cell conversions they replaced.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
 
+import csv
 import hashlib
 import json
+import math
 import re
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -38,7 +43,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mechindep import basis, core, graphs
+from mechindep import basis, core, graphs, topology
 from mechindep.basis import (
     CHUNK,
     BlockSpec,
@@ -112,13 +117,17 @@ from mechindep.graphs import (
 )
 from mechindep.io import (
     _PART,
+    _read_json,
     certificate_lines,
+    read_matrix_csv,
+    read_tensor_json,
     to_json,
+    write_matrix_csv,
     write_region_json,
     write_tensor_json,
 )
 from mechindep.synth import OverlapTemplate, gen_overlap_jacobian
-from mechindep.topology import GridRegion, _roots, premise_report, rectangle
+from mechindep.topology import GridRegion, _is_cell, _roots, premise_report, rectangle
 
 from oracles import (
     exact_rank,
@@ -2473,3 +2482,238 @@ def test_separability_equals_the_per_block_images(case):
     assert _report(check_separability, tensors, blocks, n, tol) == _report(
         reference_check_separability, tensors, blocks, n, tol
     )
+
+
+# io's matrix CSV reader and writer, its tensor reader and topology's cell
+# array as they converted cell by cell, verbatim but for their names: the
+# references for the whole-file conversions.
+def reference_read_matrix_csv(path) -> np.ndarray:
+    """Plain CSV of numbers; parse failures point at the line and column."""
+    rows = []
+    width = None
+    with open(path, newline="") as fh:
+        for lineno, record in enumerate(csv.reader(fh), start=1):
+            if not record or all(not cell.strip() for cell in record):
+                continue
+            parsed = []
+            for colno, cell in enumerate(record, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise InvalidInput(
+                        f"{path}: line {lineno}, column {colno}: not a number: {cell!r}"
+                    )
+                if not math.isfinite(value):
+                    raise InvalidInput(
+                        f"{path}: line {lineno}, column {colno}: non-finite value"
+                    )
+                parsed.append(value)
+            if width is None:
+                width = len(parsed)
+            elif len(parsed) != width:
+                raise InvalidInput(
+                    f"{path}: line {lineno}: expected {width} columns, got {len(parsed)}"
+                )
+            rows.append(parsed)
+    if not rows:
+        raise InvalidInput(f"{path}: no data rows")
+    return np.array(rows, dtype=float)
+
+
+def reference_write_matrix_csv(path, M) -> None:
+    M = np.asarray(M, dtype=float)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in M:
+            writer.writerow([repr(float(x)) for x in row])
+
+
+def reference_read_tensor_json(path) -> np.ndarray:
+    """Tensor format: {"dims": [...], "entries": [row-major flat list]}.
+
+    dims must be a nonempty list of positive integers and entries a flat list
+    of JSON numbers; a scalar, bool, string, null or nested value in either
+    is InvalidInput naming the dims or the first bad entry."""
+    data = _read_json(path, "tensor", "entries")
+    dims = data["dims"]
+    entries = data["entries"]
+    if (
+        not isinstance(dims, list)
+        or not dims
+        or any(type(d) is not int or d < 1 for d in dims)
+    ):
+        raise InvalidInput(f"{path}: dims must be positive integers, got {dims!r}")
+    if not isinstance(entries, list):
+        raise InvalidInput(
+            f"{path}: entries must be a flat list of numbers, got {type(entries).__name__}"
+        )
+    for i, e in enumerate(entries):
+        if type(e) not in (int, float):
+            raise InvalidInput(f"{path}: entry {i} is not a number: {e!r}")
+    expected = math.prod(dims)
+    if len(entries) != expected:
+        raise InvalidInput(
+            f"{path}: dims {dims} need {expected} entries, got {len(entries)}"
+        )
+    try:
+        T = np.array(entries, dtype=float).reshape(dims)
+    except OverflowError:
+        raise InvalidInput(f"{path}: non-finite tensor entries")
+    if not np.all(np.isfinite(T)):
+        raise InvalidInput(f"{path}: non-finite tensor entries")
+    return T
+
+
+def reference_cell_array(rows: list, K: int) -> np.ndarray:
+    """Cells given as K integers each, as an (N, K) int64 array in input order.
+
+    A float, string, bool or null coordinate, a wrong arity, or an integer
+    beyond int64 is InvalidInput, naming the first such cell."""
+    if not rows:
+        return np.zeros((0, K), dtype=np.int64)
+    arr = None
+    try:
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if all(t is int or issubclass(t, np.integer) for t in kinds):
+            arr = np.array(rows, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if arr is None or arr.shape != (len(rows), K):
+        bad = next((r for r in rows if not _is_cell(r, K)), rows[0])
+        raise InvalidInput(f"cell {bad!r} must be {K} integer coordinates")
+    return arr
+
+
+def _converted(convert, *args):
+    """An array's dtype, shape and bytes, or the error convert raised."""
+    try:
+        A = convert(*args)
+    except (MechIndepError, csv.Error, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return A.dtype.str, A.shape, A.tobytes()
+
+
+# cells float() and numpy both parse to a finite value, and cells that one
+# of the checks rejects: non-finite, unparsable, or quoted around a comma
+_GOOD_CELLS = [
+    " 1 ", "1_0", "+1", "-2.5", "1e5", "1E-3", "1e-400", "-0", ".5", "5.",
+    "١٢", "１", "٣e٢", "\xa07\t", '"1.5"', '" 2 "',
+]
+_BAD_CELLS = [
+    "1e400", "-1e400", "nan", "-inf", "Infinity", '"1,5"', "0x10", "1__0",
+    "_1", "x", "", " ", "1d5", "1j",
+]
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text of 0-6 lines: rows of one width (1-4 cells), at times a
+    ragged row or a blank or whitespace-only one; LF, CRLF or CR line ends,
+    with or without a last one.  Half the files hold only finite numbers
+    (in Python's and numpy's spellings, quoted at times); the rest draw
+    bad cells and short strings of any characters too."""
+    width = draw(st.integers(1, 4))
+    pools = [st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(_GOOD_CELLS)]
+    if draw(st.booleans()):
+        pools += [st.sampled_from(_BAD_CELLS), st.text(st.characters(exclude_categories=("Cs",)), max_size=3)]
+    cell = st.one_of(pools)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", " , ", ",,", "\t"])))
+        else:
+            w = draw(st.integers(1, 5)) if kind == 1 else width
+            lines.append(",".join(draw(st.lists(cell, min_size=w, max_size=w))))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(PINNED, max_examples=400)
+@given(_csv_texts())
+@example("1,2\r\n\r\n \"3\" ,1_0\r\n")
+@example("1,2\nx,4\n5\n")
+@example("1,2\n3\nx,4\n")
+@example("1,2\n3,nan\n5\n")
+@example("1,2\n  ,  \n١,+1e-3\n")
+@example(" , \n\n")
+def test_matrix_csv_reader_equals_the_cell_loop(tmp_path_factory, text):
+    """The same matrix bytes, or the same error: the bad cell before a
+    ragged row and the ragged row before a bad cell each raise first."""
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_bytes(text.encode())
+    assert _converted(read_matrix_csv, path) == _converted(reference_read_matrix_csv, path)
+
+
+@PINNED
+@given(arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4)), elements=st.floats()))
+@example(np.array([[-0.0, 5e-324, 1e308, -1e308], [np.inf, -np.inf, np.nan, 2.2250738585072014e-308]]))
+def test_matrix_csv_writer_equals_csv_writer(tmp_path_factory, M):
+    out = tmp_path_factory.mktemp("csv")
+    write_matrix_csv(out / "new.csv", M)
+    reference_write_matrix_csv(out / "ref.csv", M)
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+_ODD_ENTRIES = [True, False, None, "1", [1.0], {"a": 1}, 10**400, -(10**400), 2**63]
+
+
+@PINNED
+@given(
+    st.lists(
+        st.one_of(st.floats(), st.integers(-(2**70), 2**70), st.sampled_from(_ODD_ENTRIES)),
+        max_size=8,
+    ),
+    st.booleans(),
+    st.sampled_from([None, [], [0], [2.0], [True, 1], "4"]),
+)
+def test_tensor_reader_equals_the_entry_loop(tmp_path_factory, entries, fit, odd_dims):
+    """Entries of every JSON type, under dims that fit them or not: the same
+    tensor, or the same message naming the first bad entry or the dims."""
+    dims = [len(entries), 1] if fit else odd_dims or [len(entries) + 1]
+    path = tmp_path_factory.mktemp("tensor") / "t.json"
+    path.write_text(json.dumps({"dims": dims, "entries": entries}))
+    assert _converted(read_tensor_json, path) == _converted(reference_read_tensor_json, path)
+
+
+_ODD_COORDS = [True, 1.0, "1", None, [1], 0, 4, 2**63, -(2**63) - 1, np.int32(2), np.uint64(2**64 - 1)]
+
+
+@st.composite
+def _occupied_lists(draw):
+    """(dims, occupied): 1-3 axes of length 3 and 0-5 cells, most of them
+    K coordinates in the grid; at times a coordinate of another type, out
+    of the grid or beyond int64, a cell of another arity, or a row that is
+    a tuple, range, array, set, dict, bytes, string or number."""
+    K = draw(st.integers(1, 3))
+    coord = st.one_of(st.integers(1, 3), st.integers(1, 3), st.sampled_from(_ODD_COORDS))
+    row = st.one_of(
+        st.lists(coord, min_size=K, max_size=K),
+        st.lists(st.integers(1, 3), min_size=K, max_size=K),
+        st.lists(st.integers(1, 3), min_size=K, max_size=K).map(tuple),
+        st.lists(coord, max_size=4),
+        st.sampled_from([range(1, K + 1), np.arange(1, K + 1), set(range(1, K + 1))]),
+        st.sampled_from([dict.fromkeys(range(1, K + 1), 0), bytes(range(1, K + 1)), "1" * K, 5]),
+    )
+    return [3] * K, draw(st.lists(row, max_size=5))
+
+
+@settings(PINNED, max_examples=300)
+@given(_occupied_lists())
+@example(([3, 3], [[1, 2], {1: 0, 2: 0}]))
+@example(([3, 3], [[1, 2], [2**63, 1]]))
+def test_region_cells_equal_the_nested_list_array(case):
+    """from_occupied on the one fromiter and on np.array over nested lists:
+    the same cells and keys, or the same message naming the same cell."""
+    dims, occupied = case
+
+    def outcome():
+        try:
+            r = GridRegion.from_occupied(dims, occupied)
+        except InvalidInput as exc:
+            return str(exc)
+        return r.coords.tolist(), r.key.tolist()
+
+    new = outcome()
+    with mock.patch.object(topology, "_cell_array", reference_cell_array):
+        assert new == outcome()
