@@ -3,6 +3,8 @@ on Jacobians and derivative tensors, recover irreducible latent-factor
 subspaces as graph components, and audit the premises of identifiability
 results on desk-scale instances."""
 
+from types import ModuleType as _ModuleType
+
 from .basis import (
     BasisSearchResult,
     BlockSpec,
@@ -84,70 +86,8 @@ from .topology import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "BasisSearchResult",
-    "BlockSpec",
-    "Certificate",
-    "DegenerateColumn",
-    "EvalError",
-    "FactorGraph",
-    "GapResult",
-    "GenerationError",
-    "GridRegion",
-    "InternalError",
-    "InvalidInput",
-    "MechIndepError",
-    "MixingDraw",
-    "OverlapTemplate",
-    "RankError",
-    "RowPartition",
-    "ShapeError",
-    "SizeError",
-    "SliceReport",
-    "SliceSpec",
-    "SubspaceVector",
-    "SupportMask",
-    "Tolerance",
-    "achievable",
-    "block_structure_audit",
-    "blocks_from_components",
-    "build_graph",
-    "check_l0_nonincrease",
-    "check_separability",
-    "check_support_union",
-    "check_type_d",
-    "check_type_d_irreducible",
-    "check_type_h",
-    "check_type_h_irreducible",
-    "check_type_m",
-    "check_type_m_irreducible",
-    "check_type_o",
-    "check_type_s",
-    "check_type_s_irreducible",
-    "check_type_s_pairwise",
-    "column_supports",
-    "components",
-    "compositional_contrast",
-    "contrast_certificate",
-    "extract_assignment",
-    "face_split",
-    "fd_hessian",
-    "fd_jacobian",
-    "finest_rank_additive_partition",
-    "gen_overlap_jacobian",
-    "hierarchy_audit",
-    "inputs_digest",
-    "is_connected",
-    "l0_norm",
-    "minimal_supports",
-    "pairwise_sparsity_gap",
-    "premise_report",
-    "random_mixing",
-    "rank",
-    "slices_connected",
-    "sparsest_basis",
-    "sparsity_gap",
-    "support",
-    "to_dot",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

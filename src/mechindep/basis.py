@@ -354,26 +354,34 @@ def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
     on down to level 0: T is a mixing stratum iff the rows of its coefficient
     null space touch more than one block (_touches of their largest entries):
     it then cannot be covered by the finitely many block subspaces without
-    lying inside one.  A T holding an accepted stratum from a higher level is
-    skipped: the final inclusion-minimal filter would drop it.  The strata are
+    lying inside one.  A row subset R inside the flat of a stratum accepted
+    at a higher level, one that misses its T, is never eliminated: T(R)
+    holds T(R') iff R lies in the closure of R', so R is dependent or
+    attains a T holding that stratum, which the final inclusion-minimal
+    filter would drop.  _counter counts the strata inside R's complement
+    before each chunk's null_space_many call.  The strata are
     returned as [(T bitmask, null basis)] sorted by (size, rows), None without
     blocks."""
     m, n = M.shape
     thr = tol.matrix_threshold(M)
-    bit = 1 << np.arange(m)
+    bit, full = 1 << np.arange(m), (1 << m) - 1
     met = np.zeros(1 << m, dtype=bool)
     found = [_Vectors(np.zeros((0, m)), np.zeros((0, n)), bit[:0])]
     strata: dict[int, np.ndarray] = {}
+    counted = -1
     for k in range(n - 1, -1, -1) if blocks else [n - 1]:
-        holding = _counter(np.fromiter(strata, dtype=np.int64, count=len(strata)), m)
+        if len(strata) != counted:  # a level that accepted none keeps the count
+            holding, counted = _counter(np.fromiter(strata, dtype=np.int64), m), len(strata)
         for R in _subset_chunks(m, k):
+            R = R[holding(full & ~bit[R].sum(axis=1)) == 0]
+            if not len(R):
+                continue
             N = null_space_many(M[R], thr, n - k)
             with np.errstate(over="ignore", invalid="ignore"):
                 V = np.matmul(M[None], N)
             open_ = _printed(V, 1, tol).any(axis=2)
             T, first = np.unique(open_ @ bit, return_index=True)
             fresh = (T != 0) & ~met[T]
-            fresh[fresh] = holding(T[fresh]) == 0
             if not fresh.any():
                 continue
             met[T[fresh]] = True

@@ -35,7 +35,10 @@ def _read_cells(path) -> np.ndarray:
     rows = []
     width = None
     with open(path, newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
+        reader, end = csv.reader(fh), 0
+        for record in reader:
+            # a record starts on the line after the previous record's last
+            lineno, end = end + 1, reader.line_num
             if not record or all(not cell.strip() for cell in record):
                 continue
             parsed = []

@@ -36,9 +36,13 @@ def _is_int(v) -> bool:
     return (type(v) is int or isinstance(v, np.integer)) and -_INT64_MAX - 1 <= v <= _INT64_MAX
 
 
+# the row types numpy takes no coordinates from
+_NOT_ROWS = (Set, Mapping, bytes)
+
+
 def _is_cell(row, K: int) -> bool:
     try:
-        return len(row) == K and all(map(_is_int, row))
+        return not isinstance(row, _NOT_ROWS) and len(row) == K and all(map(_is_int, row))
     except TypeError:
         return False
 
@@ -60,8 +64,7 @@ def _cell_array(rows: list, K: int) -> np.ndarray:
     arr = None
     try:
         kinds = set(map(type, chain.from_iterable(rows)))
-        # numpy takes no coordinates from a set, mapping or bytes row
-        kinds |= {t for t in set(map(type, rows)) if issubclass(t, (Set, Mapping, bytes))}
+        kinds |= {t for t in set(map(type, rows)) if issubclass(t, _NOT_ROWS)}
         if all(t is int or issubclass(t, np.integer) for t in kinds) and {*map(len, rows)} <= {K}:
             arr = np.fromiter(chain.from_iterable(rows), np.int64, count=len(rows) * K)
     except (TypeError, ValueError, OverflowError):

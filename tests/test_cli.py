@@ -73,6 +73,10 @@ def test_matrix_csv_diagnostics(tmp_path):
     path.write_text("")
     with pytest.raises(InvalidInput, match="no data"):
         read_matrix_csv(path)
+    # a quoted cell spanning two lines: the next record starts on line 4
+    path.write_text('1,2\n"3\n",4\nx,5\n')
+    with pytest.raises(InvalidInput, match="line 4, column 1: not a number: 'x'"):
+        read_matrix_csv(path)
 
 
 def test_tensor_json_round_trip(tmp_path):

@@ -25,7 +25,9 @@ the block assignment from one block-maximum table, the support unions from
 one boolean product and separability's block images gathered once against
 the loops over block pairs, columns and blocks they replaced; and the
 whole-file matrix CSV reader and writer, tensor reader and region cell
-array against the cell-by-cell conversions they replaced.
+array against the cell-by-cell conversions they replaced; and the pass over
+the flats that skips every row subset inside an accepted stratum's flat
+against the pass that eliminated those subsets and then dropped their T.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -49,6 +51,7 @@ from mechindep.basis import (
     BlockSpec,
     SubspaceVector,
     _check_search_size,
+    _counter,
     _drops,
     _flats,
     _inclusion_minimal,
@@ -56,9 +59,12 @@ from mechindep.basis import (
     _members,
     _normalize,
     _order,
+    _printed,
     _representatives,
     _require_full_column_rank,
     _subset_chunks,
+    _touches,
+    _Vectors,
     minimal_supports,
     sparsest_basis,
     sparsity_gap,
@@ -661,9 +667,9 @@ def test_greedy_runs_past_rows_that_do_not_grow():
 # stratum's representative forced and completed greedily over the ground set,
 # the first cheapest completion winning.  Its ground set, strata and
 # representatives come from the per-vector pass the array path replaced
-# (reference_flats, reference_stratum_representative).
+# (reference_vector_flats, reference_stratum_representative).
 def reference_force_mixing(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
-    ground, strata = reference_flats(M, tol, blocks)
+    ground, strata = reference_vector_flats(M, tol, blocks)
     if not strata:
         raise InternalError("no mixing stratum found despite K >= 2")
     best: tuple[int, list[SubspaceVector]] | None = None
@@ -755,7 +761,7 @@ def test_force_mixing_equals_forced_greedy_completions(case):
         expected = _vector_bytes(reference_force_mixing(M, blocks, tol))
     except InternalError as exc:
         message = str(exc)
-        ground, strata = reference_flats(M, tol, blocks)
+        ground, strata = reference_vector_flats(M, tol, blocks)
         if strata:
             try:
                 reference_greedy(ground, M.shape[1], tol)
@@ -1551,7 +1557,7 @@ def _vector_bytes(vectors):
 @given(_flat_cases())
 def test_flats_equal_the_two_subset_loops(case):
     """The array pass against the two subset loops before it and against
-    the per-vector pass it replaced (reference_flats)."""
+    the per-vector pass it replaced (reference_vector_flats)."""
     M, blocks = case
     tol = Tolerance()
     expected = _vector_bytes(reference_minimal_supports(M, tol))
@@ -1560,10 +1566,158 @@ def test_flats_equal_the_two_subset_loops(case):
     assert _vector_bytes(ground.vectors()) == expected
     assert _flats(M, tol)[0].bits.tolist() == ground.bits.tolist()
     strata = [(_members(t), N) for t, N in strata]
-    for reference in (reference_mixing_strata(M, blocks, tol), reference_flats(M, tol, blocks)[1]):
+    for reference in (reference_mixing_strata(M, blocks, tol), reference_vector_flats(M, tol, blocks)[1]):
         assert [t for t, _ in strata] == [t for t, _ in reference]
         assert all(_same_bytes(N, E) for (_, N), (_, E) in zip(strata, reference))
-    assert _vector_bytes(reference_flats(M, tol, blocks)[0]) == expected
+    assert _vector_bytes(reference_vector_flats(M, tol, blocks)[0]) == expected
+
+
+# The pass over the flats before it skipped the row subsets inside an
+# accepted stratum's flat, verbatim: it eliminated them and then dropped each
+# T holding an accepted stratum.  Its ground set and strata are the
+# reference the skip must match byte for byte.
+def reference_flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
+    """The ground set and, with blocks, the mixing strata, from one pass
+    over the flats of M's row matroid, hyperplanes first.
+
+    Level k eliminates the k-row subsets R chunk by chunk in combinations
+    order, one null_space_many call each: R is independent iff its null basis
+    N has n - k columns, and then attains T, the complement of its closure: by
+    core's closure rule, the union of the _printed supports of M N's columns.
+    Each distinct T keeps its first subset's N.  At level n-1 the first vector
+    of each support, filtered to the inclusion-minimal supports and sorted by
+    (size, rows), is the ground set, as _Vectors.  With blocks the pass goes
+    on down to level 0: T is a mixing stratum iff the rows of its coefficient
+    null space touch more than one block (_touches of their largest entries):
+    it then cannot be covered by the finitely many block subspaces without
+    lying inside one.  A T holding an accepted stratum from a higher level is
+    skipped: the final inclusion-minimal filter would drop it.  The strata are
+    returned as [(T bitmask, null basis)] sorted by (size, rows), None without
+    blocks."""
+    m, n = M.shape
+    thr = tol.matrix_threshold(M)
+    bit = 1 << np.arange(m)
+    met = np.zeros(1 << m, dtype=bool)
+    found = [_Vectors(np.zeros((0, m)), np.zeros((0, n)), bit[:0])]
+    strata: dict[int, np.ndarray] = {}
+    for k in range(n - 1, -1, -1) if blocks else [n - 1]:
+        holding = _counter(np.fromiter(strata, dtype=np.int64, count=len(strata)), m)
+        for R in _subset_chunks(m, k):
+            N = null_space_many(M[R], thr, n - k)
+            with np.errstate(over="ignore", invalid="ignore"):
+                V = np.matmul(M[None], N)
+            open_ = _printed(V, 1, tol).any(axis=2)
+            T, first = np.unique(open_ @ bit, return_index=True)
+            fresh = (T != 0) & ~met[T]
+            fresh[fresh] = holding(T[fresh]) == 0
+            if not fresh.any():
+                continue
+            met[T[fresh]] = True
+            first = np.sort(first[fresh])
+            T, N = open_[first] @ bit, N[first]
+            if k == n - 1:
+                found.append(_normalize(M, N[:, :, 0], tol, V[first, :, 0])[1])
+            if blocks is not None:
+                mixing = _touches(np.abs(N).max(axis=2), blocks, tol).sum(axis=1) > 1
+                strata.update(zip(T[mixing].tolist(), N[mixing]))
+    vectors, found = _Vectors.concat(found), None
+    first = np.unique(vectors.bits, return_index=True)[1]
+    keep = first[_inclusion_minimal(vectors.bits[first], m)]
+    ground = vectors.take(keep[_order(vectors.bits[keep], m)])
+    if blocks is None:
+        return ground, None
+    T = np.fromiter(strata, dtype=np.int64, count=len(strata))
+    T = T[_inclusion_minimal(T, m)]
+    return ground, [(t, strata[t]) for t in T[_order(T, m)].tolist()]
+
+
+
+@st.composite
+def _skip_cases(draw):
+    """A matrix of 3-10 x 2-6 with Gaussian, small-integer or half-sparse
+    Gaussian entries, or Gaussian or half-sparse entries with the rows
+    scaled by 10^-4..10^4, split into two blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(3, 10))
+    n = draw(st.integers(2, min(m, 6)))
+    kind = draw(st.sampled_from(["gaussian", "integer", "half-sparse", "row-scaled"]))
+    if kind == "integer":
+        M = rng.integers(-3, 4, (m, n)).astype(float)
+    else:
+        M = rng.standard_normal((m, n))
+        if kind == "half-sparse" or (kind == "row-scaled" and draw(st.booleans())):
+            M *= rng.random((m, n)) < 0.5
+        if kind == "row-scaled":
+            M *= 10.0 ** rng.integers(-4, 5, (m, 1))
+    cut = draw(st.integers(1, n - 1))
+    return M, BlockSpec((cut, n - cut))
+
+
+def _flats_outcome(flats, M, blocks):
+    """The ground set's value, coefficient and bitmask bytes and each
+    stratum's T and null-basis bytes, or the error flats raised."""
+    try:
+        ground, strata = flats(M, Tolerance(), blocks)
+    except MechIndepError as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        [(a.dtype.str, a.shape, a.tobytes()) for a in ground],
+        None if strata is None else [(t, N.shape, N.tobytes()) for t, N in strata],
+    )
+
+
+# rows scaled by 10^-4..10^4: skipping also the subsets inside a hyperplane
+# met earlier at the same level changes a support that the ground set prints
+_MET_AT_ONE_LEVEL = np.array([
+    [0.0, 0.0, 0.0, 1520.1399340650614, 0.0],
+    [-0.0, -16084.961312970081, 11307.308977734889, -15118.647703040853, 646.8835531808076],
+    [0.0, 1.1524715040364534e-05, -0.0, 0.00010501464167132482, 0.0],
+    [0.0, 0.0, -0.0, -0.0, -0.009182522481154892],
+    [0.0, -0.0, 0.08967211574688484, 0.14956372901101822, 0.0],
+    [0.0, -0.0, 0.0, -3.4912766912100123e-05, -3.6966439722312095e-05],
+    [3.6109155410877243, -6.515362545712663, 0.0, 0.0, 0.0],
+    [-0.06413996360621614, -0.11739614209129878, 0.05395310783200902, 0.0, -0.0],
+    [-1748.4733810692603, 952.0321433062685, 1658.5999395708702, -334.990779042494, -606.6976199063434],
+    [0.0, 0.005935421558093032, -0.0, -0.0, -0.0058051260771728895],
+])
+
+
+@settings(PINNED, max_examples=200)
+@given(_skip_cases())
+@example((_MET_AT_ONE_LEVEL, BlockSpec((2, 3))))
+def test_skipping_subsets_inside_accepted_flats_keeps_every_byte(case):
+    """The pass that never eliminates a row subset inside an accepted
+    stratum's flat returns the ground set and strata of the pass that
+    eliminated it and dropped its T (reference_flats), with blocks and
+    without."""
+    M, blocks = case
+    for b in (blocks, None):
+        assert _flats_outcome(_flats, M, b) == _flats_outcome(reference_flats, M, b)
+
+
+def test_no_subset_inside_an_accepted_flat_is_eliminated(monkeypatch):
+    """During a seeded planted gap, every row subset that the forced-mixing
+    pass eliminates at level k meets the T of each stratum accepted at a
+    level above k (a stratum with a null basis of width w is accepted at
+    level n - w), and some subsets are skipped."""
+    M, blocks, _ = gen_overlap_jacobian(OverlapTemplate(K=3, slot_dim=2, slot_out=2, overlap_ratio=0.25, seed=3))
+    m, n = M.shape
+    row = {r.tobytes(): i for i, r in enumerate(M)}
+    assert len(row) == m
+    eliminated = []  # (level, row bitmask)
+    eliminate = basis.null_space_many
+
+    def recorded(stack, thr, width=None):
+        if stack.shape[2] == n:
+            eliminated.extend((len(S), sum(1 << row[r.tobytes()] for r in S)) for S in stack)
+        return eliminate(stack, thr, width)
+
+    monkeypatch.setattr(basis, "null_space_many", recorded)
+    sparsity_gap(M, blocks)
+    monkeypatch.undo()
+    strata = [(t, n - N.shape[1]) for t, N in _flats(M, Tolerance(), blocks)[1]]
+    assert strata and all(R & t for k, R in eliminated for t, level in strata if level > k)
+    assert 0 < len(eliminated) < sum(math.comb(m, k) for k in range(n))
 
 
 # The exchange tests that _drops replaced, verbatim: one rank_many call per
@@ -1649,7 +1803,7 @@ def reference_below(masks, m: int) -> np.ndarray:
     return below
 
 
-def reference_flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
+def reference_vector_flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
     """The ground set and, with blocks, the mixing strata, from one pass
     over the flats of M's row matroid, hyperplanes first.
 
@@ -2492,7 +2646,10 @@ def reference_read_matrix_csv(path) -> np.ndarray:
     rows = []
     width = None
     with open(path, newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
+        reader, end = csv.reader(fh), 0
+        for record in reader:
+            # a record starts on the line after the previous record's last
+            lineno, end = end + 1, reader.line_num
             if not record or all(not cell.strip() for cell in record):
                 continue
             parsed = []
@@ -2637,6 +2794,7 @@ def _csv_texts(draw):
 @example("1,2\n3,nan\n5\n")
 @example("1,2\n  ,  \n١,+1e-3\n")
 @example(" , \n\n")
+@example('1,2\n"3\n",4\nx,5\n')
 def test_matrix_csv_reader_equals_the_cell_loop(tmp_path_factory, text):
     """The same matrix bytes, or the same error: the bad cell before a
     ragged row and the ragged row before a bad cell each raise first."""

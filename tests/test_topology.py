@@ -103,6 +103,14 @@ def test_region_validation(tmp_path):
     assert is_connected(r)
 
 
+def test_set_mapping_and_bytes_rows_are_named():
+    """A set, mapping or bytes row gives numpy no coordinates, so it is the
+    cell the message names, not the good cell before it."""
+    for row, shown in [({1: 0, 2: 0}, "{1: 0, 2: 0}"), (b"\x01\x02", "b'\\x01\\x02'"), ({1, 2}, "{1, 2}")]:
+        with pytest.raises(InvalidInput, match=re.escape(f"cell {shown} must be 2 integer coordinates")):
+            GridRegion.from_occupied([3, 3], [[1, 2], row])
+
+
 def test_from_occupied_is_one_based():
     r = GridRegion.from_occupied([2, 2], [[1, 1], [2, 2]])
     assert r.cells == frozenset({(0, 0), (1, 1)})
