@@ -167,16 +167,12 @@ def _run_topology(args: argparse.Namespace):
     payload = {"certificates": [cert.to_dict()]}
     if args.slices is not None:
         rep = slices_connected(region, args.slices)
+        columns = rep._columns()
         payload["slices"] = {
             "k": rep.k,
             "allConnected": rep.all_connected,
             "slices": [
-                {
-                    "fixed": v.spec.fixed_1based(),
-                    "connected": v.connected,
-                    "cells": v.cell_count,
-                }
-                for v in rep.verdicts
+                {"fixed": fixed, "connected": c, "cells": n} for fixed, c, n in zip(*columns)
             ],
         }
 
@@ -185,12 +181,9 @@ def _run_topology(args: argparse.Namespace):
         if args.slices is None:
             return
         yield f"slice k={rep.k} allConnected={'true' if rep.all_connected else 'false'}"
-        for v in rep.verdicts:
-            fixed = ",".join(f"{a}={c}" for a, c in sorted(v.spec.fixed_1based().items()))
-            yield (
-                f"  slice [{fixed}]: {'connected' if v.connected else 'DISCONNECTED'}"
-                f" ({v.cell_count} cells)"
-            )
+        for fixed, c, n in zip(*columns):
+            fixed = ",".join(f"{a}={x}" for a, x in fixed.items())
+            yield f"  slice [{fixed}]: {'connected' if c else 'DISCONNECTED'} ({n} cells)"
 
     return (0 if cert.holds else 1), render(args.fmt, header, payload, lines)
 

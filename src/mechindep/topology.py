@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Set
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
 
@@ -36,8 +36,9 @@ def _is_int(v) -> bool:
     return (type(v) is int or isinstance(v, np.integer)) and -_INT64_MAX - 1 <= v <= _INT64_MAX
 
 
-# the row types numpy takes no coordinates from
-_NOT_ROWS = (Set, Mapping, bytes)
+# the row types numpy takes no coordinates from, and the byte buffers, whose
+# bytes it would take as coordinates
+_NOT_ROWS = (Set, Mapping, bytes, bytearray, memoryview)
 
 
 def _is_cell(row, K: int) -> bool:
@@ -187,47 +188,110 @@ class SliceVerdict:
     cell_count: int
 
 
-@dataclass(frozen=True)
 class SliceReport:
-    k: int
-    all_connected: bool
-    verdicts: tuple
+    """The verdicts of a region's nonempty k-slices, in order of their free
+    axes, then of their fixed coordinates.
+
+    slices_connected holds them as arrays, one group per free-axis set: its
+    free axes, its fixed axes, and its slices' fixed coordinates (0-based,
+    a row per slice), connected flags and cell counts.  verdicts builds the
+    SliceVerdict objects when first asked; a report built from a verdicts
+    tuple holds that tuple.  Like a frozen dataclass of k, all_connected and
+    verdicts, two reports are equal when those three are, and no field can
+    be assigned."""
+
+    def __init__(self, k: int, all_connected: bool, verdicts: tuple = (), *, groups=None):
+        vars(self).update(k=k, all_connected=all_connected, _groups=groups)
+        if groups is None:
+            vars(self)["verdicts"] = tuple(verdicts)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def verdicts(self) -> tuple:
+        return tuple(
+            SliceVerdict(SliceSpec(tuple(zip(axes, key)), free), c, n)
+            for free, axes, fixed, connected, cells in self._groups
+            for key, c, n in zip(fixed.tolist(), connected.tolist(), cells.tolist())
+        )
 
     def failing(self) -> list:
         return [v for v in self.verdicts if not v.connected]
+
+    def _columns(self) -> tuple:
+        """Each slice's fixed_1based(), connected flag and cell count, as
+        three lists in slice order, read off the arrays of a report that
+        slices_connected built."""
+        fixed, connected, cells = [], [], []
+        for _, axes, coords, ok, counts in self._groups:
+            axes = [a + 1 for a in axes]
+            fixed += [dict(zip(axes, key)) for key in (coords + 1).tolist()]
+            connected += ok.tolist()
+            cells += counts.tolist()
+        return fixed, connected, cells
+
+    def _fields(self) -> tuple:
+        return self.k, self.all_connected, self.verdicts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        k, all_connected, verdicts = self._fields()
+        return f"SliceReport(k={k!r}, all_connected={all_connected!r}, verdicts={verdicts!r})"
 
 
 def _roots(n: int, edges, parent: np.ndarray | None = None) -> np.ndarray:
     """Components of the graph on vertices 0..n-1 with the given edges, a
     list of (lo, hi) integer index arrays: each vertex's root, the smallest
-    vertex of its component.  A vertex is a root iff it is its own root.
-    parent, if given, is _roots of a graph on the same vertices with a subset
-    of the edges: the components of the union start from it, and it is not
-    modified.
+    vertex of its component, as int32.  A vertex is a root iff it is its own
+    root.  parent, if given, is _roots of the same vertices under other
+    edges: the result is then the components under both edge sets, and
+    parent is not modified.
 
     Min-root hooking with pointer jumping (Shiloach & Vishkin 1982): hook every
     root onto the smallest root an edge joins it to, then jump pointers until
-    each vertex points at its root; repeat until no edge joins two roots."""
-    lo = np.concatenate([e[0] for e in edges])
-    hi = np.concatenate([e[1] for e in edges])
-    parent = np.arange(n, dtype=np.int32) if parent is None else parent.copy()
+    each vertex points at its root; repeat until no edge joins two roots.
+    From a start, each edge joins the start's roots of its ends, so hooking
+    and jumping run on those roots alone, and one gather through the start
+    labels every vertex: the smallest start root of a joined component is
+    its smallest vertex, since each start root is the smallest of its own."""
+    # intp indices: numpy gathers through int32 ones about three times slower
+    a = np.concatenate([e[0] for e in edges], dtype=np.intp)
+    b = np.concatenate([e[1] for e in edges], dtype=np.intp)
+    p = np.arange(n)
+    if parent is None:
+        live = slice(None)
+    else:
+        parent = parent.astype(np.intp)
+        a, b = parent[a], parent[b]
+        live = np.flatnonzero(parent == p)
+    # a and b hold the roots of each edge's ends
     while True:
-        a, b = parent[lo], parent[hi]
         cross = a != b
         if not cross.any():
-            return parent
-        # A parent is never larger than its cell, in a given start too, so
-        # hooking makes no cycle; each round hooks at least one root onto a
-        # smaller index, so the number of roots falls every round and the
-        # loop ends.  Edges inside one component stay inside it, so only
-        # crossing edges are kept.
-        lo, hi, a, b = lo[cross], hi[cross], a[cross], b[cross]
-        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+            return (p if parent is None else p[parent]).astype(np.int32)
+        # A parent is never larger than its vertex, so hooking makes no
+        # cycle; each round hooks at least one root onto a smaller index, so
+        # the number of roots falls every round and the loop ends.  Only
+        # live vertices are hooked, onto live ones, so jumping among them
+        # takes each to its root.  Edges inside one component stay inside
+        # it, so only crossing edges are kept.
+        a, b = a[cross], b[cross]
+        np.minimum.at(p, np.maximum(a, b), np.minimum(a, b))
         while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            up = p[live]
+            jumped = p[up]
+            if np.array_equal(jumped, up):
                 break
-            parent = jumped
+            p[live] = jumped
+        a, b = p[a], p[b]
 
 
 def is_connected(region: GridRegion) -> bool:
@@ -244,7 +308,10 @@ def slices_connected(region: GridRegion, k: int) -> SliceReport:
     A k-slice picks k axes to stay free and one coordinate for each of the
     other axes; its cells inherit orthogonal adjacency in the free axes.
     Slices come in order of their free axes, then of their fixed coordinates.
-    Each order's report is computed once per region.
+    Each free-axis set takes one np.unique of the cells' keys in the fixed
+    axes, which groups and orders its slices, and counts each slice's
+    components as the roots that fall in it.  The report holds the result
+    as arrays (SliceReport); each order's report is computed once per region.
     """
     if not len(region.coords):
         raise InvalidInput("empty region")
@@ -256,30 +323,20 @@ def slices_connected(region: GridRegion, k: int) -> SliceReport:
         return region._reports[k]
     coords = region.coords
     cells = np.arange(len(coords))
-    verdicts = []
+    groups = []
     for free in combinations(range(K), k):
         fixed_axes = [a for a in range(K) if a not in free]
-        # edges along the free axes never leave a slice, so each slice's
-        # component count is the number of roots among its cells
-        roots = region._roots_along(free) == cells
         # the key of the cells' fixed coordinates alone orders the slices by
         # those coordinates, as the key orders the cells
         fixed = coords[:, fixed_axes] @ region._strides[fixed_axes]
-        _, first, group, sizes = np.unique(
-            fixed, return_index=True, return_inverse=True, return_counts=True
-        )
-        comps = np.bincount(group[roots], minlength=len(first))
-        keys = coords[first][:, fixed_axes]
-        for key, c, size in zip(keys.tolist(), comps.tolist(), sizes.tolist()):
-            verdicts.append(
-                SliceVerdict(
-                    spec=SliceSpec(fixed=tuple(zip(fixed_axes, key)), free_axes=free),
-                    connected=c == 1,
-                    cell_count=size,
-                )
-            )
-    all_ok = all(v.connected for v in verdicts)
-    region._reports[k] = SliceReport(k=k, all_connected=all_ok, verdicts=tuple(verdicts))
+        keys, first, sizes = np.unique(fixed, return_index=True, return_counts=True)
+        # edges along the free axes never leave a slice, so each slice's
+        # component count is the number of roots among its cells
+        roots = region._roots_along(free) == cells
+        comps = np.bincount(np.searchsorted(keys, fixed[roots]), minlength=len(keys))
+        groups.append((free, fixed_axes, coords[first][:, fixed_axes], comps == 1, sizes))
+    all_ok = all(g[3].all() for g in groups)
+    region._reports[k] = SliceReport(k=k, all_connected=all_ok, groups=tuple(groups))
     return region._reports[k]
 
 
@@ -297,10 +354,10 @@ def premise_report(region: GridRegion) -> Certificate:
         rep = slices_connected(region, region.K - 1)
         witness["sliceOrder"] = rep.k
         witness["slicesAllConnected"] = rep.all_connected
-        witness["sliceCount"] = len(rep.verdicts)
+        fixed, ok, cells = rep._columns()
+        witness["sliceCount"] = len(cells)
         witness["failingSlices"] = [
-            {"fixed": v.spec.fixed_1based(), "cells": v.cell_count}
-            for v in rep.failing()
+            {"fixed": f, "cells": n} for f, c, n in zip(fixed, ok, cells) if not c
         ]
         holds = connected and rep.all_connected
     else:

@@ -27,17 +27,21 @@ the loops over block pairs, columns and blocks they replaced; and the
 whole-file matrix CSV reader and writer, tensor reader and region cell
 array against the cell-by-cell conversions they replaced; and the pass over
 the flats that skips every row subset inside an accepted stratum's flat
-against the pass that eliminated those subsets and then dropped their T.
+against the pass that eliminated those subsets and then dropped their T;
+and the union-find among a start's roots, and the slice report held as
+arrays with the premise and CLI topology reports read from it, against the
+whole-array pointer jumps and the per-slice objects they replaced.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
 
+import argparse
 import csv
 import hashlib
 import json
 import math
 import re
-from itertools import chain
+from itertools import chain, combinations
 from unittest import mock
 
 import numpy as np
@@ -45,7 +49,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mechindep import basis, core, graphs, topology
+from mechindep import basis, cli, core, graphs, topology
 from mechindep.basis import (
     CHUNK,
     BlockSpec,
@@ -74,6 +78,7 @@ from mechindep.core import (
     OVERFLOW,
     SupportMask,
     Tolerance,
+    as_int,
     as_matrix,
     as_tensor,
     column_supports,
@@ -126,14 +131,29 @@ from mechindep.io import (
     _read_json,
     certificate_lines,
     read_matrix_csv,
+    read_region_json,
     read_tensor_json,
+    render,
     to_json,
     write_matrix_csv,
     write_region_json,
     write_tensor_json,
 )
 from mechindep.synth import OverlapTemplate, gen_overlap_jacobian
-from mechindep.topology import GridRegion, _is_cell, _roots, premise_report, rectangle
+from mechindep.topology import (
+    DISCRETIZATION_NOTE,
+    LOCAL_INJECTIVITY_NOTE,
+    GridRegion,
+    SliceReport,
+    SliceSpec,
+    SliceVerdict,
+    _is_cell,
+    _roots,
+    is_connected,
+    premise_report,
+    rectangle,
+    slices_connected,
+)
 
 from oracles import (
     exact_rank,
@@ -2875,3 +2895,239 @@ def test_region_cells_equal_the_nested_list_array(case):
     new = outcome()
     with mock.patch.object(topology, "_cell_array", reference_cell_array):
         assert new == outcome()
+
+
+# topology's union-find, slice report, premise report and CLI topology
+# report as they were built from whole-array pointer jumps and per-slice
+# objects, verbatim but for their names: the references for the jumps among
+# the start's roots and the report held as arrays.
+def reference_roots(n: int, edges, parent: np.ndarray | None = None) -> np.ndarray:
+    """Components of the graph on vertices 0..n-1 with the given edges, a
+    list of (lo, hi) integer index arrays: each vertex's root, the smallest
+    vertex of its component.  A vertex is a root iff it is its own root.
+    parent, if given, is _roots of a graph on the same vertices with a subset
+    of the edges: the components of the union start from it, and it is not
+    modified.
+
+    Min-root hooking with pointer jumping (Shiloach & Vishkin 1982): hook every
+    root onto the smallest root an edge joins it to, then jump pointers until
+    each vertex points at its root; repeat until no edge joins two roots."""
+    lo = np.concatenate([e[0] for e in edges])
+    hi = np.concatenate([e[1] for e in edges])
+    parent = np.arange(n, dtype=np.int32) if parent is None else parent.copy()
+    while True:
+        a, b = parent[lo], parent[hi]
+        cross = a != b
+        if not cross.any():
+            return parent
+        # A parent is never larger than its cell, in a given start too, so
+        # hooking makes no cycle; each round hooks at least one root onto a
+        # smaller index, so the number of roots falls every round and the
+        # loop ends.  Edges inside one component stay inside it, so only
+        # crossing edges are kept.
+        lo, hi, a, b = lo[cross], hi[cross], a[cross], b[cross]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
+def reference_slices_connected(region: GridRegion, k: int) -> SliceReport:
+    """Connectivity verdict for every nonempty k-slice of the region.
+
+    A k-slice picks k axes to stay free and one coordinate for each of the
+    other axes; its cells inherit orthogonal adjacency in the free axes.
+    Slices come in order of their free axes, then of their fixed coordinates.
+    Each order's report is computed once per region.
+    """
+    if not len(region.coords):
+        raise InvalidInput("empty region")
+    K = region.K
+    k = as_int(k, "slice order k", -math.inf)
+    if not 1 <= k < K:
+        raise InvalidInput(f"slice order {k} outside 1..{K - 1}")
+    if k in region._reports:
+        return region._reports[k]
+    coords = region.coords
+    cells = np.arange(len(coords))
+    verdicts = []
+    for free in combinations(range(K), k):
+        fixed_axes = [a for a in range(K) if a not in free]
+        # edges along the free axes never leave a slice, so each slice's
+        # component count is the number of roots among its cells
+        roots = region._roots_along(free) == cells
+        # the key of the cells' fixed coordinates alone orders the slices by
+        # those coordinates, as the key orders the cells
+        fixed = coords[:, fixed_axes] @ region._strides[fixed_axes]
+        _, first, group, sizes = np.unique(
+            fixed, return_index=True, return_inverse=True, return_counts=True
+        )
+        comps = np.bincount(group[roots], minlength=len(first))
+        keys = coords[first][:, fixed_axes]
+        for key, c, size in zip(keys.tolist(), comps.tolist(), sizes.tolist()):
+            verdicts.append(
+                SliceVerdict(
+                    spec=SliceSpec(fixed=tuple(zip(fixed_axes, key)), free_axes=free),
+                    connected=c == 1,
+                    cell_count=size,
+                )
+            )
+    all_ok = all(v.connected for v in verdicts)
+    region._reports[k] = SliceReport(k=k, all_connected=all_ok, verdicts=tuple(verdicts))
+    return region._reports[k]
+
+
+def reference_premise_report(region: GridRegion) -> Certificate:
+    """Bundle the two grid-checkable premises of the local-to-global
+    disentanglement result: the region is connected and every (K-1)-slice is
+    connected.  The injectivity premise cannot be read off a grid."""
+    if not len(region.coords):
+        raise InvalidInput("empty region")
+    digest = inputs_digest(list(region.dims), _IntRows(region.coords))
+    connected = is_connected(region)
+    witness: dict = {"isConnected": connected, "dims": list(region.dims)}
+    notes = [LOCAL_INJECTIVITY_NOTE, DISCRETIZATION_NOTE]
+    if region.K >= 2:
+        rep = reference_slices_connected(region, region.K - 1)
+        witness["sliceOrder"] = rep.k
+        witness["slicesAllConnected"] = rep.all_connected
+        witness["sliceCount"] = len(rep.verdicts)
+        witness["failingSlices"] = [
+            {"fixed": v.spec.fixed_1based(), "cells": v.cell_count}
+            for v in rep.failing()
+        ]
+        holds = connected and rep.all_connected
+    else:
+        witness["slicesAllConnected"] = None
+        notes.append("single-axis region: slice premise is vacuous")
+        holds = connected
+    return Certificate(
+        criterion="premises",
+        holds=holds,
+        witness=witness,
+        notes=tuple(notes),
+        inputs_digest=digest,
+    )
+
+
+def reference_run_topology(args: argparse.Namespace):
+    region = read_region_json(args.input_path)
+    cert = reference_premise_report(region)
+    header = {"command": "topology", "input": args.input_path}
+    payload = {"certificates": [cert.to_dict()]}
+    if args.slices is not None:
+        rep = reference_slices_connected(region, args.slices)
+        payload["slices"] = {
+            "k": rep.k,
+            "allConnected": rep.all_connected,
+            "slices": [
+                {
+                    "fixed": v.spec.fixed_1based(),
+                    "connected": v.connected,
+                    "cells": v.cell_count,
+                }
+                for v in rep.verdicts
+            ],
+        }
+
+    def lines():
+        yield from certificate_lines([cert])
+        if args.slices is None:
+            return
+        yield f"slice k={rep.k} allConnected={'true' if rep.all_connected else 'false'}"
+        for v in rep.verdicts:
+            fixed = ",".join(f"{a}={c}" for a, c in sorted(v.spec.fixed_1based().items()))
+            yield (
+                f"  slice [{fixed}]: {'connected' if v.connected else 'DISCONNECTED'}"
+                f" ({v.cell_count} cells)"
+            )
+
+    return (0 if cert.holds else 1), render(args.fmt, header, payload, lines)
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, start edges, edges): 1-60 vertices and 0-80 edges, some of them
+    loops or repeats, in int32 or intp arrays; a prefix of them, possibly
+    none, labels the start and the rest come in 1-3 (lo, hi) groups."""
+    n = draw(st.integers(1, 60))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80))
+    arr = np.array(pairs, dtype=draw(st.sampled_from([np.int32, np.intp]))).reshape(-1, 2)
+    cut = draw(st.integers(0, len(arr)))
+    cuts = sorted(draw(st.lists(st.integers(cut, len(arr)), max_size=2)))
+    groups = [(g[:, 0], g[:, 1]) for g in np.split(arr[cut:], [c - cut for c in cuts])]
+    return n, (arr[:cut, 0], arr[:cut, 1]), groups
+
+
+@settings(PINNED, max_examples=400)
+@given(_edge_lists())
+@example((4, (np.array([0]), np.array([1])), [(np.array([1]), np.array([2]))]))
+@example((5, (np.array([4, 3]), np.array([3, 2])), [(np.array([2, 1]), np.array([1, 0]))]))
+def test_roots_equal_the_whole_array_jumps(case):
+    """_roots with no start, and from a start that is the reference
+    labelling of some of the edges, gives the reference's label array
+    (values and dtype) and leaves the start unwritten; both are the
+    labelling of all the edges."""
+    n, (lo, hi), groups = case
+    want = reference_roots(n, groups)
+    got = _roots(n, groups)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    start = reference_roots(n, [(lo, hi)])
+    start.flags.writeable = False
+    before = start.copy()
+    got = _roots(n, groups, start)
+    want = reference_roots(n, groups, start)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(start, before)
+    assert np.array_equal(got, reference_roots(n, [(lo, hi), *groups]))
+
+
+@st.composite
+def _slice_regions(draw):
+    """(dims, cells): 2-4 axes, each cell of a window of up to 4 cells per
+    axis occupied with a drawn probability; a third of the grids have a
+    volume beyond int64, with the window at a random offset."""
+    K = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 2)) == 0:
+        dims = [2**62] + [int(d) for d in rng.choice([3, 2**31, 2**40, 2**62], size=K - 1)]
+    else:
+        dims = [int(d) for d in rng.integers(1, 5, size=K)]
+    window = np.minimum(dims, rng.integers(1, 5, size=K))
+    offset = np.array([rng.integers(0, d - w + 1) for d, w in zip(dims, window.tolist())])
+    share = draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
+    inside = np.argwhere(rng.random(window) < share)
+    cells = (inside + offset if len(inside) else offset[None, :]).tolist()
+    return dims, cells
+
+
+@settings(PINNED, max_examples=150)
+@given(_slice_regions())
+@example(([2**40, 2**40, 3], [[0, 0, 0], [0, 0, 1], [2**40 - 1, 2**40 - 1, 2]]))
+@example(([4, 3, 2, 2], [[1, 0, 0, 0], [1, 2, 0, 0], [0, 1, 1, 1], [3, 1, 1, 1]]))
+def test_slice_reports_equal_the_per_slice_objects(tmp_path_factory, case):
+    """Every order's report held as arrays has the reference's verdicts
+    tuple, all_connected and failing(), and equals it and a second build;
+    the topology report of every order, in JSON and text, has the
+    reference's bytes and exit code."""
+    dims, cells = case
+    for k in range(1, len(dims)):
+        got, again = (slices_connected(GridRegion(dims, cells), k) for _ in range(2))
+        with mock.patch.object(topology, "_roots", reference_roots):
+            want = reference_slices_connected(GridRegion(dims, cells), k)
+        assert type(got.verdicts) is tuple and got.verdicts == want.verdicts
+        assert got.all_connected is want.all_connected
+        assert got.failing() == want.failing()
+        assert got == again == want and hash(got) == hash(want)
+    path = tmp_path_factory.mktemp("slices") / "region.json"
+    write_region_json(path, GridRegion(dims, cells))
+    for k in range(1, len(dims)):
+        for fmt in ("json", "text"):
+            args = cli._build_parser().parse_args(
+                ["topology", "--slices", str(k), "--format", fmt, str(path)]
+            )
+            got = cli.run(args)
+            with mock.patch.object(topology, "_roots", reference_roots):
+                assert got == reference_run_topology(args)

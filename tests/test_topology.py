@@ -105,8 +105,11 @@ def test_region_validation(tmp_path):
 
 def test_set_mapping_and_bytes_rows_are_named():
     """A set, mapping or bytes row gives numpy no coordinates, so it is the
-    cell the message names, not the good cell before it."""
-    for row, shown in [({1: 0, 2: 0}, "{1: 0, 2: 0}"), (b"\x01\x02", "b'\\x01\\x02'"), ({1, 2}, "{1, 2}")]:
+    cell the message names, not the good cell before it; a bytearray or
+    memoryview row is refused as a bytes row is, not read as the cell of its
+    byte values."""
+    buffers = [(b, repr(b)) for b in (bytearray(b"\x01\x02"), memoryview(b"\x01\x02"))]
+    for row, shown in [({1: 0, 2: 0}, "{1: 0, 2: 0}"), (b"\x01\x02", "b'\\x01\\x02'"), ({1, 2}, "{1, 2}")] + buffers:
         with pytest.raises(InvalidInput, match=re.escape(f"cell {shown} must be 2 integer coordinates")):
             GridRegion.from_occupied([3, 3], [[1, 2], row])
 
