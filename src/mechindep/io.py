@@ -11,7 +11,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidInput
-from .topology import GridRegion
+from .topology import GridRegion, _check_dims
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -23,6 +23,8 @@ def read_matrix_csv(path) -> np.ndarray:
         with open(path, newline="") as fh:
             rows = (r for r in csv.reader(fh) if r and not all(not c.strip() for c in r))
             M = np.fromiter(chain.from_iterable(widths.append(len(r)) or r for r in rows), float)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc)
     except (csv.Error, ValueError):
         return _read_cells(path)
     if len(set(widths)) == 1 and np.isfinite(M).all():
@@ -75,14 +77,28 @@ def write_matrix_csv(path, M) -> None:
         fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in M.tolist()))
 
 
+def _undecodable(path, exc: UnicodeDecodeError) -> InvalidInput:
+    """InvalidInput naming the file's first byte that exc's codec cannot
+    decode: a reader that decodes its file in chunks counts exc's offset
+    from the start of the chunk."""
+    with open(path, "rb") as fh:
+        try:
+            fh.read().decode(exc.encoding)
+        except UnicodeDecodeError as whole:
+            exc = whole
+    return InvalidInput(f"{path}: byte offset {exc.start}: not {exc.encoding} text ({exc.reason})")
+
+
 def _read_json(path, kind: str, second: str) -> dict:
     """The JSON object of a tensor or region file (kind), InvalidInput unless
-    it parses and has the keys 'dims' and second."""
+    it decodes, parses and has the keys 'dims' and second."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc)
     if not isinstance(data, dict) or "dims" not in data or second not in data:
         raise InvalidInput(f"{path}: {kind} JSON needs 'dims' and '{second}'")
     return data
@@ -148,9 +164,92 @@ def write_tensor_json(path, T) -> None:
 
 
 def read_region_json(path) -> GridRegion:
-    """Region format: {"dims": [...], "occupied": [[1-based coords], ...]}."""
-    data = _read_json(path, "region", "occupied")
-    return GridRegion.from_occupied(data["dims"], data["occupied"])
+    """Region format: {"dims": [...], "occupied": [[1-based coords], ...]}.
+
+    The layout write_region_json and json.dump write is read straight into
+    one int64 array (_region_cells).  Any other layout, and any coordinate
+    that is not a plain integer of at most 18 digits, is read by json, which
+    raises every error; both give the same region."""
+    with open(path, "rb") as fh:
+        cells = _region_cells(fh.read())
+    if cells is None:
+        data = _read_json(path, "region", "occupied")
+        return GridRegion.from_occupied(data["dims"], data["occupied"])
+    return GridRegion.from_occupied(*cells)
+
+
+# the region file as json.dump writes it: {"dims": <list>, "occupied":
+# [[a, b, ...], ...]} and at most a newline
+_DIMS, _OCCUPIED = b'{"dims": ', b', "occupied": '
+_DIGITS = b"0123456789"
+
+
+def _region_cells(data: bytes):
+    """(dims, cells) of the bytes of a region file in json.dump's layout,
+    whose dims pass _check_dims: the dims text as json.loads reads it, and
+    the cells as _listing reads the occupied list; None for any other text."""
+    end = len(data) - data.endswith(b"\n")
+    close = data.find(b"]", len(_DIMS))  # dims is the first list
+    start = close + 1 + len(_OCCUPIED)
+    if not (
+        data.startswith(_DIMS)
+        and data.startswith(_OCCUPIED, close + 1)
+        and data.endswith(b"]]}", start, end)
+    ):
+        return None
+    try:
+        dims = json.loads(data[len(_DIMS) : close + 1].decode("ascii"))
+        _check_dims(dims)
+    except (ValueError, RecursionError, InvalidInput):
+        return None
+    cells = _listing(data[start : end - 1], len(dims))
+    return None if cells is None else (dims, cells)
+
+
+def _listing(text: bytes, K: int):
+    """The (N, K) int64 array of the integers that text lists, which must be
+    [[n, n, ...], ...]: N >= 1 rows of K integers, joined by ", " within a
+    row and by "], [" between rows, each one JSON's int with no sign, no
+    leading zero and at most 18 digits, so within int64; None for any other
+    text.  The separators are checked by position: the bytes between two
+    digit runs are as many as their separator's, as are the bytes after the
+    last, and the bytes off the digit runs are the separators in order, so
+    the bytes before the first run are "[[" too."""
+    a = np.frombuffer(text, np.uint8)
+    v = a - np.uint8(ord("0"))  # a digit's value, above 9 off the digits
+    digit = v < 10
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    del digit
+    bounds += 1
+    starts, ends = bounds[0::2], bounds[1::2]  # of each digit run
+    M = len(ends)
+    if not M or M % K or len(starts) != M or v[0] < 10 or len(a) - ends[-1] != 2:
+        return None
+    gaps = np.full(M - 1, 2, dtype=np.int8)
+    gaps[K - 1 :: K] = 4  # a row's last number is followed by "], ["
+    row = b", " * (K - 1)
+    if not (
+        np.array_equal(starts[1:] - ends[:-1], gaps)
+        and text.translate(None, _DIGITS) == b"[[" + (row + b"], [") * (M // K - 1) + row + b"]]"
+    ):
+        return None
+    lengths = ends - starts
+    width = int(lengths.max())
+    if width > 18 or ((v[starts] == 0) & (lengths > 1)).any():
+        return None
+    # Horner's rule over the places, one gather each, the highest first; with
+    # v 0 off the digits, the two separator bytes before a number stand for
+    # its missing places up to the hundreds, and starts clamps those beyond
+    v *= v < 10
+    del lengths
+    starts -= 1  # the byte before each number
+    ends -= width  # its highest place's byte
+    cells = np.zeros(M, dtype=np.int64)
+    for place in reversed(range(width)):
+        cells *= 10
+        cells += v[ends if place < 3 else np.maximum(ends, starts)]
+        ends += 1
+    return cells.reshape(-1, K)
 
 
 def write_region_json(path, region: GridRegion) -> None:

@@ -57,11 +57,24 @@ def _check_dims(dims) -> None:
         raise InvalidInput(f"axis lengths must be positive integers, got {list(dims)}")
 
 
-def _cell_array(rows: list, K: int) -> np.ndarray:
+def _cell_array(rows, K: int) -> np.ndarray:
     """Cells given as K integers each, as an (N, K) int64 array in input order.
 
     A float, string, bool or null coordinate, a wrong arity, or an integer
-    beyond int64 is InvalidInput, naming the first such cell."""
+    beyond int64 is InvalidInput, naming the first such cell.  rows is a list,
+    or a 2-D integer ndarray taken as it is, with the outcome of its .tolist():
+    every row has its width (no rows are no cells, whatever the width), and
+    only uint64 holds integers beyond int64."""
+    if isinstance(rows, np.ndarray):
+        if not len(rows):
+            return np.zeros((0, K), dtype=np.int64)
+        if rows.shape[1] != K:
+            bad = rows[0]
+        elif rows.dtype == np.uint64 and (over := (rows > _INT64_MAX).any(axis=1)).any():
+            bad = rows[over.argmax()]
+        else:
+            return rows.astype(np.int64)
+        raise InvalidInput(f"cell {bad.tolist()!r} must be {K} integer coordinates")
     arr = None
     try:
         kinds = set(map(type, chain.from_iterable(rows)))
@@ -100,10 +113,13 @@ class GridRegion:
         InvalidInput.  Lexicographic order is key order, so a strictly
         increasing key needs no sort."""
         _check_dims(dims)
-        try:
-            rows = list(cells)
-        except TypeError:
-            raise InvalidInput(f"{name} must be a list of cells, got {cells!r}")
+        rows = cells
+        if not (isinstance(cells, np.ndarray) and cells.ndim == 2 and cells.dtype.kind in "iu"):
+            # any other array as its Python rows and coordinates
+            try:
+                rows = list(cells.tolist() if isinstance(cells, np.ndarray) else cells)
+            except TypeError:
+                raise InvalidInput(f"{name} must be a list of cells, got {cells!r}")
         arr = _cell_array(rows, len(dims))
         last = np.array(dims, dtype=np.int64) + (base - 1)
         outside = ((arr < base) | (arr > last)).any(axis=1)

@@ -2,8 +2,10 @@
 thin-adapter property (CLI verdicts equal direct library verdicts)."""
 
 import argparse
+import codecs
 import hashlib
 import json
+import locale
 import re
 import sys
 
@@ -528,6 +530,37 @@ def test_topology_rejects_non_integer_region_values(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("mechindep: error:")
+
+
+@pytest.mark.skipif(
+    codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+    reason="files are decoded in the locale's encoding, and 0xff is invalid in UTF-8",
+)
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("m.csv", b"1,2\n3,\xff\n", ["analyze", "--criteria", "d", "--blocks", "1,1"]),
+        # beyond the first chunk that the streaming CSV reader decodes
+        ("m.csv", b"1,2\n" * 5000 + b"\xff,1\n", ["analyze", "--criteria", "d", "--blocks", "1,1"]),
+        ("t.json", b'{"dims": [2, 1, 1], "entries": [0, 0], "note": "\xff"}\n', ["analyze", "--criteria", "h2", "--blocks", "1,1", "--hessian"]),
+        ("r.json", b'{"dims": [2], "occupied": [[1]], "note": "\xff"}\n', ["topology"]),
+    ],
+)
+def test_undecodable_files_exit_two_naming_file_and_offset(tmp_path, capsys, name, text, argv):
+    """A byte that UTF-8 cannot decode is invalid input (exit 2), named by
+    its offset in the file, from each of the three readers."""
+    path = tmp_path / name
+    path.write_bytes(text)
+    write_matrix_csv(tmp_path / "j.csv", np.eye(2))
+    argv = argv + [str(path)] + ([str(tmp_path / "j.csv")] if name == "t.json" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    offset = text.index(b"\xff")
+    message = f"{path}: byte offset {offset}: not utf-8 text (invalid start byte)"
+    assert captured.out == "" and captured.err == f"mechindep: error: {message}\n"
+    read = {"m.csv": read_matrix_csv, "t.json": read_tensor_json, "r.json": read_region_json}[name]
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        read(path)
 
 
 def test_analyze_with_hessian_criteria(workdir, tmp_path):

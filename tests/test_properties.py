@@ -30,7 +30,9 @@ the flats that skips every row subset inside an accepted stratum's flat
 against the pass that eliminated those subsets and then dropped their T;
 and the union-find among a start's roots, and the slice report held as
 arrays with the premise and CLI topology reports read from it, against the
-whole-array pointer jumps and the per-slice objects they replaced.
+whole-array pointer jumps and the per-slice objects they replaced; and the
+region file read from its bytes into one int64 array, on json.dump's layout
+and on edits of it, against the json reader and cell array it replaced.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -129,6 +131,7 @@ from mechindep.graphs import (
 from mechindep.io import (
     _PART,
     _read_json,
+    _region_cells,
     certificate_lines,
     read_matrix_csv,
     read_region_json,
@@ -147,6 +150,7 @@ from mechindep.topology import (
     SliceReport,
     SliceSpec,
     SliceVerdict,
+    _NOT_ROWS,
     _is_cell,
     _roots,
     is_connected,
@@ -2895,6 +2899,180 @@ def test_region_cells_equal_the_nested_list_array(case):
     new = outcome()
     with mock.patch.object(topology, "_cell_array", reference_cell_array):
         assert new == outcome()
+
+
+# io's region reader and topology's cell array as they read every region
+# file through json, verbatim but for their names: the references for the
+# files in json.dump's layout read straight into one int64 array.
+def reference_read_json(path, kind: str, second: str) -> dict:
+    """The JSON object of a tensor or region file (kind), InvalidInput unless
+    it parses and has the keys 'dims' and second."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(data, dict) or "dims" not in data or second not in data:
+        raise InvalidInput(f"{path}: {kind} JSON needs 'dims' and '{second}'")
+    return data
+
+
+def reference_fromiter_cell_array(rows: list, K: int) -> np.ndarray:
+    """Cells given as K integers each, as an (N, K) int64 array in input order.
+
+    A float, string, bool or null coordinate, a wrong arity, or an integer
+    beyond int64 is InvalidInput, naming the first such cell."""
+    arr = None
+    try:
+        kinds = set(map(type, chain.from_iterable(rows)))
+        kinds |= {t for t in set(map(type, rows)) if issubclass(t, _NOT_ROWS)}
+        if all(t is int or issubclass(t, np.integer) for t in kinds) and {*map(len, rows)} <= {K}:
+            arr = np.fromiter(chain.from_iterable(rows), np.int64, count=len(rows) * K)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if arr is None:
+        bad = next((r for r in rows if not _is_cell(r, K)), rows[0])
+        raise InvalidInput(f"cell {bad!r} must be {K} integer coordinates")
+    return arr.reshape(len(rows), K)
+
+
+def reference_read_region_json(path) -> GridRegion:
+    """Region format: {"dims": [...], "occupied": [[1-based coords], ...]}."""
+    data = reference_read_json(path, "region", "occupied")
+    return GridRegion.from_occupied(data["dims"], data["occupied"])
+
+
+def _nth(text: str, pattern: str, n: int, new, after: str = '"occupied"') -> str:
+    """text with the n-th match (mod their count) of pattern after the first
+    after replaced by new, or by what new makes of the match; text itself
+    when nothing matches."""
+    at = max(text.find(after), 0)
+    found = list(re.finditer(pattern, text[at:]))
+    if not found:
+        return text
+    m = found[n % len(found)]
+    return text[: at + m.start()] + (new if isinstance(new, str) else new(m)) + text[at + m.end() :]
+
+
+# edits of a region file's text: tokens for a coordinate, for a cell, for
+# dims, for the whole text and for its end
+_ODD_COORDS_TEXT = ["01", "00", "007", "-1", "-0", "1.0", "1e2", "1E2", "true", "null", '"1"', "[]", "[1]", "0"]
+_ODD_CELLS_TEXT = ["[]", "[1]", "[[1, 2]]", "[[1], [2]]", "1", "[1, 2, 3, 4, 5]", "{}", "[1,2]", "[ 1, 2]"]
+_ODD_DIMS_TEXT = ["[]", "3", "[0]", "[2.0]", "[true]", '["2"]', "[-1]", f"[{2**63}]", "[[2]]", "null", "[2,3]", "[ 2, 3 ]"]
+_TEXT_EDITS = [
+    lambda t: "\ufeff" + t,  # a BOM
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.rstrip("\n"),
+    lambda t: t + "\n",
+    lambda t: t + " ",
+    lambda t: t + "x",
+    lambda t: t.rstrip("\n") + "]",
+    lambda t: " " + t,
+    lambda t: t.replace("{", '{"x": 1, ', 1),  # an extra key first
+    lambda t: t[: t.rindex("}")] + ', "x": [[1]]' + t[t.rindex("}") :],  # and last
+    lambda t: t.replace("{", '{"dims": [1], ', 1),  # a duplicate key, overridden
+    lambda t: t[: t.rindex("}")] + ', "dims": [99]' + t[t.rindex("}") :],  # and overriding
+    lambda t: t[: t.rindex("}")] + ', "occupied": [[1]]' + t[t.rindex("}") :],
+    lambda t: t.replace('"occupied"', '"occupy"'),
+    lambda t: re.sub(r'("occupied":\s*)\[.*\]', r"\1[]", t, flags=re.S),  # no cells
+]
+# a separator of the listing, and what replaces it
+_ODD_SEPARATORS = [
+    (r"\[\[", "[ ["), (r"\[\[", "{["), (r"\]\]", "] ]"), (r"\]\]", "]}"),
+    (", ", ","), (", ", ",  "), (", ", " ,"), (", ", ",,"), (", ", "; "),
+    (r"\], \[", "],["), (r"\], \[", "] ,["), (r"\], \[", "}, {"), (r"\], \[", "], [ "),
+    # a digit moved across the separator after or before it
+    (r"\d\D", lambda m: m[0][::-1]), (r"\D\d", lambda m: m[0][::-1]),
+]
+_LAYOUTS = {
+    "written": None,
+    "dump": {},
+    "compact": {"separators": (",", ":")},
+    "indent": {"indent": 2},
+}
+
+
+@st.composite
+def _region_edits(draw):
+    """(dims, cells, layout, edits): a region of 1-4 axes, most of length at
+    most 12, some long enough for 18- and 19-digit coordinates or a grid
+    beyond int64; its 1-based cells in draw order (with repeats), to be
+    written by write_region_json, by json.dumps in its default layout,
+    compact, indented or with the keys swapped; then 0-3 edits of the text:
+    an odd token for a coordinate (a leading zero, a sign, a fraction, an
+    exponent, a bool, null, a string, a list, 19-25 digits), for a cell (no,
+    fewer, more or nested coordinates, other spacing) or for dims, another
+    separator in the listing or a digit moved across one, or an edit of the
+    whole text (a BOM, CRLF, no or another end, trailing garbage, an extra,
+    duplicate or missing key, no cells)."""
+    K = draw(st.integers(1, 4))
+    long = st.sampled_from([10**17, 10**18, 2**40, 2**62, 2**63 - 1])
+    dims = draw(st.lists(st.one_of(st.integers(1, 12), st.integers(1, 12), long), min_size=K, max_size=K))
+    cells = draw(st.lists(st.tuples(*(st.integers(1, d) for d in dims)).map(list), min_size=1, max_size=8))
+    layout = draw(st.sampled_from([*_LAYOUTS, "written", "dump", "swapped"]))
+    n = st.integers(0, 40)
+    edit = st.one_of(
+        st.tuples(n, st.one_of(st.sampled_from(_ODD_COORDS_TEXT), st.integers(10**18, 10**25 - 1).map(str))).map(
+            lambda a: lambda t: _nth(t, r"\d+", a[0], a[1])
+        ),
+        st.tuples(n, st.sampled_from(_ODD_CELLS_TEXT)).map(lambda a: lambda t: _nth(t, r"\[[^\[\]]*\]", a[0], a[1])),
+        st.sampled_from(_ODD_DIMS_TEXT).map(lambda new: lambda t: _nth(t, r"\[[^\]]*\]", 0, new, '"dims"')),
+        st.tuples(n, st.sampled_from(_ODD_SEPARATORS)).map(lambda a: lambda t: _nth(t, a[1][0], a[0], a[1][1])),
+        st.sampled_from(_TEXT_EDITS),
+    )
+    return dims, cells, layout, draw(st.lists(edit, max_size=3))
+
+
+def _region_outcome(read, path):
+    """A region's dims, cells and key, or the error read raised."""
+    try:
+        r = read(path)
+    except MechIndepError as exc:
+        return type(exc).__name__, str(exc)
+    return r.dims, r.coords.tolist(), r.key.dtype.str, r.key.tolist()
+
+
+@settings(PINNED, max_examples=500)
+@given(_region_edits())
+@example(([3, 3], [[1, 2], [3, 3], [1, 2]], "written", []))
+@example(([10**18, 2], [[10**18, 1]], "written", []))
+@example(([10**17, 2], [[10**17, 2], [1, 1]], "dump", []))
+@example(([2**63 - 1, 2**40, 3], [[2**62, 1, 1], [1, 2**40, 3]], "written", []))
+@example(([10**17, 10**17, 3], [[10**17, 1, 3], [1, 10**17, 1]], "written", []))
+@example(([12, 12], [[1, 12]], "dump", [lambda t: _nth(t, r"\d+", 0, "01")]))
+@example(([12, 12], [[1, 12]], "dump", [lambda t: _nth(t, r"\d+", 1, "1" * 19)]))
+@example(([12, 12], [[1, 12]], "dump", [lambda t: _nth(t, r"\d+", 1, "9" * 18)]))
+@example(([12, 12], [[1, 12]], "dump", [lambda t: "\ufeff" + t]))
+# a digit moved across a row separator or the listing's first "[", and a
+# separator of its length
+@example(([12], [[5]], "written", [lambda t: t.replace("[[5]]", "[5[]]")]))
+@example(([12, 12], [[1, 2], [3, 4]], "dump", [lambda t: t.replace("], [3", "], 3[")]))
+@example(([12, 12], [[1, 2], [3, 4]], "dump", [lambda t: t.replace("1, 2", "1; 2")]))
+@example(([12, 12], [[1, 2], [3, 4]], "dump", [lambda t: t.replace("], [", "]  [")]))
+def test_region_reader_equals_the_json_reader(tmp_path_factory, case):
+    """The file read straight into one array when it is in json.dump's
+    layout, and through json otherwise: the same region (dims, cells, key
+    and key dtype) as json's reader and cell array, or the same error."""
+    dims, cells, layout, edits = case
+    path = tmp_path_factory.mktemp("region") / "r.json"
+    if layout == "written":
+        write_region_json(path, GridRegion.from_occupied(dims, cells))
+        text = path.read_text()
+    elif layout == "swapped":
+        text = json.dumps({"occupied": cells, "dims": dims}) + "\n"
+    else:
+        text = json.dumps({"dims": dims, "occupied": cells}, **_LAYOUTS[layout]) + "\n"
+    for edit in edits:
+        text = edit(text)
+    path.write_bytes(text.encode())
+    # the layout json.dump writes takes the one-array path unless a
+    # coordinate has 19 digits
+    if layout in ("written", "dump") and not edits:
+        listing = text[text.index('"occupied"') :]
+        assert (_region_cells(text.encode()) is None) == bool(re.search(r"\d{19}", listing))
+    new = _region_outcome(read_region_json, path)
+    with mock.patch.object(topology, "_cell_array", reference_fromiter_cell_array):
+        assert new == _region_outcome(reference_read_region_json, path)
 
 
 # topology's union-find, slice report, premise report and CLI topology

@@ -120,6 +120,62 @@ def test_from_occupied_is_one_based():
     assert r.occupied_1based() == [[1, 1], [2, 2]]
 
 
+def _built(build, dims, cells):
+    """A region's dims, cells and key, or the message of its error."""
+    try:
+        r = build(dims, cells)
+    except InvalidInput as exc:
+        return str(exc)
+    return r.dims, r.coords.tolist(), r.key.dtype.str, r.key.tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
+def test_integer_array_cells_equal_their_rows(dtype):
+    """An integer array of cells gives the region or the error of its
+    .tolist() rows, from the constructor and from from_occupied, and is left
+    as it was: repeated, unsorted, negative (wrapped in an unsigned array),
+    outside the grid, no cells of any width, another width, 1-D, and a
+    uint64 coordinate beyond int64."""
+    cases = [
+        [[3, 1], [1, 2], [0, 0], [3, 1], [2, 2]],
+        [[1, 1], [-1, 2]],
+        [[1, 1], [4, 1]],
+        np.zeros((0, 2)),
+        np.zeros((0, 3)),
+        np.zeros((0, 1)),
+        [[1, 2, 1], [1, 1, 1]],
+        [[1], [2]],
+        [1, 2],
+        [],
+    ]
+    arrays = [np.array(case).astype(dtype) for case in cases]
+    if dtype is np.uint64:
+        arrays.append(np.array([[1, 1], [2, 2**63], [2**64 - 1, 1]], dtype=np.uint64))
+    for arr in arrays:
+        before = arr.copy()
+        for build in (GridRegion, GridRegion.from_occupied):
+            assert _built(build, [4, 3], arr) == _built(build, [4, 3], arr.tolist()), (arr, build)
+        assert np.array_equal(arr, before) and arr.dtype == before.dtype
+    if dtype is np.uint64:
+        big = f"cell [2, {2**63}] must be 2 integer coordinates"
+        assert _built(GridRegion.from_occupied, [4, 3], arrays[-1]) == big
+
+
+@pytest.mark.parametrize(
+    "arr, shown",
+    [
+        (np.array([[1.0, 2.0]]), "[1.0, 2.0]"),
+        (np.array([[1, 2]], dtype=np.float32), "[1.0, 2.0]"),
+        (np.array([[True, False]]), "[True, False]"),
+    ],
+)
+def test_float_and_bool_arrays_are_refused(arr, shown):
+    """Float and bool arrays are refused as their rows are, naming the row."""
+    message = f"cell {shown} must be 2 integer coordinates"
+    for build in (GridRegion, GridRegion.from_occupied):
+        assert _built(build, [3, 3], arr) == _built(build, [3, 3], arr.tolist()) == message
+
+
 def test_repeated_unsorted_cells_read_as_their_set(tmp_path):
     """A region file that lists cells out of order and more than once gives
     the region, digest and report of the set of its cells."""
