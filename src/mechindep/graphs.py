@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CHUNK, BlockSpec
+from .basis import CHUNK, MAX_COLS, MAX_ROWS, BlockSpec
 from .certificates import Certificate, inputs_digest
 from .core import Tolerance, as_int, as_matrix, as_tensor, null_space_many, rank, rank_many
 from .errors import DegenerateColumn, GenerationError, InternalError, InvalidInput, RankError
@@ -128,46 +128,68 @@ def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartit
     Its groups are the connected components of the row matroid of M, and the
     fundamental circuits of one row basis connect them (Krogdahl 1977; Oxley,
     Matroid Theory, ch. 4).  A greedy pass over the nonzero rows grows the
-    basis B: each step ranks the next rows, at most CHUNK, each stacked under
-    B, in one rank_many call; the first that adds rank joins B, and the rows
-    before it are spanned.  Each row e that B spans joins every b in B whose
-    exchange B - b + e is again a basis.  For rank r that takes at most
-    r + ceil((m - r) / CHUNK) greedy calls plus (m - r) * r exchange tests,
-    batched over the spanned rows that met the same basis, at most
-    max(CHUNK, r) slices per call.  The joined pairs are grouped at the end
-    (_groups).  Zero rows are loops: each joins the first nonzero row (row
-    one when every row is zero), so they land in group one.
+    basis B from the first of them (one nonzero row has rank 1): each step
+    ranks the next rows, at most CHUNK, each stacked under B, in one
+    rank_many call; the first that adds rank joins B, and the rows before it
+    are spanned.  Once B holds n = M.shape[1] rows, the rank bound spans
+    every row left.  Each row e that B spans joins every b in B whose
+    exchange B - b + e is again a basis; at basis size 1 that is the nonzero
+    row e alone, so it joins B's first row untested.  For rank r that takes
+    at most r - 1 + ceil((m - r) / CHUNK) greedy calls.  The (m - r) * r
+    exchange tests of consecutive basis sizes share one rank_many call of at
+    most CHUNK slices, each gathered from M with zero rows under it up to the
+    call's largest size (zero rows never win a pivot); a basis size with
+    more than CHUNK tests takes calls of its own, max(1, CHUNK // r) spanned
+    rows each.  The joined pairs are grouped at the end (_groups).  Zero rows
+    are loops: each joins the first nonzero row (row one when every row is
+    zero), so they land in group one.
     """
     tol = tol or Tolerance.default()
     M = as_matrix(M)
     thr = tol.matrix_threshold(M)
+    m, n = M.shape
     zero = np.abs(M).max(axis=1) <= thr
     nz = np.flatnonzero(~zero).tolist()
     # (basis row, spanned row) pairs to join, and each zero row with the first nonzero row
     circuits = [(nz[0] if nz else 0, r) for r in np.flatnonzero(zero).tolist()]
-    basis: list[int] = []
-    spanned: dict[int, list[int]] = {}  # basis size when each spanned row came
-    rest = nz
-    while rest:
+    basis, rest = nz[:1], nz[1:]
+    spanned: list[int] = []  # the rows B spans, in order,
+    sizes: list[int] = []  # and the basis size when each came
+    while rest and len(basis) < n:
         es = rest[:CHUNK]
         grew = np.flatnonzero(rank_many(M[[basis + [e] for e in es]], thr) > len(basis))
         at = int(grew[0]) if grew.size else len(es)
-        if at:  # their circuits lie in the basis so far, so later basis rows cannot join them
-            spanned.setdefault(len(basis), []).extend(es[:at])
+        # their circuits lie in the basis so far, so later basis rows cannot join them
+        spanned += es[:at]
+        sizes += [len(basis)] * at
         joined = es[at : at + 1]
         basis += joined
         rest = rest[at + len(joined) :]
-    for r, rows in spanned.items():
-        step = max(1, CHUNK // r)
-        for i in range(0, len(rows), step):
-            es = rows[i : i + step]
-            # slice (e, j) is the basis with e in place of its j-th row
-            exchanged = np.broadcast_to(M[basis[:r]], (len(es), r, r, M.shape[1])).copy()
-            exchanged[:, np.arange(r), np.arange(r)] = M[es][:, None, :]
-            ranks = rank_many(exchanged.reshape(-1, r, M.shape[1]), thr).reshape(len(es), r)
-            for ei, j in zip(*np.nonzero(ranks == r)):
-                circuits.append((basis[j], es[ei]))
-    return RowPartition(tuple(_groups(M.shape[0], circuits)))
+    e = np.array(spanned + rest, dtype=np.intp)
+    r = np.array(sizes + [n] * len(rest), dtype=np.intp)
+    circuits += [(basis[0], x) for x in e[r == 1].tolist()]
+    e, r = e[r > 1], r[r > 1]
+    # test t: is B's first size[t] rows, row[t] in place of the one at pos[t], a basis?
+    size, row = np.repeat(r, r), np.repeat(e, r)
+    pos = np.arange(size.size) - np.repeat(np.cumsum(r) - r, r)
+    stops, packed = [0], False  # each call's end, and whether the last may take more sizes
+    for k, count in zip(*np.unique(r, return_counts=True)):
+        tests = int(k * count)
+        if packed and stops[-1] - stops[-2] + tests <= CHUNK:
+            stops[-1] += tests
+        else:
+            packed = tests <= CHUNK
+            step = tests if packed else max(1, CHUNK // int(k)) * int(k)
+            stops += [*range(stops[-1] + step, stops[-1] + tests, step), stops[-1] + tests]
+    padded = np.vstack([M, np.zeros(n)])  # row m: the zero row under smaller bases
+    base = np.array(basis, dtype=np.intp)
+    for a, b in zip(stops, stops[1:]):
+        top = size[b - 1]
+        take = np.where(np.arange(top) < size[a:b, None], base[:top], m)
+        take[np.arange(b - a), pos[a:b]] = row[a:b]
+        hit = a + np.flatnonzero(rank_many(padded[take], thr) == size[a:b])
+        circuits += zip(base[pos[hit]].tolist(), row[hit].tolist())
+    return RowPartition(tuple(_groups(m, circuits)))
 
 
 def component_counts(stack, thr) -> np.ndarray:
@@ -195,20 +217,23 @@ def _sampled_counts(M: np.ndarray, F: int, tol: Tolerance, draws: int, seed: int
     """Route d of the audit: the D-graph component counts of M R for the
     first `draws` invertible R of the seeded standard-normal stream, in order.
 
-    Draws come CHUNK at a time from one standard_normal call, the same stream
-    as one (n, n) draw after another.  Each chunk is ranked by one rank_many
-    call and counted by one component_counts call.  A singular draw is
-    skipped, as a redraw; 101 singular draws in a row, counted across chunks,
-    raise GenerationError.  Errors come in stream order: a non-finite M R
+    Each chunk of draws comes from one standard_normal call, the same stream
+    as one (n, n) draw after another.  A chunk holds as many draws as keep
+    its products M R within the searches' bound of CHUNK * MAX_ROWS *
+    MAX_COLS entries (0.16 MB), and never fewer than CHUNK; it is ranked by
+    one rank_many call and counted by one component_counts call.  A singular
+    draw is skipped, as a redraw; 101 singular draws in a row, counted across
+    chunks, raise GenerationError.  Errors come in stream order: a non-finite M R
     (a finite M too large to mix, InvalidInput), a count above F
     (InternalError), then a failed redraw.
     """
     n = M.shape[1]
+    chunk = max(CHUNK, CHUNK * MAX_ROWS * MAX_COLS // M.size)
     rng = np.random.default_rng(seed)
     found = [np.zeros(0, dtype=np.intp)]
     done = singular = 0  # singular: draws since the last invertible one
     while done < draws:
-        Rs = rng.standard_normal((min(CHUNK, draws - done), n, n))
+        Rs = rng.standard_normal((min(chunk, draws - done), n, n))
         ok = rank_many(Rs, tol.stack_thresholds(Rs)) == n
         at = np.arange(len(Rs))
         run = at - np.maximum.accumulate(np.where(ok, at, -1 - singular))
@@ -257,6 +282,8 @@ def block_structure_audit(
     Route b: a basis assembled from the groups' complementary null spaces, all
         found by one null_space_many call (_stacked_rows), makes M
         block-diagonal with F verified diagonal blocks under a row sort.
+        One rank_many call ranks every group's rows, at M's threshold, and
+        the basis, at its own.
     Route c: the disjointness graph of M in that basis has F components.
     Route d (sampling): over seeded invertible mixings, the component count
         never exceeds F (it can under-count; the witness basis attains F).
@@ -282,13 +309,20 @@ def block_structure_audit(
     mine = owner == np.arange(F)[:, None]
     bases = null_space_many(_stacked_rows(M, ~mine), thr)
     dims = np.array([N.shape[1] for N in bases])
-    expected = rank_many(_stacked_rows(M, mine), thr)
-    bad = np.flatnonzero(dims != expected)
+    B = np.column_stack(bases)
+    # one call ranks each group's rows at M's threshold and B at its own; a
+    # B that is not square is not invertible, and ranks as zeros
+    square = B if B.shape[1] == n else np.zeros((n, n))
+    take = np.zeros((F + 1, M.shape[0] + n), dtype=bool)
+    take[:F, : M.shape[0]] = mine
+    take[F, M.shape[0] :] = True
+    thrs = np.append(np.full(F, thr), tol.matrix_threshold(square))
+    expected = rank_many(_stacked_rows(np.vstack([M, square]), take), thrs)
+    bad = np.flatnonzero(dims != expected[:F])
     if bad.size:
         k = bad[0]
         raise InternalError(f"group {k + 1}: null dimension {dims[k]} != group rank {expected[k]}")
-    B = np.column_stack(bases)
-    if B.shape[1] != n or rank(B, tol) < n:
+    if expected[F] < n:
         raise InternalError("constructed basis is not invertible")
     C = M @ B
     # each group's largest entry in its own columns and the other groups' rows

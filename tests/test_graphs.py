@@ -197,9 +197,9 @@ def test_audit_rejects_negative_seed():
 
 
 def test_route_b_is_one_batched_call_each(monkeypatch):
-    """Route b finds every group's null space in one null_space_many call and
-    ranks every group's rows in one rank_many call, whatever F is; core.rank
-    runs only for the full-rank and basis checks."""
+    """Route b finds every group's null space in one null_space_many call,
+    and ranks every group's rows and the witness basis in one rank_many
+    call, whatever F is; core.rank runs only for the full-rank check."""
     calls = Counter()
 
     def counting(name, fn):
@@ -218,7 +218,53 @@ def test_route_b_is_one_batched_call_each(monkeypatch):
         calls.clear()
         cert = block_structure_audit(M, F, draws=3)
         assert cert.holds and cert.witness["maxComponents"] == F
-        assert calls == {"null_space_many": 1, "rank_many": 1, "rank": 2}, F
+        assert calls == {"null_space_many": 1, "rank_many": 1, "rank": 1}, F
+
+
+def _ranked_shapes(monkeypatch) -> list:
+    """The shape of every stack graphs ranks from here on, appended as it goes."""
+    shapes, ranks = [], graphs.rank_many
+
+    def counted(stack, thr):
+        shapes.append(np.shape(stack))
+        return ranks(stack, thr)
+
+    monkeypatch.setattr(graphs, "rank_many", counted)
+    return shapes
+
+
+def test_partition_calls_skip_what_the_rank_bound_answers(monkeypatch):
+    """On matrices of full column rank n within CHUNK rows, the greedy makes
+    one call at each basis size 1..n-1, none at 0 or n (slices of 1 or n + 1
+    rows), and the exchange tests, at most CHUNK, take one more call.  The
+    three rows of block are one circuit, so the spanned rows of
+    kron(I_F, block) come at basis sizes 2, 4, .., 2F: F(F + 1) tests."""
+    shapes = _ranked_shapes(monkeypatch)
+    block = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0]])
+    for F in range(1, 6):
+        M = np.vstack([np.kron(np.eye(F), block), np.zeros((1, 2 * F))])
+        shapes.clear()
+        assert len(finest_rank_additive_partition(M).groups) == F
+        assert [s[1] for s in shapes] == [*range(2, 2 * F + 1), 2 * F], F
+        assert shapes[-1][0] == F * (F + 1)
+    M, _, _ = gen_overlap_jacobian(OverlapTemplate(K=4, slot_dim=2, slot_out=4))
+    shapes.clear()
+    assert M.shape == (16, 8) and len(finest_rank_additive_partition(M).groups) == 4
+    assert [s[1] for s in shapes][:7] == [*range(2, 9)]
+    assert len(shapes) == 8 and shapes[-1][0] <= graphs.CHUNK
+
+
+def test_route_d_chunks_hold_the_searches_bound(monkeypatch):
+    """Each chunk of draws holds as many as keep its products M R within
+    CHUNK * MAX_ROWS * MAX_COLS entries, and never fewer than CHUNK: 200
+    draws take one rank_many call on the 8x4 and two (160 + 40) on the
+    16x8; a 40x8 keeps chunks of CHUNK."""
+    shapes = _ranked_shapes(monkeypatch)
+    for (K, d, o), want in (((2, 2, 4), [200]), ((4, 2, 4), [160, 40]), ((4, 2, 10), [128, 72])):
+        M, _, _ = gen_overlap_jacobian(OverlapTemplate(K=K, slot_dim=d, slot_out=o))
+        shapes.clear()
+        _sampled_counts(M, K, Tolerance(), 200, 0)
+        assert [s[0] for s in shapes] == want, M.shape
 
 
 def _reference_route_d(M, F, tol, draws, seed):
@@ -263,14 +309,15 @@ def _outcome(route, M, F, tol, draws, seed):
 
 
 def _route_d_cases():
-    """(M, F, tol, draws, seed): planted instances at their maximum F, one
-    with 300 draws, more than one chunk; np.eye(3) under tolerances at which
-    many draws are singular (hundreds of redraws in 200 draws at rel 0.3 and
-    0.6); at rel 0.8 and 0.9 a run of 101 singular draws comes after some
-    invertible ones, and at rel 0.99 before any.  F below the counts makes the
-    count error race the redraw error: at rel 0.9 with seed 5 the count error
-    comes first in the chunk of the failed redraw, and with seed 9 only draws
-    after the failed redraw, in its chunk, exceed F = 2.  Last, M R overflows."""
+    """(M, F, tol, draws, seed): planted instances at their maximum F, the
+    8x4 with 700 draws, more than its one chunk of 640; np.eye(3) under
+    tolerances at which many draws are singular (hundreds of redraws in 200
+    draws at rel 0.3 and 0.6); at rel 0.8 and 0.9 a run of 101 singular
+    draws comes after some invertible ones, and at rel 0.99 before any.  F
+    below the counts makes the count error race the redraw error: at rel 0.9
+    with seed 5 the count error comes first in the chunk of the failed
+    redraw, and with seed 9 only draws after the failed redraw, in its
+    chunk, exceed F = 2.  Last, M R overflows."""
     cases = []
     for seed, (K, d, o, ov) in enumerate([(2, 2, 4, 0.0), (3, 1, 3, 0.25), (4, 2, 4, 0.0),
                                           (2, 1, 6, 0.25), (5, 1, 3, 0.0)]):
@@ -278,7 +325,7 @@ def _route_d_cases():
             OverlapTemplate(K=K, slot_dim=d, slot_out=o, overlap_ratio=ov, seed=seed)
         )
         F = len(finest_rank_additive_partition(M).groups)
-        cases.append((M, F, Tolerance(), 300 if seed == 0 else 200, seed))
+        cases.append((M, F, Tolerance(), 700 if seed == 0 else 200, seed))
     for rel, seed in ((0.2, 0), (0.3, 0), (0.6, 0), (0.6, 4), (0.8, 0), (0.9, 2), (0.9, 5),
                       (0.9, 9), (0.99, 0)):
         for F in (3, 2, 0):
@@ -288,11 +335,16 @@ def _route_d_cases():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_route_d_equals_reference_loop():
+def test_route_d_equals_reference_loop(monkeypatch):
+    """Also with CHUNK 1, 2 and 3, whose chunks on np.eye(3) hold 17, 35 and
+    53 draws, so that runs of singular draws cross chunk boundaries."""
     outcomes = []
     for M, F, tol, draws, seed in _route_d_cases():
         want = _outcome(_reference_route_d, M, F, tol, draws, seed)
-        assert _outcome(_sampled_counts, M, F, tol, draws, seed) == want
+        for chunk in (graphs.CHUNK, 1, 2, 3):
+            with monkeypatch.context() as patched:
+                patched.setattr(graphs, "CHUNK", chunk)
+                assert _outcome(_sampled_counts, M, F, tol, draws, seed) == want, chunk
         outcomes.append(want)
     # every exit of the loop is exercised
     errors = {o[1].split()[0] for o in outcomes if isinstance(o, tuple)}

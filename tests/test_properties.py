@@ -1,11 +1,12 @@
 """Property tests: the batched rank kernel (and its ranks and overflow
-errors against the whole-stack kernel it replaced), the batched Gauss-Jordan
-null-space kernel and its stacked form, the greedy on value rows, the
-forced-mixing completion by one exchange on the greedy optimum and its swap
-by one solve against the per-position rank test, the array pass over the
-flats (stacked normalization, both branches of the inclusion-minimal
-filter) against the per-vector pass it replaced, the row partition's
-batched greedy basis and its zero rows, the adjacency-matrix edge rules of
+errors against the whole-stack kernel it replaced, and under zero rows
+appended to a slice), the batched Gauss-Jordan null-space kernel and its
+stacked form, the greedy on value rows, the forced-mixing completion by one
+exchange on the greedy optimum and its swap by one solve against the
+per-position rank test, the array pass over the flats (stacked
+normalization, both branches of the inclusion-minimal filter) against the
+per-vector pass it replaced, the row partition's batched greedy basis, its
+packed exchange tests and its zero rows, the adjacency-matrix edge rules of
 build_graph and check_type_m, and the audit's two batched route-b calls
 against verbatim copies of the scalar code they replaced; the batched
 D-graph component counter against build_graph and components; the
@@ -479,8 +480,10 @@ def reference_partition(M, tol: Tolerance | None = None) -> RowPartition:
 def _partition_cases(draw):
     """Sparse integer or Gaussian matrices up to 14x6 with up to four rows
     copied over others, half of them with every row scaled by 10^e, e in
-    -9..2; a tolerance of rel 1e-9, 1e-6 or 0.3; and a greedy chunk of 1, 2,
-    3 or CHUNK rows, so that steps end inside and at the ends of chunks."""
+    -9..2; a tolerance of rel 1e-9, 1e-6 or 0.3; and a CHUNK of 1, 2, 3, 4,
+    5 or CHUNK, so that greedy steps end inside and at the ends of chunks, and
+    the exchange tests of one basis size take calls of their own, share a
+    call with other sizes, or both."""
     if draw(st.booleans()):
         M = draw(_int_matrices(14, 6)).astype(float)
     else:
@@ -492,16 +495,50 @@ def _partition_cases(draw):
     if draw(st.booleans()):
         M = M * 10.0 ** draw(arrays(np.int64, (m, 1), elements=st.integers(-9, 2)))
     tol = Tolerance(rel=draw(st.sampled_from([1e-9, 1e-6, 0.3])))
-    return M, tol, draw(st.sampled_from([1, 2, 3, CHUNK]))
+    return M, tol, draw(st.sampled_from([1, 2, 3, 4, 5, CHUNK]))
+
+
+def _three_sizes() -> np.ndarray:
+    """Integer rows over 4 columns whose spanned rows come at basis sizes 1
+    (two rows, joined untested), 2 (65 rows, 130 exchange tests, over
+    CHUNK: calls of their own), 3 and 4 (6 and 12 tests, one packed call)."""
+    rng = np.random.default_rng(5)
+    rows = [[1, 0, 0, 0], [2, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0]]
+    rows += np.hstack([rng.integers(1, 4, (65, 2)), np.zeros((65, 2), dtype=int)]).tolist()
+    rows += [[0, 0, 1, 0], [1, 0, 1, 0], [0, 2, -1, 0]]
+    rows += [[0, 0, 0, 1], [0, 1, 0, 1], [1, 1, 1, 1], [2, 0, 0, 1]]
+    return np.array(rows, dtype=float)
 
 
 @settings(PINNED, max_examples=300)
 @given(_partition_cases())
+@example((_three_sizes(), Tolerance(), CHUNK))
+@example((_three_sizes(), Tolerance(), 5))
 def test_partition_and_rank_equal_scalar_greedy(case):
     M, tol, chunk = case
     with mock.patch.object(graphs, "CHUNK", chunk):
         assert finest_rank_additive_partition(M, tol) == reference_partition(M, tol)
     assert rank(M, tol) == scalar_rank(M, tol)
+
+
+def test_partition_packs_the_sizes_within_chunk(monkeypatch):
+    """The exchange tests of _three_sizes: size 2's 130 in calls of 64 rows
+    and of 1, sizes 3 and 4 in one call of 18 slices padded to 4 rows; with
+    CHUNK 15, no call over 15 slices, and sizes 3 and 4 apart."""
+    shapes, ranks = [], graphs.rank_many
+
+    def counted(stack, thr):
+        shapes.append(np.shape(stack))
+        return ranks(stack, thr)
+
+    monkeypatch.setattr(graphs, "rank_many", counted)
+    M = _three_sizes()
+    assert finest_rank_additive_partition(M) == reference_partition(M)
+    assert shapes[3:] == [(128, 2, 4), (2, 2, 4), (18, 4, 4)]
+    shapes.clear()
+    monkeypatch.setattr(graphs, "CHUNK", 15)
+    assert finest_rank_additive_partition(M) == reference_partition(M)
+    assert max(s[0] for s in shapes) <= 15 and shapes[-2:] == [(6, 3, 4), (12, 4, 4)]
 
 
 def test_partition_greedy_spans_whole_chunks():
@@ -1967,6 +2004,42 @@ def test_zero_columns_never_change_a_rank(M, extra, tol):
     M = M.astype(float)
     padded = np.concatenate([M, np.zeros((M.shape[0], extra))], axis=1)[None]
     assert rank_many(padded, tol.stack_thresholds(padded))[0] == rank(M, tol)
+
+
+@st.composite
+def _zero_row_cases(draw):
+    """A sparse integer slice up to 9x6 (entries tie), or a dense one of
+    entries +-2^1022 and +-2^1023, near the float maximum (a guarded stack),
+    where many eliminations overflow; 1 to 3 zero rows to append; and a
+    threshold of 0, the slice's own, 1.5 or above every entry."""
+    if draw(st.booleans()):
+        M = draw(_int_matrices(9, 6)).astype(float)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        shape = (draw(st.integers(1, 9)), draw(st.integers(1, 6)))
+        M = np.ldexp(rng.choice([1.0, -1.0, 2.0, -2.0], shape), 1022)
+    levels = {"zero": 0.0, "own": Tolerance().matrix_threshold(M), "coarse": 1.5,
+              "above": 1.5 * np.abs(M).max() + 1.0}
+    return M, draw(st.integers(1, 3)), levels[draw(st.sampled_from(sorted(levels)))]
+
+
+@settings(PINNED, max_examples=300)
+@given(_zero_row_cases())
+@example((np.array([[1.7e308, -1.7e308, 0.0], [1.7e308, 1.7e308, 0.0]]), 1, 0.0))
+def test_zero_rows_never_change_a_rank(case):
+    """Zero rows appended to a slice leave its rank and its overflow error
+    unchanged: the packed exchange tests of the row partition and the merged
+    route-b call rely on it.  They never win a pivot, so the slice runs the
+    same steps until its own rows run out, and then retires on them.  Hence
+    one exception: a slice wider than tall whose elimination overflowed
+    without retiring raises, and padded retires at full row rank instead
+    (the example: 1.7e308 + 1.7e308 is the second pivot)."""
+    M, extra, thr = case
+    padded = np.concatenate([M, np.zeros((extra, M.shape[1]))])
+    want = _rank_outcome(rank_many, M[None], thr)
+    got = _rank_outcome(rank_many, padded[None], thr)
+    wide_overflow = isinstance(want, str) and M.shape[0] < M.shape[1]
+    assert got == want or (wide_overflow and got == [M.shape[0]])
 
 
 @st.composite
