@@ -234,8 +234,11 @@ def rank_many(stack, thr) -> np.ndarray:
     maximum / 2^min(r, n), at thresholds >= 0 (so that no zero pivot goes
     on), cannot overflow and runs unguarded.  Any other runs with overflow
     ignored: a block holds a non-finite entry exactly when its pivot is
-    non-finite (argmax picks it), so a slice that meets a non-finite pivot
-    and never retires overflowed, InvalidInput.
+    non-finite (argmax picks it), so a stack in which some slice meets a
+    non-finite pivot overflowed, InvalidInput, whether or not that slice
+    retires later.  Zero rows appended to a slice therefore change neither
+    its rank nor its error: they never win a pivot, and once its own rows
+    run out the slice retires on them.
     """
     A = np.array(stack, dtype=float)
     if A.ndim != 3:
@@ -247,27 +250,27 @@ def rank_many(stack, thr) -> np.ndarray:
     ranks = np.full(B, min(m, n), dtype=np.intp)
     live = pos = np.arange(B)
     T = A.reshape(B, m * n)
-    bad = np.zeros(B, dtype=bool)  # guarded: the slice met a non-finite pivot
+    bad = False  # guarded: some slice met a non-finite pivot
     with np.errstate(over="ignore", invalid="ignore") if guarded else contextlib.nullcontext():
         for r in range(min(m, n) if B else 0):
             mag = np.abs(T)
             flat = mag.argmax(axis=1)
             pivot = mag[pos, flat]
             if guarded:
-                bad |= ~np.isfinite(pivot)
+                bad = bad or not np.isfinite(pivot).all()
             done = pivot <= thr
             if done.any():
                 ranks[live[done]] = r
                 keep = ~done
-                live, T, flat, bad = live[keep], T[keep], flat[keep], bad[keep]
+                live, T, flat = live[keep], T[keep], flat[keep]
                 thr = thr[keep] if thr.ndim else thr
                 if not live.size:
-                    return ranks
+                    break
                 pos = np.arange(live.size)
             S = _exchanged(T, flat, pos, m - r, n - r)
             below = S[:, 1:, 0] / S[:, 0, 0, None]
             T = (S[:, 1:, 1:] - below[:, :, None] * S[:, None, 0, 1:]).reshape(live.size, -1)
-    if guarded and bad.any():
+    if bad:
         raise InvalidInput(OVERFLOW)
     return ranks
 

@@ -136,13 +136,12 @@ def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartit
     exchange B - b + e is again a basis; at basis size 1 that is the nonzero
     row e alone, so it joins B's first row untested.  For rank r that takes
     at most r - 1 + ceil((m - r) / CHUNK) greedy calls.  The (m - r) * r
-    exchange tests of consecutive basis sizes share one rank_many call of at
-    most CHUNK slices, each gathered from M with zero rows under it up to the
-    call's largest size (zero rows never win a pivot); a basis size with
-    more than CHUNK tests takes calls of its own, max(1, CHUNK // r) spanned
-    rows each.  The joined pairs are grouped at the end (_groups).  Zero rows
-    are loops: each joins the first nonzero row (row one when every row is
-    zero), so they land in group one.
+    exchange tests, in order of basis size, take rank_many calls of
+    max(CHUNK, n) slices each, each slice gathered from M with zero rows
+    under it up to its call's largest size (zero rows never win a pivot and
+    change no rank_many outcome).  The joined pairs are grouped at the end
+    (_groups).  Zero rows are loops: each joins the first nonzero row (row
+    one when every row is zero), so they land in group one.
     """
     tol = tol or Tolerance.default()
     M = as_matrix(M)
@@ -172,15 +171,7 @@ def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartit
     # test t: is B's first size[t] rows, row[t] in place of the one at pos[t], a basis?
     size, row = np.repeat(r, r), np.repeat(e, r)
     pos = np.arange(size.size) - np.repeat(np.cumsum(r) - r, r)
-    stops, packed = [0], False  # each call's end, and whether the last may take more sizes
-    for k, count in zip(*np.unique(r, return_counts=True)):
-        tests = int(k * count)
-        if packed and stops[-1] - stops[-2] + tests <= CHUNK:
-            stops[-1] += tests
-        else:
-            packed = tests <= CHUNK
-            step = tests if packed else max(1, CHUNK // int(k)) * int(k)
-            stops += [*range(stops[-1] + step, stops[-1] + tests, step), stops[-1] + tests]
+    stops = [*range(0, size.size, max(CHUNK, n)), size.size]  # each call's tests
     padded = np.vstack([M, np.zeros(n)])  # row m: the zero row under smaller bases
     base = np.array(basis, dtype=np.intp)
     for a, b in zip(stops, stops[1:]):
@@ -283,7 +274,9 @@ def block_structure_audit(
         found by one null_space_many call (_stacked_rows), makes M
         block-diagonal with F verified diagonal blocks under a row sort.
         One rank_many call ranks every group's rows, at M's threshold, and
-        the basis, at its own.
+        the basis, at its own, so an elimination of the basis that
+        overflows raises InvalidInput before the groups' dimensions are
+        checked.
     Route c: the disjointness graph of M in that basis has F components.
     Route d (sampling): over seeded invertible mixings, the component count
         never exceeds F (it can under-count; the witness basis attains F).
