@@ -36,9 +36,8 @@ MAX_COLS = 8
 
 # Row subsets per batched elimination, and forced-mixing strata per solve.
 # It bounds the search's largest array, a chunk's products M N, to 0.16 MB
-# whatever C(m, k) is.  The row partition in graphs caps its stacks with it,
-# and the audit's random mixings come in chunks whose products M R keep
-# within the same CHUNK * MAX_ROWS * MAX_COLS entries.
+# whatever C(m, k) is.  The audit's random mixings come in chunks whose
+# products M R keep within the same CHUNK * MAX_ROWS * MAX_COLS entries.
 CHUNK = 128
 
 # The searches of the request one_request has opened, by key (_once); None

@@ -292,11 +292,13 @@ def null_space(M, tol: Tolerance | None = None, thr: float | None = None) -> np.
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def null_space_many(stack, thr, width: int | None = None):
+def null_space_many(stack, thr, width: int | None = None, with_free: bool = False):
     """Null-space bases of every slice of a (B, r, n) stack, each equal to
     null_space(stack[b], thr=thr[b]).  With a width w >= 1, only the bases
     of width w, in slice order, as one (K, n, w) array whose slices are
     bit-identical to their list entries; slices of other widths are dropped.
+    With with_free (and no width), the list comes with the (B, n) mask of
+    each slice's free columns, the rows that hold its basis's identity.
 
     thr is a frozen threshold, scalar or one per slice.  Every slice runs the
     same Gauss-Jordan elimination column by column: the pivot is the first
@@ -350,7 +352,8 @@ def null_space_many(stack, thr, width: int | None = None):
     fb, fc = np.nonzero(free)
     X[fb, fc, fc] = 1.0
     if width is None:
-        return [np.compress(free[b], X[b], axis=1) for b in range(B)]
+        bases = [np.compress(free[b], X[b], axis=1) for b in range(B)]
+        return (bases, free) if with_free else bases
     kept = free.sum(axis=1) == width
     return np.take_along_axis(X[kept], np.nonzero(free[kept])[1].reshape(-1, 1, width), axis=2)
 

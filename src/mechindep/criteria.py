@@ -14,7 +14,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import BlockSpec, pairwise_sparsity_gap, sparsity_gap
+from .basis import (
+    BlockSpec, _block_basis, _printed, _search_input, pairwise_sparsity_gap, sparsity_gap
+)
 from .certificates import Certificate, inputs_digest
 from .core import Tolerance, as_int, as_matrix, as_tensor, column_supports, l0_norm, rank
 from .errors import (
@@ -495,13 +497,26 @@ def check_type_s_irreducible(
     J, blocks, block_index: int, tol: Tolerance | None = None
 ) -> Certificate:
     """S-irreducibility of one block: no 2-partition of its columns makes the
-    block's submatrix Type S independent."""
+    block's submatrix Type S independent, rho+ < rho-.
+
+    Reordering the block's columns only permutes coefficients, so the greedy
+    optimum B* over the block's ground set (_block_basis) is a cheapest
+    basis under every split: w(B*) <= rho+.  When a B* vector's _printed
+    coefficients touch both sides of a split, B* also mixes, rho- <= w(B*),
+    and the split is not independent.  Only the other splits run a sparsity
+    gap, in _first_split's order.  The block is checked first
+    (_search_input), as the first split's gap would check it."""
     M, blocks, tol = _prepare(J, blocks, tol)
     block_index, cols = _block_columns(blocks, block_index)
     digest = inputs_digest(M, blocks, block_index)
     if len(cols) == 1:
         return _holds("S-irreducible", {"block": block_index}, ONE_DIMENSIONAL_NOTE, digest)
+    block = _search_input(M[:, cols], None, tol).M
+    touched = _printed(_block_basis(block, tol).coeffs, 1, tol)  # B*'s coefficient supports
     for part_a, part_b in _first_split(cols):
+        side = np.isin(cols, part_a)
+        if (touched[:, side].any(axis=1) & touched[:, ~side].any(axis=1)).any():
+            continue
         arranged = M[:, part_a + part_b]
         gap = sparsity_gap(arranged, BlockSpec((len(part_a), len(part_b))), tol)
         if gap.independent:

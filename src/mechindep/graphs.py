@@ -6,7 +6,9 @@ maximal number of diagonal blocks obtainable from a matrix by invertible column
 operations: the finest rank-additive row partition, an explicitly constructed
 block-diagonalizing basis, the component count of the disjointness graph in
 that basis, and a randomized sweep that can only under-count.  Disagreement is
-a bug by construction and raises InternalError.
+a bug by construction and raises InternalError.  The partition is the row
+matroid's components, joined from the fundamental circuits that one
+Gauss-Jordan elimination of the matrix's transpose yields.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CHUNK, MAX_COLS, MAX_ROWS, BlockSpec
+from .basis import CHUNK, MAX_COLS, MAX_ROWS, BlockSpec, _printed
 from .certificates import Certificate, inputs_digest
 from .core import Tolerance, as_int, as_matrix, as_tensor, null_space_many, rank, rank_many
 from .errors import DegenerateColumn, GenerationError, InternalError, InvalidInput, RankError
@@ -125,62 +127,29 @@ def to_dot(g: FactorGraph, name: str = "factors") -> str:
 def finest_rank_additive_partition(M, tol: Tolerance | None = None) -> RowPartition:
     """The unique finest rank-additive row partition (zero rows in group one).
 
-    Its groups are the connected components of the row matroid of M, and the
-    fundamental circuits of one row basis connect them (Krogdahl 1977; Oxley,
-    Matroid Theory, ch. 4).  A greedy pass over the nonzero rows grows the
-    basis B from the first of them (one nonzero row has rank 1): each step
-    ranks the next rows, at most CHUNK, each stacked under B, in one
-    rank_many call; the first that adds rank joins B, and the rows before it
-    are spanned.  Once B holds n = M.shape[1] rows, the rank bound spans
-    every row left.  Each row e that B spans joins every b in B whose
-    exchange B - b + e is again a basis; at basis size 1 that is the nonzero
-    row e alone, so it joins B's first row untested.  For rank r that takes
-    at most r - 1 + ceil((m - r) / CHUNK) greedy calls.  The (m - r) * r
-    exchange tests, in order of basis size, take rank_many calls of
-    max(CHUNK, n) slices each, each slice gathered from M with zero rows
-    under it up to its call's largest size (zero rows never win a pivot and
-    change no rank_many outcome).  The joined pairs are grouped at the end
-    (_groups).  Zero rows are loops: each joins the first nonzero row (row
-    one when every row is zero), so they land in group one.
+    Its groups are the connected components of the row matroid of M, which
+    the fundamental circuits of one row basis connect (Krogdahl 1977; Oxley,
+    Matroid Theory, ch. 4).  One Gauss-Jordan elimination of the nonzero
+    rows' transpose, at M's threshold (null_space_many), takes its pivot
+    columns as the greedy basis of those rows, in row order.  The null basis
+    column of each spanned row e holds 1 in e's own row and e's coordinates
+    over the basis in the pivot rows, so e's fundamental circuit is e and
+    the column's _printed support, the rule reports use for supports.  The
+    circuits are grouped at the end (_groups).  Zero rows are loops: each
+    joins the first nonzero row (row one when every row is zero), so they
+    land in group one.
     """
     tol = tol or Tolerance.default()
     M = as_matrix(M)
     thr = tol.matrix_threshold(M)
-    m, n = M.shape
     zero = np.abs(M).max(axis=1) <= thr
-    nz = np.flatnonzero(~zero).tolist()
-    # (basis row, spanned row) pairs to join, and each zero row with the first nonzero row
-    circuits = [(nz[0] if nz else 0, r) for r in np.flatnonzero(zero).tolist()]
-    basis, rest = nz[:1], nz[1:]
-    spanned: list[int] = []  # the rows B spans, in order,
-    sizes: list[int] = []  # and the basis size when each came
-    while rest and len(basis) < n:
-        es = rest[:CHUNK]
-        grew = np.flatnonzero(rank_many(M[[basis + [e] for e in es]], thr) > len(basis))
-        at = int(grew[0]) if grew.size else len(es)
-        # their circuits lie in the basis so far, so later basis rows cannot join them
-        spanned += es[:at]
-        sizes += [len(basis)] * at
-        joined = es[at : at + 1]
-        basis += joined
-        rest = rest[at + len(joined) :]
-    e = np.array(spanned + rest, dtype=np.intp)
-    r = np.array(sizes + [n] * len(rest), dtype=np.intp)
-    circuits += [(basis[0], x) for x in e[r == 1].tolist()]
-    e, r = e[r > 1], r[r > 1]
-    # test t: is B's first size[t] rows, row[t] in place of the one at pos[t], a basis?
-    size, row = np.repeat(r, r), np.repeat(e, r)
-    pos = np.arange(size.size) - np.repeat(np.cumsum(r) - r, r)
-    stops = [*range(0, size.size, max(CHUNK, n)), size.size]  # each call's tests
-    padded = np.vstack([M, np.zeros(n)])  # row m: the zero row under smaller bases
-    base = np.array(basis, dtype=np.intp)
-    for a, b in zip(stops, stops[1:]):
-        top = size[b - 1]
-        take = np.where(np.arange(top) < size[a:b, None], base[:top], m)
-        take[np.arange(b - a), pos[a:b]] = row[a:b]
-        hit = a + np.flatnonzero(rank_many(padded[take], thr) == size[a:b])
-        circuits += zip(base[pos[hit]].tolist(), row[hit].tolist())
-    return RowPartition(tuple(_groups(m, circuits)))
+    nz, loops = np.flatnonzero(~zero), np.flatnonzero(zero)
+    pairs = np.column_stack([np.full_like(loops, nz[0] if nz.size else 0), loops])
+    if nz.size:
+        (N,), free = null_space_many(M[nz].T[None], thr, with_free=True)
+        rows, cols = np.nonzero(_printed(N, 0, tol))
+        pairs = np.vstack([pairs, np.column_stack([nz[rows], nz[free[0]][cols]])])
+    return RowPartition(tuple(_groups(M.shape[0], pairs)))
 
 
 def component_counts(stack, thr) -> np.ndarray:

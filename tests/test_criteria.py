@@ -5,6 +5,7 @@ assignment extractor, the compositional contrast, and the hierarchy audit."""
 import numpy as np
 import pytest
 
+from mechindep import criteria
 from mechindep.basis import BlockSpec, pairwise_sparsity_gap, sparsest_basis
 from mechindep.certificates import Certificate
 from mechindep.core import Tolerance, l0_norm
@@ -525,3 +526,26 @@ def test_certificate_shape_and_digest():
     # the digest covers the blocks too
     assert check_type_d(np.array(GOLDEN["D"]["matrix"], float), (2, 2)).inputs_digest != \
         check_type_d(np.array(GOLDEN["D"]["matrix"], float), (1, 3)).inputs_digest
+
+
+def test_s_irreducible_gaps_only_the_splits_its_optimum_leaves_pure(monkeypatch):
+    """A split under which a vector of the block's greedy optimum mixes is
+    not Type S independent, and runs no sparsity gap: a dense 8x4 block
+    runs none of its 7 splits; a block-diagonal one runs only the split
+    between its diagonal blocks, which is independent."""
+    gapped = []
+    gap = criteria.sparsity_gap
+
+    def counted(M, blocks, tol=None):
+        gapped.append(blocks.sizes)
+        return gap(M, blocks, tol)
+
+    monkeypatch.setattr(criteria, "sparsity_gap", counted)
+    rng = np.random.default_rng(0)
+    assert check_type_s_irreducible(rng.standard_normal((8, 4)), (4,), 1).holds
+    assert gapped == []
+    M = np.zeros((8, 4))
+    M[:4, :2], M[4:, 2:] = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+    cert = check_type_s_irreducible(M, (4,), 1)
+    assert not cert.holds and cert.witness["split"] == [[1, 2], [3, 4]]
+    assert gapped == [(2, 2)]

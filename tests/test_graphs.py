@@ -233,27 +233,6 @@ def _ranked_shapes(monkeypatch) -> list:
     return shapes
 
 
-def test_partition_calls_skip_what_the_rank_bound_answers(monkeypatch):
-    """On matrices of full column rank n within CHUNK rows, the greedy makes
-    one call at each basis size 1..n-1, none at 0 or n (slices of 1 or n + 1
-    rows), and the exchange tests, at most CHUNK, take one more call.  The
-    three rows of block are one circuit, so the spanned rows of
-    kron(I_F, block) come at basis sizes 2, 4, .., 2F: F(F + 1) tests."""
-    shapes = _ranked_shapes(monkeypatch)
-    block = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0]])
-    for F in range(1, 6):
-        M = np.vstack([np.kron(np.eye(F), block), np.zeros((1, 2 * F))])
-        shapes.clear()
-        assert len(finest_rank_additive_partition(M).groups) == F
-        assert [s[1] for s in shapes] == [*range(2, 2 * F + 1), 2 * F], F
-        assert shapes[-1][0] == F * (F + 1)
-    M, _, _ = gen_overlap_jacobian(OverlapTemplate(K=4, slot_dim=2, slot_out=4))
-    shapes.clear()
-    assert M.shape == (16, 8) and len(finest_rank_additive_partition(M).groups) == 4
-    assert [s[1] for s in shapes][:7] == [*range(2, 9)]
-    assert len(shapes) == 8 and shapes[-1][0] <= graphs.CHUNK
-
-
 def test_route_d_chunks_hold_the_searches_bound(monkeypatch):
     """Each chunk of draws holds as many as keep its products M R within
     CHUNK * MAX_ROWS * MAX_COLS entries, and never fewer than CHUNK: 200

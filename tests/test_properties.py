@@ -5,8 +5,9 @@ stacked form, the greedy on value rows, the forced-mixing completion by one
 exchange on the greedy optimum and its swap by one solve against the
 per-position rank test, the array pass over the flats (stacked
 normalization, both branches of the inclusion-minimal filter) against the
-per-vector pass it replaced, the row partition's batched greedy basis, its
-packed exchange tests and its zero rows, the adjacency-matrix edge rules of
+per-vector pass it replaced, the row partition from one elimination's
+fundamental circuits against the greedy basis with exchange tests (and both
+against the exact oracle at coarse tolerances), the adjacency-matrix edge rules of
 build_graph and check_type_m, and the audit's two batched route-b calls
 against verbatim copies of the scalar code they replaced; the batched
 D-graph component counter against build_graph and components; the
@@ -14,8 +15,8 @@ row-matroid partition and the row-subset searches (minimal supports, rho+ and
 rho-) against the exact oracles; and their invariance under row permutation
 and power-of-two row scaling.  The grid connectivity kernel against the
 flood-fill oracle, slice by slice; graph components against the BFS oracle;
-the M- and H_n-irreducibility checks against verbatim copies of the split
-searches they replaced; the one-update digest of a cell array against the
+the M-, H_n- and S-irreducibility checks against verbatim copies of the
+split searches they replaced; the one-update digest of a cell array against the
 recursive digest of its nested list; and the JSON reports and text witness
 lines of the compact C encoder and the numpy re-indent against the recursive
 conversion and indent=2 encoder they replaced; Type D's boolean product and
@@ -44,6 +45,7 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 from itertools import chain, combinations
 from unittest import mock
 
@@ -93,6 +95,9 @@ from mechindep.core import (
 from mechindep.criteria import (
     H_SPLIT_NOTE,
     SINGLE_BLOCK_NOTE,
+    ONE_DIMENSIONAL_NOTE,
+    RHO_MINUS_NOTE,
+    _block_columns,
     _check_order,
     _cross_hits,
     _first_split,
@@ -109,6 +114,7 @@ from mechindep.criteria import (
     check_type_m,
     check_type_m_irreducible,
     check_type_o,
+    check_type_s_irreducible,
     extract_assignment,
 )
 from mechindep.errors import (
@@ -484,10 +490,7 @@ def reference_partition(M, tol: Tolerance | None = None) -> RowPartition:
 def _partition_cases(draw):
     """Sparse integer or Gaussian matrices up to 14x6 with up to four rows
     copied over others, half of them with every row scaled by 10^e, e in
-    -9..2; a tolerance of rel 1e-9, 1e-6 or 0.3; and a CHUNK of 1, 2, 3, 4,
-    5 or CHUNK, so that greedy steps end inside and at the ends of chunks, and
-    the exchange tests of one basis size split across calls, share a call
-    with other sizes, or both."""
+    -9..2, and whether they were; and a tolerance of rel 1e-9, 1e-6 or 0.3."""
     if draw(st.booleans()):
         M = draw(_int_matrices(14, 6)).astype(float)
     else:
@@ -496,16 +499,16 @@ def _partition_cases(draw):
     m = M.shape[0]
     for i in draw(st.lists(st.integers(0, m - 1), max_size=4)):
         M[draw(st.integers(0, m - 1))] = M[i]
-    if draw(st.booleans()):
+    scaled = draw(st.booleans())
+    if scaled:
         M = M * 10.0 ** draw(arrays(np.int64, (m, 1), elements=st.integers(-9, 2)))
     tol = Tolerance(rel=draw(st.sampled_from([1e-9, 1e-6, 0.3])))
-    return M, tol, draw(st.sampled_from([1, 2, 3, 4, 5, CHUNK]))
+    return M, tol, scaled
 
 
 def _three_sizes() -> np.ndarray:
-    """Integer rows over 4 columns whose spanned rows come at basis sizes 1
-    (two rows, joined untested), 2 (65 rows, 130 exchange tests, more than
-    CHUNK), 3 and 4 (6 and 12 tests)."""
+    """Integer rows over 4 columns whose spanned rows come at greedy basis
+    sizes 1 (two rows), 2 (65 rows), 3 (two rows) and 4 (three rows)."""
     rng = np.random.default_rng(5)
     rows = [[1, 0, 0, 0], [2, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0]]
     rows += np.hstack([rng.integers(1, 4, (65, 2)), np.zeros((65, 2), dtype=int)]).tolist()
@@ -516,34 +519,112 @@ def _three_sizes() -> np.ndarray:
 
 @settings(PINNED, max_examples=300)
 @given(_partition_cases())
-@example((_three_sizes(), Tolerance(), CHUNK))
-@example((_three_sizes(), Tolerance(), 5))
+@example((_three_sizes(), Tolerance(), False))
 def test_partition_and_rank_equal_scalar_greedy(case):
-    M, tol, chunk = case
-    with mock.patch.object(graphs, "CHUNK", chunk):
+    """The partition equals the greedy reference at fine tolerances on
+    unscaled rows, where both are exact.  At rel 0.3, or on rows far apart
+    in scale, the reference's rank tests can drop a pivot that the
+    elimination keeps (six zero rows over [0, 1] and [1, 2] at rel 0.3: it
+    joins the last two rows, which the exact oracle keeps apart), and
+    test_partition_sweep_against_the_exact_oracle judges both routes there."""
+    M, tol, scaled = case
+    if tol.rel <= 1e-6 and not scaled:
         assert finest_rank_additive_partition(M, tol) == reference_partition(M, tol)
     assert rank(M, tol) == scalar_rank(M, tol)
 
 
-def test_partition_packs_the_sizes_within_chunk(monkeypatch):
-    """The 148 exchange tests of _three_sizes, in order of basis size, take
-    calls of CHUNK slices: the first 128 of size 2's, then its last 2 with
-    those of sizes 3 and 4, padded to 4 rows.  With CHUNK 15 they take ten
-    calls, the ninth of sizes 2 and 3 and the tenth of sizes 3 and 4."""
-    shapes, ranks = [], graphs.rank_many
+def _oracle_groups(groups, M: np.ndarray) -> list:
+    """groups as sorted 0-based lists of the rows with an exact nonzero
+    entry, in oracle_finest_partition's terms."""
+    nonzero = {r + 1 for r in np.flatnonzero(np.abs(M).max(axis=1) > 0).tolist()}
+    kept = (sorted(r - 1 for r in g if r in nonzero) for g in groups)
+    return sorted(g for g in kept if g)
 
-    def counted(stack, thr):
-        shapes.append(np.shape(stack))
-        return ranks(stack, thr)
 
-    monkeypatch.setattr(graphs, "rank_many", counted)
-    M = _three_sizes()
-    assert finest_rank_additive_partition(M) == reference_partition(M)
-    assert shapes[3:] == [(128, 2, 4), (20, 4, 4)]
-    shapes.clear()
-    monkeypatch.setattr(graphs, "CHUNK", 15)
-    assert finest_rank_additive_partition(M) == reference_partition(M)
-    assert shapes[7:] == [(15, 2, 4)] * 8 + [(15, 3, 4), (13, 4, 4)]
+def test_partition_sweep_against_the_exact_oracle():
+    """2,343 sparse integer draws of 1-9 x 1-5 (entries -3..3, density 0.5,
+    55 per shape, all-zero draws skipped).  At the default tolerance the
+    partition is the exact oracle's on every draw; at rel 0.1 and 0.3, where
+    both routes can err, it matches the oracle at least as often as the
+    greedy reference."""
+    rng = np.random.default_rng(0)
+    draws = []
+    for m in range(1, 10):
+        for n in range(1, 6):
+            for _ in range(55):
+                M = rng.integers(-3, 4, (m, n)) * (rng.random((m, n)) < 0.5)
+                if M.any():
+                    draws.append(M)
+    assert len(draws) == 2343
+    oracle = [sorted(sorted(g) for g in oracle_finest_partition(M.tolist())) for M in draws]
+    for rel in (1e-9, 0.1, 0.3):
+        tol = Tolerance(rel=rel)
+        hits = Counter()
+        for M, want in zip(draws, oracle):
+            for name, route in (("partition", finest_rank_additive_partition),
+                                ("reference", reference_partition)):
+                hits[name] += _oracle_groups(route(M, tol).groups, M) == want
+        if rel == 1e-9:
+            assert hits["partition"] == len(draws)
+        assert hits["partition"] >= hits["reference"], (rel, hits)
+
+
+def _spans_whole_chunks() -> np.ndarray:
+    """The 300-row input of test_partition_greedy_spans_whole_chunks."""
+    rng = np.random.default_rng(3)
+    M = np.zeros((300, 4))
+    M[:200, 0] = rng.integers(1, 5, 200)
+    M[200:250, 1] = rng.integers(1, 5, 50)
+    M[250:299, 2:] = rng.integers(-2, 3, (49, 2))
+    M[299, :2] = 1.0
+    return M
+
+
+def test_partition_is_one_elimination(monkeypatch):
+    """The partition makes one null_space_many call and no rank_many call,
+    and gets the greedy reference's groups: on kron(I_F, block) over a zero
+    row for F = 1..5 (the three rows of block are one circuit),
+    _three_sizes, the planted 16x8 and _spans_whole_chunks."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(graphs, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("null_space_many", "rank_many"):
+        monkeypatch.setattr(graphs, name, counted(name))
+    block = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0]])
+    inputs = [np.vstack([np.kron(np.eye(F), block), np.zeros((1, 2 * F))]) for F in range(1, 6)]
+    planted, _, _ = gen_overlap_jacobian(OverlapTemplate(K=4, slot_dim=2, slot_out=4))
+    inputs += [_three_sizes(), planted, _spans_whole_chunks()]
+    counts = []
+    for M in inputs:
+        calls.clear()
+        partition = finest_rank_additive_partition(M)
+        assert calls == {"null_space_many": 1}, M.shape
+        assert partition == reference_partition(M), M.shape
+        counts.append(len(partition.groups))
+    assert counts == [1, 2, 3, 4, 5, 1, 4, 2]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_partition_overflow_is_invalid_input():
+    """A finite matrix near the float maximum whose elimination overflows is
+    InvalidInput, exit 2, from the partition, the audit and
+    D-irreducibility."""
+    M = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
+    for check in (
+        lambda: finest_rank_additive_partition(M),
+        lambda: block_structure_audit(M, 2),
+        lambda: check_type_d_irreducible(M, (2,), 1),
+    ):
+        with pytest.raises(InvalidInput, match="overflowed"):
+            check()
 
 
 def test_partition_greedy_spans_whole_chunks():
@@ -638,6 +719,18 @@ def test_null_space_many_equals_scalar_gauss_jordan(case):
     assert all(_same_bytes(N, E) for N, E in zip(got, expected))
     assert all(_same_bytes(null_space(S[b], thr=per_slice[b]), E) for b, E in enumerate(expected))
     assert _same_bytes(null_space(S[0]), scalar_null_space(S[0]))
+
+
+@PINNED
+@given(_null_stacks())
+def test_null_space_free_mask_marks_the_identity_rows(case):
+    """With with_free, the bases are the same bytes, and each slice's mask
+    marks as many rows as its basis has columns, rows that hold the identity."""
+    S, thr = case
+    bases, free = null_space_many(S, thr, with_free=True)
+    assert all(_same_bytes(N, E) for N, E in zip(bases, null_space_many(S, thr)))
+    for N, f in zip(bases, free):
+        assert f.sum() == N.shape[1] and (N[f] == np.eye(N.shape[1])).all()
 
 
 @PINNED
@@ -1023,6 +1116,44 @@ def reference_h_irreducible(
     )
 
 
+# The loop that ran a sparsity gap on every column split, which
+# check_type_s_irreducible replaced by gaps on only the splits its greedy
+# optimum does not mix, verbatim: the reference its certificates must match.
+def reference_s_irreducible(
+    J, blocks, block_index: int, tol: Tolerance | None = None
+) -> Certificate:
+    """S-irreducibility of one block: no 2-partition of its columns makes the
+    block's submatrix Type S independent."""
+    M, blocks, tol = _prepare(J, blocks, tol)
+    block_index, cols = _block_columns(blocks, block_index)
+    digest = inputs_digest(M, blocks, block_index)
+    if len(cols) == 1:
+        return _holds("S-irreducible", {"block": block_index}, ONE_DIMENSIONAL_NOTE, digest)
+    for part_a, part_b in _first_split(cols):
+        arranged = M[:, part_a + part_b]
+        gap = sparsity_gap(arranged, BlockSpec((len(part_a), len(part_b))), tol)
+        if gap.independent:
+            return Certificate(
+                criterion="S-irreducible",
+                holds=False,
+                witness={
+                    "block": block_index,
+                    "split": [[c + 1 for c in part_a], [c + 1 for c in part_b]],
+                    "rhoPlus": gap.rho_plus,
+                    "rhoMinus": gap.rho_minus,
+                },
+                notes=(RHO_MINUS_NOTE,),
+                inputs_digest=digest,
+            )
+    return Certificate(
+        criterion="S-irreducible",
+        holds=True,
+        witness={"block": block_index},
+        notes=(RHO_MINUS_NOTE,),
+        inputs_digest=digest,
+    )
+
+
 def _outcome(check, *args):
     """A certificate's dict, or the error the checker raised."""
     try:
@@ -1088,6 +1219,40 @@ def test_h_irreducible_equals_split_search(case):
     n, (T, blocks, index) = case
     assert _outcome(check_type_h_irreducible, T, blocks, index, n) == _outcome(
         reference_h_irreducible, T, blocks, index, n
+    )
+
+
+@st.composite
+def _s_irreducibility_cases(draw):
+    """A block of 2-5 columns among up to two other blocks of 1-2, over as
+    many to 9 rows, and its 1-based index.  Entries are sparse integers or
+    masked Gaussians at a drawn density; half the draws keep the block's
+    entries only where a row label and a column label agree, which plants
+    independent splits."""
+    sizes = draw(st.lists(st.integers(1, 2), max_size=2))
+    at = draw(st.integers(0, len(sizes)))
+    width = draw(st.integers(2, 5))
+    sizes.insert(at, width)
+    block = slice(sum(sizes[:at]), sum(sizes[: at + 1]))
+    shape = (draw(st.integers(width, 9)), sum(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        M = rng.integers(-2, 3, shape).astype(float)
+    else:
+        M = rng.standard_normal(shape)
+    M *= rng.random(shape) < draw(st.sampled_from([0.6, 0.8, 1.0]))
+    if draw(st.booleans()):
+        rows, cols = rng.integers(0, 2, (shape[0], 1)), rng.integers(0, 2, (1, width))
+        M[:, block] *= rows == cols
+    return M, tuple(sizes), at + 1
+
+
+@settings(PINNED, max_examples=400)
+@given(_s_irreducibility_cases())
+def test_s_irreducible_equals_the_gap_on_every_split(case):
+    M, blocks, index = case
+    assert _outcome(check_type_s_irreducible, M, blocks, index) == _outcome(
+        reference_s_irreducible, M, blocks, index
     )
 
 
