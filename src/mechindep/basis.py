@@ -585,6 +585,12 @@ def _once(key, search):
     return store[key]
 
 
+def _found(key):
+    """What _once has stored under key in this request; None outside one or
+    before that search has run.  It never starts a search."""
+    return (_searches.get() or {}).get(key)
+
+
 def _block_basis(M: np.ndarray, tol: Tolerance) -> _Vectors:
     """The greedy basis over the ground set of one block's columns M,
     searched once per request (_once), keyed by M's shape and bytes and the
@@ -598,12 +604,24 @@ def _block_basis(M: np.ndarray, tol: Tolerance) -> _Vectors:
     return _once((M.shape, M.tobytes(), tol), search)
 
 
+def _gap_key(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
+    """sparsity_gap's key within a request: M's shape and bytes, the block
+    sizes and the resolved tolerance."""
+    return M.shape, M.tobytes(), blocks.sizes, tol
+
+
+def _respecting(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
+    """All a gap runs before its forced-mixing search: M checked
+    (_search_input) and its cheapest block-respecting basis."""
+    checked = _search_input(M, blocks, tol)
+    return checked, sparsest_basis(checked, blocks, "blockRespecting", tol)
+
+
 def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResult:
     """rho+ (cheapest block-respecting basis) vs rho- (cheapest basis forced to
     mix); the factors are Type S independent iff rho+ < rho-.  M and each
     block are checked for full column rank once, for both searches.  Within
-    a request (one_request) each gap is searched once, keyed by M's shape
-    and bytes, the block sizes and the resolved tolerance."""
+    a request (one_request) each gap is searched once (_gap_key)."""
     tol = tol or Tolerance.default()
     blocks = BlockSpec.coerce(blocks)
     if blocks.K < 2:
@@ -611,8 +629,7 @@ def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResul
     M = as_matrix(M)
 
     def search():
-        checked = _search_input(M, blocks, tol)
-        respecting = sparsest_basis(checked, blocks, "blockRespecting", tol)
+        checked, respecting = _respecting(M, blocks, tol)
         mixing = sparsest_basis(checked, blocks, "forceMixing", tol)
         return GapResult(
             rho_plus=respecting.cost,
@@ -622,21 +639,35 @@ def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResul
             mixing=mixing,
         )
 
-    return _once((M.shape, M.tobytes(), blocks.sizes, tol), search)
+    return _once(_gap_key(M, blocks, tol), search)
 
 
 def pairwise_sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> list[list[bool]]:
     """K x K table: entry (i, j) is the Type S verdict for the two-block
-    submatrix of blocks i and j; the diagonal is vacuously True."""
+    submatrix of blocks i and j; the diagonal is vacuously True.
+
+    If the request has found the whole gap independent (_found), so is
+    every pair, and no pair's forced-mixing search runs: a mixing basis P
+    of the pair's columns plus the other blocks' block-respecting optima is
+    a mixing basis of M, as the block subspaces form a direct sum, so
+    rho- <= rho-(pair) + w(others), while rho+ = rho+(pair) + w(others).
+    The table never starts the whole gap's search.  A pair it decides still
+    runs what its gap runs before mixing (_respecting), memoized per block,
+    so it raises the input errors its search would."""
     tol = tol or Tolerance.default()
     M = as_matrix(M)
     blocks = BlockSpec.covering(blocks, M.shape[1])
     if blocks.K < 2:
         raise InvalidInput("pairwise gaps need at least two blocks")
     ranges, K = blocks.ranges(), blocks.K
+    whole = _found(_gap_key(M, blocks, tol))
+    decided = whole is not None and whole.independent
     table = [[True] * K for _ in range(K)]
     for i, j in combinations(range(K), 2):
         pair = BlockSpec((blocks.sizes[i], blocks.sizes[j]))
         sub = M[:, ranges[i] + ranges[j]]
-        table[i][j] = table[j][i] = sparsity_gap(sub, pair, tol).independent
+        if decided:
+            _respecting(sub, pair, tol)
+        else:
+            table[i][j] = table[j][i] = sparsity_gap(sub, pair, tol).independent
     return table

@@ -3,6 +3,7 @@ modes, and the sparsity gap, cross-checked against exact rational oracles;
 byte pins at the size cap; inputs whose arithmetic overflows."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -219,6 +220,20 @@ def test_pairwise_gap_matches_golden():
     table = pairwise_sparsity_gap(M, BlockSpec((1, 1, 1)))
     assert all(table[i][j] for i in range(3) for j in range(3))
     assert gold["pairwise_all_true"]
+
+
+def test_a_pair_the_full_gap_decides_still_checks_its_input(monkeypatch):
+    """A pair that an independent full gap decides still runs its gap's
+    input check, so it raises what searching it raises: here the request
+    is made to hold an independent full gap for a matrix whose blocks 1
+    and 2 are parallel columns."""
+    M = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(RankError) as searched:
+        pairwise_sparsity_gap(M, BlockSpec((1, 1, 1)))
+    monkeypatch.setattr(basis, "_found", lambda key: SimpleNamespace(independent=True))
+    with pytest.raises(RankError) as decided:
+        pairwise_sparsity_gap(M, BlockSpec((1, 1, 1)))
+    assert str(decided.value) == str(searched.value) == "matrix of shape (3, 2) must have full column rank"
 
 
 def test_disjoint_matrix_has_wide_gap():

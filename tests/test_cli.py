@@ -254,9 +254,11 @@ def test_one_gap_per_instance_per_request(workdir, monkeypatch, capsys, argv, ca
 
 
 def test_gaps_of_one_request_share_each_block_search(tmp_path, monkeypatch, capsys):
-    """gap --pairwise with K = 3 searches 7 ground sets: the whole matrix's
-    and each pair's mixing strata, and each block's once, not once per gap
-    that holds it.  The report bytes are those of searching each afresh."""
+    """gap --pairwise on an independent K = 3 instance searches 4 ground
+    sets: the whole matrix's mixing strata and each block's once; the full
+    gap decides every pair.  The report bytes are those of searching each
+    gap afresh, with no memo to read the full gap from: 4 ground sets for
+    it, and each pair's mixing strata and two blocks."""
     M, blocks, _ = gen_overlap_jacobian(OverlapTemplate(K=3, slot_dim=2, slot_out=3, seed=1))
     path = tmp_path / "k3.csv"
     write_matrix_csv(path, M)
@@ -271,11 +273,41 @@ def test_gaps_of_one_request_share_each_block_search(tmp_path, monkeypatch, caps
     monkeypatch.setattr(basis, "_flats", counted)
     code = main(argv)
     out = capsys.readouterr().out
-    assert len(calls) == len(set(calls)) == 7
+    assert json.loads(out)["certificates"][0]["holds"] is True
+    assert len(calls) == len(set(calls)) == 4
+    assert [blocks for _, _, blocks in calls].count(None) == 3
     monkeypatch.setattr(basis, "_once", lambda key, search: search())
     assert main(argv) == code
     assert capsys.readouterr().out == out
-    assert len(calls) == 7 + 13
+    assert len(calls) == 4 + 4 + 3 * 3
+
+
+def test_dependent_full_gap_searches_every_pair(tmp_path, monkeypatch, capsys):
+    """On a dependent planted chain of K = 3 blocks the full gap decides no
+    pair: gap --pairwise searches it and then each of the three pairs."""
+    M, _, _ = gen_overlap_jacobian(OverlapTemplate(K=3, slot_dim=2, slot_out=2, overlap_ratio=0.25))
+    path = tmp_path / "chain.csv"
+    write_matrix_csv(path, M)
+    searches = _count_gap_searches(monkeypatch)
+    assert main(["gap", "--pairwise", "--blocks", "2,2,2", "--format", "json", str(path)]) == 1
+    table = json.loads(capsys.readouterr().out)["certificates"][1]["witness"]["table"]
+    assert table == [[True, False, True], [False, True, False], [True, False, True]]
+    assert searches == [(8, 6)] + [(8, 4)] * 3
+
+
+def test_pairwise_alone_never_starts_the_full_gap(tmp_path, monkeypatch, capsys):
+    """The full gap decides the pairs only once the request has searched it:
+    on an independent planted chain, analyze --criteria s-pairwise alone
+    searches every pair, and gap --pairwise the full gap only."""
+    M, _, _ = gen_overlap_jacobian(OverlapTemplate(K=3, slot_dim=1, slot_out=3, overlap_ratio=0.5))
+    path = tmp_path / "chain.csv"
+    write_matrix_csv(path, M)
+    searches = _count_gap_searches(monkeypatch)
+    assert main(["analyze", "--criteria", "s-pairwise", "--blocks", "1,1,1", str(path)]) == 0
+    assert searches == [(15, 2)] * 3
+    assert main(["gap", "--pairwise", "--blocks", "1,1,1", str(path)]) == 0
+    assert searches[3:] == [(15, 3)]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("slices, orders", [("2", [2]), ("1", [2, 1])])

@@ -34,7 +34,9 @@ and the union-find among a start's roots, and the slice report held as
 arrays with the premise and CLI topology reports read from it, against the
 whole-array pointer jumps and the per-slice objects they replaced; and the
 region file read from its bytes into one int64 array, on json.dump's layout
-and on edits of it, against the json reader and cell array it replaced.
+and on edits of it, against the json reader and cell array it replaced; and
+the pairwise Type S table that an independent full gap decides against the
+loop that searched every pair.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -1254,6 +1256,88 @@ def test_s_irreducible_equals_the_gap_on_every_split(case):
     assert _outcome(check_type_s_irreducible, M, blocks, index) == _outcome(
         reference_s_irreducible, M, blocks, index
     )
+
+
+# The loop pairwise_sparsity_gap replaced with one that reads the full gap
+# (Full S => every pair S) before it searches a pair, verbatim: the
+# reference its tables must match.
+def reference_pairwise(M, blocks: BlockSpec, tol: Tolerance | None = None) -> list[list[bool]]:
+    """K x K table: entry (i, j) is the Type S verdict for the two-block
+    submatrix of blocks i and j; the diagonal is vacuously True."""
+    tol = tol or Tolerance.default()
+    M = as_matrix(M)
+    blocks = BlockSpec.covering(blocks, M.shape[1])
+    if blocks.K < 2:
+        raise InvalidInput("pairwise gaps need at least two blocks")
+    ranges, K = blocks.ranges(), blocks.K
+    table = [[True] * K for _ in range(K)]
+    for i, j in combinations(range(K), 2):
+        pair = BlockSpec((blocks.sizes[i], blocks.sizes[j]))
+        sub = M[:, ranges[i] + ranges[j]]
+        table[i][j] = table[j][i] = sparsity_gap(sub, pair, tol).independent
+    return table
+
+
+@st.composite
+def _pairwise_cases(draw):
+    """K = 3-4 blocks over at most 8 columns and 12 rows: planted synth
+    chains at overlap 0, .25 or .5 (independent ones come almost only from
+    these), rows of small integers each confined to one or two blocks, or
+    sparse Gaussians; a third of them with rows scaled by 10^e, e in -4..4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["planted", "planted", "block-sparse", "gaussian"]))
+    K = draw(st.integers(3, 4))
+    if kind == "planted":
+        template = OverlapTemplate(
+            K=K,
+            slot_dim=draw(st.integers(1, 8 // K)),
+            slot_out=draw(st.integers(1, 3)),
+            overlap_ratio=draw(st.sampled_from([0.0, 0.25, 0.5])),
+            seed=draw(st.integers(0, 99)),
+        )
+        M, blocks, _ = gen_overlap_jacobian(template)
+    else:
+        blocks = BlockSpec(tuple(draw(st.lists(st.integers(1, 2), min_size=K, max_size=K))))
+        shape = (draw(st.integers(blocks.total, 12)), blocks.total)
+        cols = np.repeat(np.arange(K), blocks.sizes)
+        if kind == "block-sparse":
+            own, other = rng.integers(0, K, (2, shape[0], 1))
+            second = rng.random((shape[0], 1)) < 0.5
+            M = rng.integers(-2, 3, shape) * ((cols == own) | (second & (cols == other)))
+        else:
+            density = draw(st.sampled_from([0.3, 0.5, 0.7]))
+            M = rng.standard_normal(shape) * (rng.random(shape) < density)
+    M = M.astype(float)
+    if draw(st.integers(0, 2)) == 0:
+        M *= 10.0 ** rng.integers(-4, 5, (M.shape[0], 1))
+    return M, blocks
+
+
+def test_pairwise_equals_the_gap_of_every_pair():
+    """pairwise_sparsity_gap, in a request after the full gap, gets the
+    table of searching every pair, or its error, type and message.  At
+    least 50 draws are decided by the full gap: it is independent."""
+    decided = Counter()
+
+    def outcome(call):
+        try:
+            return call()
+        except MechIndepError as exc:
+            return type(exc).__name__, str(exc)
+
+    @settings(PINNED, max_examples=450)
+    @given(_pairwise_cases())
+    def check(case):
+        M, blocks = case
+        with basis.one_request():
+            whole = outcome(lambda: sparsity_gap(M, blocks))
+            table = outcome(lambda: basis.pairwise_sparsity_gap(M, blocks))
+        assert table == outcome(lambda: reference_pairwise(M, blocks))
+        full_s = isinstance(whole, basis.GapResult) and whole.independent
+        decided["full S" if full_s else table[0] if isinstance(table, tuple) else "searched"] += 1
+
+    check()
+    assert decided["full S"] >= 50, decided
 
 
 # The pairwise-loop build_graph and check_type_m that the adjacency matrices

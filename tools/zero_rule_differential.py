@@ -4,9 +4,12 @@ rows sit near the zero threshold.
 Draws 1,200 full-column-rank matrices of 3-10 x 2-6 from seed 0: 300 each of
 Gaussian, small-integer and half-sparse Gaussian entries, and 300 Gaussian or
 half-sparse ones with their rows scaled by 10^e, e in -4..4.  Each is split
-into two blocks.  `dump` writes, one JSON line per matrix, the exact bytes
-(float.hex) of `minimal_supports` and `sparsity_gap`, or the error each
-raises; `compare` counts how two dumps differ, by kind of input.
+into two blocks, and each with n >= 3 columns also into three blocks of
+near-equal sizes.  `dump` writes, one JSON line per matrix, the exact bytes
+(float.hex) of `minimal_supports` and `sparsity_gap`, and the
+`pairwise_sparsity_gap` table of the three-block split, computed in one
+request after that split's full gap, or the error each raises; `compare`
+counts how two dumps differ, by kind of input.
 
     PYTHONPATH=src python tools/zero_rule_differential.py dump > new.jsonl
     PYTHONPATH=<other checkout>/src python tools/zero_rule_differential.py dump > old.jsonl
@@ -61,11 +64,23 @@ def _outcome(call):
 
 
 def dump(out) -> None:
-    from mechindep import BlockSpec, minimal_supports, sparsity_gap
+    from mechindep import (
+        BlockSpec, MechIndepError, minimal_supports, pairwise_sparsity_gap, sparsity_gap
+    )
+    from mechindep.basis import one_request
 
     def gap(M, cut):
         g = sparsity_gap(M, BlockSpec((cut, M.shape[1] - cut)))
         return [g.rho_plus, g.rho_minus, _vectors(g.respecting.vectors), _vectors(g.mixing.vectors)]
+
+    def pairwise(M):
+        thirds = BlockSpec(tuple(map(len, np.array_split(range(M.shape[1]), 3))))
+        with one_request():
+            try:
+                sparsity_gap(M, thirds)
+            except MechIndepError:
+                pass  # the table then searches every pair
+            return pairwise_sparsity_gap(M, thirds)
 
     for kind, M, cut in draws():
         row = {
@@ -74,6 +89,8 @@ def dump(out) -> None:
             "supports": _outcome(lambda: _vectors(minimal_supports(M))),
             "gap": _outcome(lambda: gap(M, cut)),
         }
+        if M.shape[1] >= 3:
+            row["pairwise"] = _outcome(lambda: pairwise(M))
         out.write(json.dumps(row) + "\n")
 
 
@@ -89,7 +106,10 @@ def compare(old_path: str, new_path: str) -> None:
     for old, new in pairs:
         kind = "unscaled" if old["kind"] != "row-scaled" else "row-scaled"
         counts[kind, "inputs"] += 1
-        for part in ("supports", "gap"):
+        counts[kind, "pairwise", "inputs"] += "pairwise" in old
+        for part in ("supports", "gap", "pairwise"):
+            if part not in old:
+                continue
             a, b = old[part], new[part]
             if a == b:
                 if "error" in a:
@@ -104,7 +124,8 @@ def compare(old_path: str, new_path: str) -> None:
             elif part == "gap" and a["ok"][:2] != b["ok"][:2]:
                 counts[kind, part, "rho+ or rho- changed"] += 1
             else:
-                counts[kind, part, "same rho, bytes changed" if part == "gap" else "bytes changed"] += 1
+                what = {"gap": "same rho, bytes changed", "pairwise": "table changed"}
+                counts[kind, part, what.get(part, "bytes changed")] += 1
     for key, count in sorted(counts.items()):
         print(" / ".join(key), count)
 
