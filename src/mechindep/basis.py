@@ -11,8 +11,12 @@ mixing vector itself ranges over the enumerated mixing-minimal supports.
 Achievable supports are the complements of the flats of the row matroid, and
 the minimal ones those of its hyperplanes (Oxley, Matroid Theory, ch. 2), so
 one pass over the flats, hyperplanes first, yields both the ground set and
-the mixing strata (_flats).  The searches hold vectors as stacked arrays
-(_Vectors); SubspaceVector is built only for the vectors a caller gets back.
+the mixing strata (_flats).  The pass runs over a stack of matrices of one
+shape, so a gap's blocks of one width share each elimination, and their
+greedy bases share each rank call (_block_bases); a single matrix is a
+stack of one.  The searches hold vectors and strata as stacked arrays
+(_Vectors, _Strata); SubspaceVector is built only for the vectors a caller
+gets back.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -35,9 +39,13 @@ MAX_ROWS = 20
 MAX_COLS = 8
 
 # Row subsets per batched elimination, and forced-mixing strata per solve.
-# It bounds the search's largest array, a chunk's products M N, to 0.16 MB
-# whatever C(m, k) is.  The audit's random mixings come in chunks whose
-# products M R keep within the same CHUNK * MAX_ROWS * MAX_COLS entries.
+# It bounds the search's largest array, a chunk's products M N, to
+# CHUNK * MAX_ROWS * MAX_COLS entries, 0.16 MB, whatever C(m, k) is.  A
+# stacked pass over P blocks of width s eliminates P * CHUNK subsets at a
+# time, and its products M N and stacked copies of M hold P * CHUNK * m * s
+# entries, within the same bound, as the blocks' widths sum to at most
+# MAX_COLS.  The audit's random mixings come in chunks whose products M R
+# keep within the same CHUNK * MAX_ROWS * MAX_COLS entries.
 CHUNK = 128
 
 # The searches of the request one_request has opened, by key (_once); None
@@ -49,7 +57,7 @@ _searches: ContextVar[dict | None] = ContextVar("searches", default=None)
 def one_request():
     """Open a request: within it, the gaps of one matrix, blocks and
     tolerance are searched once (sparsity_gap), and so is each block's basis
-    (_block_basis), whichever checker asks.  The memo is dropped on exit."""
+    (_block_bases), whichever checker asks.  The memo is dropped on exit."""
     token = _searches.set({})
     try:
         yield
@@ -247,16 +255,21 @@ def _printed(V: np.ndarray, axis: int, tol: Tolerance) -> np.ndarray:
         return A / top > tol.threshold(1.0)
 
 
-def _normalize(M: np.ndarray, C: np.ndarray, tol: Tolerance, V=None) -> tuple[np.ndarray, _Vectors]:
-    """The vectors M c of the rows c of C (F, n), the stacked matmul's rows or
-    V's: the mask of those above M's zero threshold, and those with their c,
-    over their first entry of largest magnitude, supports _printed."""
-    if V is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            V = np.matmul(M[None], C[:, :, None])[:, :, 0]
-    bits = _printed(V, 1, tol) @ (1 << np.arange(M.shape[0]))
+def _image(M: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The vectors M c of the rows c of C (F, n), as rows (F, m), from one
+    stacked matmul."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(M[None], C[:, :, None])[:, :, 0]
+
+
+def _normalize(V: np.ndarray, C: np.ndarray, thr, tol: Tolerance) -> tuple[np.ndarray, _Vectors]:
+    """The vectors V (F, m) with their coefficients C (F, n): the mask of
+    those whose largest |entry| is above thr (their matrix's zero threshold,
+    one float or one per vector), and those with their c, over their first
+    entry of largest magnitude, supports _printed."""
+    bits = _printed(V, 1, tol) @ (1 << np.arange(V.shape[1]))
     piv = np.abs(V).argmax(axis=1)
-    alive = ~(np.abs(V[np.arange(len(V)), piv]) <= tol.matrix_threshold(M))
+    alive = ~(np.abs(V[np.arange(len(V)), piv]) <= thr)
     scale = V[alive, piv[alive]][:, None]
     return alive, _Vectors(V[alive] / scale, C[alive] / scale, bits[alive])
 
@@ -267,26 +280,34 @@ def _members(bits: int) -> tuple[int, ...]:
 
 
 # the number of set bits of each byte, and each byte with its 8 bits reversed
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint64)
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 _REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint64)
 
 
-def _order(bits: np.ndarray, m: int) -> np.ndarray:
-    """The order of distinct bitmasks over m rows by (size, sorted members):
-    of two sets of one size, the one holding the first row where they
-    differ comes first: the larger mask read with its m bits reversed.
+def _sizes(bits: np.ndarray, m: int) -> np.ndarray:
+    """The number of rows in each bitmask over m rows, a byte at a time
+    from a 256-entry table."""
+    size = np.zeros(len(bits), dtype=np.int64)
+    for i in range(-(-m // 8)):
+        size += _POPCOUNT[bits >> 8 * i & 0xFF]
+    return size
 
-    Size and reversal come a byte at a time from 256-entry tables: the
-    reversed bytes, in reverse order, reverse all 8 w bits of w bytes, and a
-    shift drops the 8 w - m bits past row m."""
+
+def _order(bits: np.ndarray, m: int, *major: np.ndarray) -> np.ndarray:
+    """The order of distinct bitmasks over m rows by (size, sorted members),
+    after any major keys, the last the most significant: of two sets of one
+    size, the one holding the first row where they differ comes first: the
+    larger mask read with its m bits reversed.
+
+    The reversal comes a byte at a time from a 256-entry table: the reversed
+    bytes, in reverse order, reverse all 8 w bits of w bytes, and a shift
+    drops the 8 w - m bits past row m."""
     width = -(-m // 8)
-    size, reversed_ = np.zeros((2, len(bits)), dtype=np.uint64)
+    reversed_ = np.zeros(len(bits), dtype=np.uint64)
     for i in range(width):
-        byte = (bits >> 8 * i & 0xFF).astype(np.intp)
-        size += _POPCOUNT[byte]
-        reversed_ |= _REVERSED[byte] << np.uint64(8 * (width - 1 - i))
+        reversed_ |= _REVERSED[bits >> 8 * i & 0xFF] << np.uint64(8 * (width - 1 - i))
     reversed_ >>= np.uint64(8 * width - m)
-    return np.lexsort((-reversed_.astype(np.int64), size))
+    return np.lexsort((-reversed_.astype(np.int64), _sizes(bits, m), *major))
 
 
 def _counter(masks: np.ndarray, m: int):
@@ -341,67 +362,104 @@ def achievable(M, T, tol: Tolerance | None = None) -> bool:
     return rank(M[keep, :], tol, thr=thr) < M.shape[1]
 
 
+class _Strata(NamedTuple):
+    """Mixing strata as arrays, entry s of each for stratum s: the T
+    bitmasks (S,), the null bases (S, n, w), zero past each basis's width,
+    and those widths (S,)."""
+
+    T: np.ndarray
+    N: np.ndarray
+    widths: np.ndarray
+
+
 def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
-    """The ground set and, with blocks, the mixing strata, from one pass
-    over the flats of M's row matroid, hyperplanes first.
+    """The ground set of each slice of a (P, m, n) stack and, with blocks
+    (P = 1), the mixing strata, from one pass over the flats of the row
+    matroids, hyperplanes first.
 
     Level k eliminates the k-row subsets R chunk by chunk in combinations
-    order, one null_space_many call each: R is independent iff its null basis
-    N has n - k columns, and then attains T, the complement of its closure: by
-    core's closure rule, the union of the _printed supports of M N's columns.
-    Each distinct T keeps its first subset's N.  At level n-1 the first vector
-    of each support, filtered to the inclusion-minimal supports and sorted by
-    (size, rows), is the ground set, as _Vectors.  With blocks the pass goes
-    on down to level 0: T is a mixing stratum iff the rows of its coefficient
-    null space touch more than one block (_touches of their largest entries):
-    it then cannot be covered by the finitely many block subspaces without
-    lying inside one.  A row subset R inside the flat of a stratum accepted
-    at a higher level, one that misses its T, is never eliminated: T(R)
-    holds T(R') iff R lies in the closure of R', so R is dependent or
-    attains a T holding that stratum, which the final inclusion-minimal
-    filter would drop.  _counter counts the strata inside R's complement
-    before each chunk's null_space_many call.  The strata are
-    returned as [(T bitmask, null basis)] sorted by (size, rows), None without
-    blocks."""
-    m, n = M.shape
-    thr = tol.matrix_threshold(M)
+    order, one null_space_many call each for R of every slice, at that
+    slice's own threshold: R is independent iff its null basis N has n - k
+    columns, and then attains T, the complement of its closure: by core's
+    closure rule, the union of the _printed supports of M N's columns.  Each
+    distinct (slice, T), one np.unique over the keys slice << m | T, keeps
+    its first subset's N.  At level n-1 the first vector of each support,
+    filtered to the inclusion-minimal supports and sorted by (size, rows),
+    is the slice's ground set, as _Vectors.  With blocks the pass goes on
+    down to level 0: T is a mixing stratum iff the rows of its coefficient
+    null space touch more than one block (_touches of their largest
+    entries): it then cannot be covered by the finitely many block
+    subspaces without lying inside one.  A row subset R inside the flat of
+    a stratum accepted at a higher level, one that misses its T, is never
+    eliminated: T(R) holds T(R') iff R lies in the closure of R', so R is
+    dependent or attains a T holding that stratum, which the final
+    inclusion-minimal filter would drop.  _counter counts the strata inside
+    R's complement before each chunk's null_space_many call.  Returns the
+    list of ground sets and the strata sorted by (size, rows) as _Strata,
+    None without blocks.  An overflow in any slice raises InvalidInput for
+    the whole stack."""
+    P, m, n = M.shape
+    thr = tol.stack_thresholds(M)
     bit, full = 1 << np.arange(m), (1 << m) - 1
-    met = np.zeros(1 << m, dtype=bool)
-    found = [_Vectors(np.zeros((0, m)), np.zeros((0, n)), bit[:0])]
-    strata: dict[int, np.ndarray] = {}
-    counted = -1
+    met: set[int] = set()  # the keys slice << m | T met so far
+    found = [(bit[:0], _Vectors(np.zeros((0, m)), np.zeros((0, n)), bit[:0]))]
+    levels = []  # the strata each level accepted, as (T, N)
+    holding, counted = None, 0
     for k in range(n - 1, -1, -1) if blocks else [n - 1]:
-        if len(strata) != counted:  # a level that accepted none keeps the count
-            holding, counted = _counter(np.fromiter(strata, dtype=np.int64), m), len(strata)
+        if len(levels) != counted:  # a level that accepted none keeps the count
+            holding, counted = _counter(np.concatenate([T for T, _ in levels]), m), len(levels)
+        parts = []
         for R in _subset_chunks(m, k):
-            R = R[holding(full & ~bit[R].sum(axis=1)) == 0]
-            if not len(R):
-                continue
-            N = null_space_many(M[R], thr, n - k)
+            if holding is not None:
+                R = R[holding(full & ~bit[R].sum(axis=1)) == 0]
+                if not len(R):
+                    continue
+            stack, thrs = M[:, R].reshape(P * len(R), k, n), np.repeat(thr, len(R))
+            N, kept = null_space_many(stack, thrs, n - k, with_free=True)
+            of = np.flatnonzero(kept) // len(R)
             with np.errstate(over="ignore", invalid="ignore"):
-                V = np.matmul(M[None], N)
-            open_ = _printed(V, 1, tol).any(axis=2)
-            T, first = np.unique(open_ @ bit, return_index=True)
-            fresh = (T != 0) & ~met[T]
+                V = np.matmul(M[of] if P > 1 else M, N)  # a stack of one broadcasts
+            T = _printed(V, 1, tol).any(axis=2) @ bit
+            key, first = np.unique(of << m | T, return_index=True)
+            fresh = key & full != 0
+            if met:
+                fresh &= ~np.fromiter(map(met.__contains__, key.tolist()), bool, len(key))
             if not fresh.any():
                 continue
-            met[T[fresh]] = True
+            met.update(key[fresh].tolist())
             first = np.sort(first[fresh])
-            T, N = open_[first] @ bit, N[first]
+            of, T, N = of[first], T[first], N[first]
             if k == n - 1:
-                found.append(_normalize(M, N[:, :, 0], tol, V[first, :, 0])[1])
+                alive, vectors = _normalize(V[first, :, 0], N[:, :, 0], thr[of], tol)
+                found.append((of[alive], vectors))
             if blocks is not None:
                 mixing = _touches(np.abs(N).max(axis=2), blocks, tol).sum(axis=1) > 1
-                strata.update(zip(T[mixing].tolist(), N[mixing]))
-    vectors, found = _Vectors.concat(found), None
-    first = np.unique(vectors.bits, return_index=True)[1]
-    keep = first[_inclusion_minimal(vectors.bits[first], m)]
-    ground = vectors.take(keep[_order(vectors.bits[keep], m)])
+                parts.append((T[mixing], N[mixing]))
+        if parts:
+            levels.append(tuple(map(np.concatenate, zip(*parts))))
+    of, vectors = np.concatenate([s for s, _ in found]), _Vectors.concat([v for _, v in found])
+    found = None
+    key, first = np.unique(of << m | vectors.bits, return_index=True)
+    edges = np.searchsorted(key >> m, range(P + 1)).tolist()  # slice p's keys: edges[p]..edges[p+1]
+    bits = vectors.bits[first]
+    keep = first[np.concatenate([_inclusion_minimal(bits[a:b], m) for a, b in zip(edges, edges[1:])])]
+    keep = keep[_order(vectors.bits[keep], m, of[keep])]
+    edges = np.searchsorted(of[keep], range(P + 1)).tolist()
+    grounds = [vectors.take(keep[a:b]) for a, b in zip(edges, edges[1:])]
     if blocks is None:
-        return ground, None
-    T = np.fromiter(strata, dtype=np.int64, count=len(strata))
-    T = T[_inclusion_minimal(T, m)]
-    return ground, [(t, strata[t]) for t in T[_order(T, m)].tolist()]
+        return grounds, None
+    T = np.concatenate([T for T, _ in levels] or [bit[:0]])
+    keep = np.flatnonzero(_inclusion_minimal(T, m))
+    keep = keep[_order(T[keep], m)]
+    starts = np.cumsum([0, *(len(part) for part, _ in levels)])
+    level = np.searchsorted(starts, keep, side="right") - 1  # the level of each kept stratum
+    index = keep - starts[level]
+    widths = np.array([N.shape[2] for _, N in levels], dtype=np.intp)[level]
+    N = np.zeros((len(keep), n, widths.max(initial=0)))
+    for i in set(level.tolist()):
+        at, part = level == i, levels[i][1]
+        N[at, :, : part.shape[2]] = part[index[at]]
+    return grounds, _Strata(T[keep], N, widths)
 
 
 def minimal_supports(M, tol: Tolerance | None = None) -> list[SubspaceVector]:
@@ -410,32 +468,40 @@ def minimal_supports(M, tol: Tolerance | None = None) -> list[SubspaceVector]:
     matroid, from the first level of _flats, one null space and one vector
     per distinct hyperplane."""
     tol = tol or Tolerance.default()
-    return _flats(_search_input(M, None, tol).M, tol)[0].vectors()
+    return _flats(_search_input(M, None, tol).M[None], tol)[0][0].vectors()
 
 
-def _independent(values: np.ndarray, n: int, tol: Tolerance) -> list[int]:
-    """Indices of the first n independent rows of values (G, m), in order:
-    row i is picked iff the rank of [picks..., row i] as columns, at that
-    matrix's own threshold, grows.  One rank_many call tests a run of the
-    next rows r_0..r_w-1, w the picks still missing: slice j holds [picks...,
-    r_0, ..., r_j] and zero columns, which never win a pivot.  While the
-    ranks grow, slice j is the test of r_j with r_0..r_j-1 picked; the
-    first row that does not grow is skipped and the next run starts after
-    it.  InternalError if the rows span less than rank n."""
-    picked: list[int] = []
-    start = 0
-    while len(picked) < n and start < len(values):
-        p, run = len(picked), values[start : start + n - len(picked)]
-        trial = np.zeros((len(run), values.shape[1], n))
-        trial[:, :, :p] = values[picked].T
-        prefix = np.tri(len(run), dtype=bool)[:, None, :]  # slice j holds r_0..r_j
-        trial[:, :, p : p + len(run)] = np.where(prefix, run.T[None], 0.0)
-        grew = rank_many(trial, tol.stack_thresholds(trial)) == p + 1 + np.arange(len(run))
-        stop = int(np.argmin(grew)) if not grew.all() else len(run)
-        picked += range(start, start + stop)
-        start += stop + 1
-    if len(picked) < n:
-        raise InternalError(f"the ground set spans rank {len(picked)}, not {n}")
+def _independent(values: list[np.ndarray], n: list[int], tol: Tolerance) -> list[list[int]]:
+    """Indices of the first n[i] independent rows of each values[i] (G_i, m),
+    in order: row r is picked iff the rank of [picks..., row r] as columns,
+    at that matrix's own threshold, grows.  Each round makes one rank_many
+    call, which tests a run of the next rows r_0..r_w-1 of every unfinished
+    i, w the picks it still misses: slice j of the run holds [picks..., r_0,
+    ..., r_j] and zero columns up to the widest n, which never win a pivot.
+    While the ranks grow, slice j is the test of r_j with r_0..r_j-1 picked;
+    the first row that does not grow is skipped and i's next run starts
+    after it.  InternalError, for the first i in order, if values[i]'s rows
+    span less than rank n[i]."""
+    picked: list[list[int]] = [[] for _ in values]
+    start = [0] * len(values)
+    while live := [i for i, (p, v) in enumerate(zip(picked, values)) if len(p) < n[i] and start[i] < len(v)]:
+        runs = [values[i][start[i] : start[i] + n[i] - len(picked[i])] for i in live]
+        ends = list(accumulate(map(len, runs)))
+        trial = np.zeros((ends[-1], runs[0].shape[1], max(n)))
+        for i, run, end in zip(live, runs, ends):
+            p, slices = len(picked[i]), trial[end - len(run) : end]
+            slices[:, :, :p] = values[i][picked[i]].T
+            prefix = np.tri(len(run), dtype=bool)[:, None, :]  # slice j holds r_0..r_j
+            slices[:, :, p : p + len(run)] = np.where(prefix, run.T[None], 0.0)
+        ranks = rank_many(trial, tol.stack_thresholds(trial))
+        for i, run, end in zip(live, runs, ends):
+            grew = ranks[end - len(run) : end] == len(picked[i]) + 1 + np.arange(len(run))
+            stop = int(np.argmin(grew)) if not grew.all() else len(run)
+            picked[i] += range(start[i], start[i] + stop)
+            start[i] += stop + 1
+    for p, want in zip(picked, n):
+        if len(p) < want:
+            raise InternalError(f"the ground set spans rank {len(p)}, not {want}")
     return picked
 
 
@@ -449,8 +515,9 @@ def _representatives(M: np.ndarray, blocks: BlockSpec, N: np.ndarray, tol: Toler
     S, n, w = N.shape
     touched = _touches(N.transpose(0, 2, 1).reshape(S * w, n), blocks, tol)
     count = touched.sum(axis=1).reshape(S, w)
-    mixing = np.nonzero(count > 1)
-    alive, found = _normalize(M, N[mixing[0], :, mixing[1]], tol)
+    mixing, thr = np.nonzero(count > 1), tol.matrix_threshold(M)
+    X = N[mixing[0], :, mixing[1]]
+    alive, found = _normalize(_image(M, X), X, thr, tol)
     has, first = np.unique(mixing[0][alive], return_index=True)
     rest = np.flatnonzero(np.bincount(has, minlength=S) == 0)
     block, pure = touched.argmax(axis=1).reshape(S, w)[rest], count[rest] == 1
@@ -459,7 +526,7 @@ def _representatives(M: np.ndarray, blocks: BlockSpec, N: np.ndarray, tol: Toler
     pair = other.any(axis=1)
     X0, X1 = N[rest[pair], :, p0[pair]], N[rest[pair], :, other[pair].argmax(axis=1)]
     c = X0 / np.abs(X0).max(axis=1)[:, None] + X1 / np.abs(X1).max(axis=1)[:, None]
-    combined, summed = _normalize(M, c, tol)
+    combined, summed = _normalize(_image(M, c), c, thr, tol)
     reps = _Vectors(np.zeros((S, M.shape[0])), np.zeros((S, n)), np.zeros(S, dtype=np.int64))
     for out, a, b in zip(reps, found, summed):
         out[has], out[rest[pair][combined]] = a[first], b
@@ -506,43 +573,45 @@ def sparsest_basis(
     keeps the rest, and rejects every other candidate, which lies in the span
     of the B* vectors before it.  The search runs on the stacked arrays of
     _flats: the greedy reads value rows (_independent), each chunk of CHUNK
-    strata gets its representatives in one step (_representatives) and the
-    positions they drop from one solve against B*'s coefficients (_drops), a
-    stratum costs the size of its T, and SubspaceVector is built only for the n
-    vectors returned.  M may also be a _Checked input, as sparsity_gap passes
-    one to both searches.
+    strata, sliced from the strata's null-basis stack, gets its
+    representatives in one step (_representatives) and the positions they
+    drop from one solve against B*'s coefficients (_drops), a stratum costs
+    the size of its T, and SubspaceVector is built only for the n vectors
+    returned.  blockRespecting searches the blocks before the first one short
+    of full column rank together (_block_bases), and then raises that
+    block's RankError.  M may also be a _Checked input, as sparsity_gap
+    passes one to both searches.
     """
     tol = tol or Tolerance.default()
     M, blocks, full = M if isinstance(M, _Checked) else _search_input(M, blocks, tol)
     m, n = M.shape
     if mode == "unconstrained":
-        ground = _flats(M, tol)[0]
-        picked = ground.take(_independent(ground.values, n, tol))
+        (picked,) = _block_bases([M], tol)
     elif mode == "blockRespecting":
+        ranges = blocks.ranges()
+        short = np.flatnonzero(~full)  # the blocks short of full column rank
+        searched = ranges[: short[0]] if short.size else ranges
+        optima = _block_bases([M[:, cols] for cols in searched], tol)
+        if short.size:
+            raise RankError(f"matrix of shape {(m, len(ranges[short[0]]))} must have full column rank")
         parts = []
-        for cols, ok in zip(blocks.ranges(), full):
-            if not ok:
-                raise RankError(f"matrix of shape {(m, len(cols))} must have full column rank")
-            ground = _block_basis(M[:, cols], tol)
+        for cols, optimum in zip(ranges, optima):
             coeffs = np.zeros((len(cols), n))
-            coeffs[:, cols] = ground.coeffs
-            parts.append(ground._replace(coeffs=coeffs))
+            coeffs[:, cols] = optimum.coeffs
+            parts.append(optimum._replace(coeffs=coeffs))
         picked = _Vectors.concat(parts)
     elif mode == "forceMixing":
         if blocks.K < 2:
             raise InvalidInput("forceMixing needs at least two blocks")
-        ground, strata = _flats(M, tol, blocks)
-        if not strata:
+        (ground,), strata = _flats(M[None], tol, blocks)
+        if not len(strata.T):
             raise InternalError("no mixing stratum found despite K >= 2")
-        optimum = ground.take(_independent(ground.values, n, tol))
-        sizes = np.array([b.bit_count() for b in optimum.bits.tolist()])
+        optimum = ground.take(_independent([ground.values], [n], tol)[0])
+        sizes, cost_T = _sizes(optimum.bits, m), _sizes(strata.T, m)
         best = None  # (cost, representative, dropped position of B*)
-        for first in range(0, len(strata), CHUNK):
-            chunk = strata[first : first + CHUNK]
-            T = np.array([t for t, _ in chunk])
-            N = np.zeros((len(chunk), n, max(null.shape[1] for _, null in chunk)))
-            for s, (_, null) in enumerate(chunk):
-                N[s, :, : null.shape[1]] = null
+        for first in range(0, len(strata.T), CHUNK):
+            chunk = slice(first, first + CHUNK)
+            T, N = strata.T[chunk], strata.N[chunk, :, : strata.widths[chunk].max()]
             reps, failed = _representatives(M, blocks, N, tol)
             failed[(failed == 0) & (reps.bits != T)] = 3
             if failed.any():
@@ -556,7 +625,7 @@ def sparsest_basis(
             drop = _drops(optimum.coeffs, reps.coeffs, tol)
             swaps = np.flatnonzero(drop >= 0)
             if swaps.size:
-                cost = np.array([t.bit_count() for t in T.tolist()]) + sizes.sum() - sizes[drop]
+                cost = cost_T[chunk] + sizes.sum() - sizes[drop]
                 s = swaps[np.argmin(cost[swaps])]
                 if best is None or cost[s] < best[0]:  # the first cheapest stratum wins
                     best = (cost[s], reps.take([s]), drop[s])
@@ -591,17 +660,28 @@ def _found(key):
     return (_searches.get() or {}).get(key)
 
 
-def _block_basis(M: np.ndarray, tol: Tolerance) -> _Vectors:
-    """The greedy basis over the ground set of one block's columns M,
-    searched once per request (_once), keyed by M's shape and bytes and the
-    resolved tolerance: the gaps of one request that hold a block share its
-    search."""
-
-    def search():
-        ground = _flats(M, tol)[0]
-        return ground.take(_independent(ground.values, M.shape[1], tol))
-
-    return _once((M.shape, M.tobytes(), tol), search)
+def _block_bases(Ms: list[np.ndarray], tol: Tolerance) -> list[_Vectors]:
+    """The greedy basis over the ground set of each block's columns Ms[i],
+    each searched once per request (_once), keyed by the block's shape and
+    bytes and the resolved tolerance: the gaps of one request that hold a
+    block share its search, and equal blocks of one call share one.  The
+    blocks the request has not searched (_found) are searched together, in
+    order: one _flats pass per block width over the stack of the blocks of
+    that width, then one greedy (_independent) for them all.  A search that
+    raises stores nothing; its error is that of the first block in order
+    that fails, but an overflow in any block's pass raises InvalidInput at
+    once."""
+    keys = [(B.shape, B.tobytes(), tol) for B in Ms]
+    optima = {key: _found(key) for key in keys}
+    todo = {key: B for key, B in zip(keys, Ms) if optima[key] is None}
+    grounds = {}
+    for width in dict.fromkeys(B.shape[1] for B in todo.values()):
+        group = [key for key, B in todo.items() if B.shape[1] == width]
+        grounds.update(zip(group, _flats(np.stack([todo[key] for key in group]), tol)[0]))
+    picks = _independent([grounds[key].values for key in todo], [B.shape[1] for B in todo.values()], tol)
+    for key, p in zip(todo, picks):
+        optima[key] = _once(key, lambda: grounds[key].take(p))
+    return [optima[key] for key in keys]
 
 
 def _gap_key(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
@@ -612,9 +692,14 @@ def _gap_key(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
 
 def _respecting(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
     """All a gap runs before its forced-mixing search: M checked
-    (_search_input) and its cheapest block-respecting basis."""
-    checked = _search_input(M, blocks, tol)
-    return checked, sparsest_basis(checked, blocks, "blockRespecting", tol)
+    (_search_input) and its cheapest block-respecting basis, run once per
+    request (_once) under the gap's key, tagged."""
+
+    def search():
+        checked = _search_input(M, blocks, tol)
+        return checked, sparsest_basis(checked, blocks, "blockRespecting", tol)
+
+    return _once(("respecting", *_gap_key(M, blocks, tol)), search)
 
 
 def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResult:
@@ -652,8 +737,9 @@ def pairwise_sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) ->
     a mixing basis of M, as the block subspaces form a direct sum, so
     rho- <= rho-(pair) + w(others), while rho+ = rho+(pair) + w(others).
     The table never starts the whole gap's search.  A pair it decides still
-    runs what its gap runs before mixing (_respecting), memoized per block,
-    so it raises the input errors its search would."""
+    runs what its gap runs before mixing (_respecting), so it raises the
+    input errors its search would; with K = 2 that is the whole gap's, read
+    from the request."""
     tol = tol or Tolerance.default()
     M = as_matrix(M)
     blocks = BlockSpec.covering(blocks, M.shape[1])

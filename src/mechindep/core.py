@@ -297,8 +297,9 @@ def null_space_many(stack, thr, width: int | None = None, with_free: bool = Fals
     null_space(stack[b], thr=thr[b]).  With a width w >= 1, only the bases
     of width w, in slice order, as one (K, n, w) array whose slices are
     bit-identical to their list entries; slices of other widths are dropped.
-    With with_free (and no width), the list comes with the (B, n) mask of
-    each slice's free columns, the rows that hold its basis's identity.
+    With with_free, the list comes with the (B, n) mask of each slice's free
+    columns, the rows that hold its basis's identity, and the width array
+    with the (B,) mask of the slices it kept.
 
     thr is a frozen threshold, scalar or one per slice.  Every slice runs the
     same Gauss-Jordan elimination column by column: the pivot is the first
@@ -355,7 +356,8 @@ def null_space_many(stack, thr, width: int | None = None, with_free: bool = Fals
         bases = [np.compress(free[b], X[b], axis=1) for b in range(B)]
         return (bases, free) if with_free else bases
     kept = free.sum(axis=1) == width
-    return np.take_along_axis(X[kept], np.nonzero(free[kept])[1].reshape(-1, 1, width), axis=2)
+    bases = np.take_along_axis(X[kept], np.nonzero(free[kept])[1].reshape(-1, 1, width), axis=2)
+    return (bases, kept) if with_free else bases
 
 
 def face_split(A, B) -> np.ndarray:

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .basis import (
-    BlockSpec, _block_basis, _printed, _search_input, pairwise_sparsity_gap, sparsity_gap
+    BlockSpec, _block_bases, _printed, _search_input, pairwise_sparsity_gap, sparsity_gap
 )
 from .certificates import Certificate, inputs_digest
 from .core import Tolerance, as_int, as_matrix, as_tensor, column_supports, l0_norm, rank
@@ -500,7 +500,7 @@ def check_type_s_irreducible(
     block's submatrix Type S independent, rho+ < rho-.
 
     Reordering the block's columns only permutes coefficients, so the greedy
-    optimum B* over the block's ground set (_block_basis) is a cheapest
+    optimum B* over the block's ground set (_block_bases) is a cheapest
     basis under every split: w(B*) <= rho+.  When a B* vector's _printed
     coefficients touch both sides of a split, B* also mixes, rho- <= w(B*),
     and the split is not independent.  Only the other splits run a sparsity
@@ -512,7 +512,7 @@ def check_type_s_irreducible(
     if len(cols) == 1:
         return _holds("S-irreducible", {"block": block_index}, ONE_DIMENSIONAL_NOTE, digest)
     block = _search_input(M[:, cols], None, tol).M
-    touched = _printed(_block_basis(block, tol).coeffs, 1, tol)  # B*'s coefficient supports
+    touched = _printed(_block_bases([block], tol)[0].coeffs, 1, tol)  # B*'s coefficient supports
     for part_a, part_b in _first_split(cols):
         side = np.isin(cols, part_a)
         if (touched[:, side].any(axis=1) & touched[:, ~side].any(axis=1)).any():

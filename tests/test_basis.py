@@ -366,7 +366,7 @@ def test_overflow_in_the_closure_product_is_invalid_input(monkeypatch):
     with the subsets' null bases, before any vector is normalized."""
     monkeypatch.setattr(basis, "_normalize", lambda *args: pytest.fail("normalized"))
     with pytest.raises(InvalidInput, match="overflowed"):
-        basis._flats(_HUGE_PRODUCT, Tolerance())
+        basis._flats(_HUGE_PRODUCT[None], Tolerance())
 
 
 def test_gap_checks_the_matrix_once_and_each_block_once(monkeypatch):

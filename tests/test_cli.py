@@ -221,14 +221,15 @@ def test_gap_pairwise_table(workdir, capsys):
 
 
 def _count_gap_searches(monkeypatch) -> list:
-    """A list that grows by one per gap searched: each gap search makes one
-    forced-mixing pass over the flats, the only _flats call given blocks."""
+    """A list that grows by one matrix shape per gap searched: each gap
+    search makes one forced-mixing pass over the flats, the only _flats call
+    given blocks, on a stack of that one matrix."""
     searches = []
     flats = basis._flats
 
     def counted(M, tol, blocks=None):
         if blocks is not None:
-            searches.append(M.shape)
+            searches.append(M.shape[1:])
         return flats(M, tol, blocks)
 
     monkeypatch.setattr(basis, "_flats", counted)
@@ -254,11 +255,12 @@ def test_one_gap_per_instance_per_request(workdir, monkeypatch, capsys, argv, ca
 
 
 def test_gaps_of_one_request_share_each_block_search(tmp_path, monkeypatch, capsys):
-    """gap --pairwise on an independent K = 3 instance searches 4 ground
-    sets: the whole matrix's mixing strata and each block's once; the full
+    """gap --pairwise on an independent K = 3 instance makes 2 passes over
+    the flats: one stacked pass for the ground sets of its three blocks,
+    all of width 2, and one for the whole matrix's mixing strata; the full
     gap decides every pair.  The report bytes are those of searching each
-    gap afresh, with no memo to read the full gap from: 4 ground sets for
-    it, and each pair's mixing strata and two blocks."""
+    gap afresh, with no memo to read the full gap from: 2 passes for it,
+    and 2 for each pair, its two blocks stacked and its mixing strata."""
     M, blocks, _ = gen_overlap_jacobian(OverlapTemplate(K=3, slot_dim=2, slot_out=3, seed=1))
     path = tmp_path / "k3.csv"
     write_matrix_csv(path, M)
@@ -274,12 +276,12 @@ def test_gaps_of_one_request_share_each_block_search(tmp_path, monkeypatch, caps
     code = main(argv)
     out = capsys.readouterr().out
     assert json.loads(out)["certificates"][0]["holds"] is True
-    assert len(calls) == len(set(calls)) == 4
-    assert [blocks for _, _, blocks in calls].count(None) == 3
+    assert len(calls) == len(set(calls)) == 2
+    assert [(shape, blocks) for shape, _, blocks in calls] == [((3, 9, 2), None), ((1, 9, 6), blocks)]
     monkeypatch.setattr(basis, "_once", lambda key, search: search())
     assert main(argv) == code
     assert capsys.readouterr().out == out
-    assert len(calls) == 4 + 4 + 3 * 3
+    assert len(calls) == 2 + 2 + 3 * 2
 
 
 def test_dependent_full_gap_searches_every_pair(tmp_path, monkeypatch, capsys):
@@ -308,6 +310,27 @@ def test_pairwise_alone_never_starts_the_full_gap(tmp_path, monkeypatch, capsys)
     assert main(["gap", "--pairwise", "--blocks", "1,1,1", str(path)]) == 0
     assert searches[3:] == [(15, 3)]
     capsys.readouterr()
+
+
+def test_two_block_pairwise_checks_its_input_once(tmp_path, monkeypatch, capsys):
+    """With K = 2 the one pair is the whole matrix with the same blocks:
+    gap --pairwise on an independent planted instance, whose full gap
+    decides the pair, checks its input (_search_input) once and reads the
+    pair's block-respecting side from the request."""
+    M, _, _ = gen_overlap_jacobian(OverlapTemplate(K=2, slot_dim=2, slot_out=3))
+    path = tmp_path / "k2.csv"
+    write_matrix_csv(path, M)
+    checks = []
+    search_input = basis._search_input
+
+    def counted(M, blocks, tol):
+        checks.append(M.shape)
+        return search_input(M, blocks, tol)
+
+    monkeypatch.setattr(basis, "_search_input", counted)
+    assert main(["gap", "--pairwise", "--blocks", "2,2", "--format", "json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["certificates"][0]["holds"] is True
+    assert checks == [M.shape]
 
 
 @pytest.mark.parametrize("slices, orders", [("2", [2]), ("1", [2, 1])])

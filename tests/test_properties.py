@@ -61,11 +61,13 @@ from mechindep.basis import (
     CHUNK,
     BlockSpec,
     SubspaceVector,
+    _Checked,
     _check_search_size,
     _counter,
     _drops,
     _flats,
     _inclusion_minimal,
+    _image,
     _independent,
     _members,
     _normalize,
@@ -740,8 +742,8 @@ def test_null_space_free_mask_marks_the_identity_rows(case):
 def test_stacked_null_spaces_equal_the_per_slice_bases(case, zero_rows):
     """For every width w >= 1, the stacked form keeps exactly the slices
     whose basis has w columns, in order, each bit-identical to its list
-    entry, and drops the others; a zero-row stack's bases are all of width
-    n."""
+    entry, and drops the others; with with_free it comes with the mask of
+    the slices kept.  A zero-row stack's bases are all of width n."""
     S, thr = case
     if zero_rows:
         S = S[:, :0]
@@ -751,6 +753,9 @@ def test_stacked_null_spaces_equal_the_per_slice_bases(case, zero_rows):
         kept = [E for E in expected if E.shape[1] == w]
         assert N.shape == (len(kept), S.shape[2], w)
         assert all(_same_bytes(X, E) for X, E in zip(N, kept))
+        with_mask, mask = null_space_many(S, thr, w, with_free=True)
+        assert with_mask.shape == N.shape and with_mask.tobytes() == N.tobytes()
+        assert mask.tolist() == [E.shape[1] == w for E in expected]
 
 
 # The per-start greedy that the lockstep multi-start greedy replaced, and
@@ -804,11 +809,11 @@ def test_greedy_equals_scalar_greedy(case):
     values = np.array([v.value for v in candidates])
     expected = scalar_greedy_complete(candidates, n, tol)
     if expected is None:
-        for greedy in (lambda: _independent(values, n, tol), lambda: reference_greedy(candidates, n, tol)):
+        for greedy in (lambda: _independent([values], [n], tol), lambda: reference_greedy(candidates, n, tol)):
             with pytest.raises(InternalError, match="the ground set spans rank"):
                 greedy()
     else:
-        assert [candidates[i] for i in _independent(values, n, tol)] == expected
+        assert [candidates[i] for i in _independent([values], [n], tol)[0]] == expected
         assert reference_greedy(candidates, n, tol) == expected
 
 
@@ -818,9 +823,155 @@ def test_greedy_runs_past_rows_that_do_not_grow():
     values = np.zeros((CHUNK + 3, 4))
     values[:, 0] = 1.0
     values[CHUNK + 2, 1] = 1.0
-    assert _independent(values, 2, Tolerance()) == [0, CHUNK + 2]
+    assert _independent([values], [2], Tolerance()) == [[0, CHUNK + 2]]
     with pytest.raises(InternalError, match="the ground set spans rank 2, not 3"):
-        _independent(values, 3, Tolerance())
+        _independent([values], [3], Tolerance())
+
+
+# The block-respecting search before its blocks were stacked, verbatim but
+# for the helpers it calls and a memo key tagged so that it never reads the
+# stacked search's entries: per block, a rank check, a ground pass of its
+# own (reference_flats) and a greedy of its own (reference_independent, the
+# greedy before it took several value arrays), memoized within a request.
+def reference_independent(values: np.ndarray, n: int, tol: Tolerance) -> list[int]:
+    picked: list[int] = []
+    start = 0
+    while len(picked) < n and start < len(values):
+        p, run = len(picked), values[start : start + n - len(picked)]
+        trial = np.zeros((len(run), values.shape[1], n))
+        trial[:, :, :p] = values[picked].T
+        prefix = np.tri(len(run), dtype=bool)[:, None, :]  # slice j holds r_0..r_j
+        trial[:, :, p : p + len(run)] = np.where(prefix, run.T[None], 0.0)
+        grew = rank_many(trial, tol.stack_thresholds(trial)) == p + 1 + np.arange(len(run))
+        stop = int(np.argmin(grew)) if not grew.all() else len(run)
+        picked += range(start, start + stop)
+        start += stop + 1
+    if len(picked) < n:
+        raise InternalError(f"the ground set spans rank {len(picked)}, not {n}")
+    return picked
+
+
+def reference_block_basis(M: np.ndarray, tol: Tolerance) -> _Vectors:
+    def search():
+        ground = reference_flats(M, tol)[0]
+        return ground.take(reference_independent(ground.values, M.shape[1], tol))
+
+    return basis._once(("reference", M.shape, M.tobytes(), tol), search)
+
+
+def reference_respecting(checked: _Checked, tol: Tolerance) -> list[SubspaceVector]:
+    M, blocks, full = checked
+    m, n = M.shape
+    parts = []
+    for cols, ok in zip(blocks.ranges(), full):
+        if not ok:
+            raise RankError(f"matrix of shape {(m, len(cols))} must have full column rank")
+        ground = reference_block_basis(M[:, cols], tol)
+        coeffs = np.zeros((len(cols), n))
+        coeffs[:, cols] = ground.coeffs
+        parts.append(ground._replace(coeffs=coeffs))
+    return _Vectors.concat(parts).vectors()
+
+
+@st.composite
+def _respecting_cases(draw):
+    """A checked input (_Checked) of up to 9 rows split into blocks of
+    widths 1 to 4, mixed or equal, over sparse integer, Gaussian or
+    row-scaled Gaussian rows (10^-4..10^4).  Drawn changes: a block repeats
+    an earlier block of its width; a block loses its rank (its last column
+    copies its first, or is zero); such a block of width 2 or more is
+    marked full anyway, so that its greedy raises.  full holds each block's
+    own rank check, but for those marks."""
+    widths = draw(st.one_of(
+        st.sampled_from([(1, 2, 3), (2, 2, 2), (4, 4), (3, 1), (1, 1, 1), (2, 2, 4), (4, 1, 2)]),
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda w: sum(w) <= 8).map(tuple),
+    ))
+    blocks = BlockSpec(widths)
+    ranges = blocks.ranges()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(max(widths), 9))
+    kind = draw(st.sampled_from(["integer", "gaussian", "row-scaled"]))
+    if kind == "integer":
+        M = rng.integers(-2, 3, (m, blocks.total)) * (rng.random((m, blocks.total)) < 0.6)
+    else:
+        M = rng.standard_normal((m, blocks.total))
+        if kind == "row-scaled":
+            M *= 10.0 ** rng.integers(-4, 5, (m, 1))
+    M = M.astype(float)
+    for b in range(1, blocks.K):
+        earlier = [a for a in range(b) if widths[a] == widths[b]]
+        if earlier and draw(st.integers(0, 2)) == 0:
+            M[:, ranges[b]] = M[:, ranges[draw(st.sampled_from(earlier))]]
+    for cols in ranges:
+        if draw(st.integers(0, 3)) == 0:
+            M[:, cols[-1]] = M[:, cols[0]] if len(cols) > 1 else 0.0
+    full = np.array([rank(M[:, cols]) == len(cols) for cols in ranges])
+    for b in np.flatnonzero(~full):
+        full[b] = len(ranges[b]) > 1 and draw(st.booleans())
+    return _Checked(M, blocks, full), draw(st.booleans())
+
+
+def _respecting_outcome(search, checked: _Checked, tol: Tolerance):
+    """The vector bytes search returns, or the type and message it raises."""
+    try:
+        return _vector_bytes(search(checked, tol))
+    except MechIndepError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _stacked_respecting(checked: _Checked, tol: Tolerance) -> list[SubspaceVector]:
+    return sparsest_basis(checked, checked.blocks, "blockRespecting", tol).vectors
+
+
+@settings(PINNED, max_examples=300)
+@given(_respecting_cases())
+def test_stacked_block_search_equals_the_per_block_loop(case):
+    """The stacked block-respecting search returns the vector bytes of the
+    per-block loop (reference_respecting), or raises its error type and
+    message: a block's search error before a later block's RankError.
+    Inside a request the search is run twice, the second time from the
+    memo of the first, beside the reference in a request of its own."""
+    checked, inside = case
+    tol = Tolerance()
+    if not inside:
+        expected = _respecting_outcome(reference_respecting, checked, tol)
+        assert _respecting_outcome(_stacked_respecting, checked, tol) == expected
+        return
+    with basis.one_request():
+        expected = _respecting_outcome(reference_respecting, checked, tol)
+    with basis.one_request():
+        for _ in range(2):
+            assert _respecting_outcome(_stacked_respecting, checked, tol) == expected
+
+
+def test_block_errors_come_in_block_order(monkeypatch):
+    """A rank-deficient block after a good one raises its RankError once the
+    good block is searched; a block whose greedy raises before a later
+    rank-deficient block raises the greedy's InternalError, and so before a
+    later block whose greedy raises too; each stack holds only the blocks
+    before the first rank-deficient one.  Blocks 2 and 3 repeat a column."""
+    M = np.array([(1, 0, 2, 2, 1, 1, 3), (0, 1, 3, 3, 0, 0, 1), (1, 1, 1, 1, 2, 2, 0), (2, 0, 0, 0, 1, 1, 1)], dtype=float)
+    blocks, tol = BlockSpec((2, 2, 3)), Tolerance()
+    stacks = []
+    flats = basis._flats
+
+    def counted(M, tol, blocks=None):
+        stacks.append(M.shape)
+        return flats(M, tol, blocks)
+
+    monkeypatch.setattr(basis, "_flats", counted)
+    for full, error, message, expected in [
+        ((True, False, True), RankError, "matrix of shape (4, 2) must have full column rank", [(1, 4, 2)]),
+        ((True, True, False), InternalError, "the ground set spans rank 0, not 2", [(2, 4, 2)]),
+        ((True, True, True), InternalError, "the ground set spans rank 0, not 2", [(2, 4, 2), (1, 4, 3)]),
+    ]:
+        checked = _Checked(M, blocks, np.array(full))
+        with pytest.raises(error, match=re.escape(message)):
+            reference_respecting(checked, tol)
+        stacks.clear()
+        with pytest.raises(error, match=re.escape(message)):
+            sparsest_basis(checked, blocks, "blockRespecting", tol)
+        assert stacks == expected
 
 
 # The forced-mixing search as it was before the exchange, verbatim but for
@@ -891,7 +1042,7 @@ def _assert_attains_its_stratum(M: np.ndarray, blocks: BlockSpec, tol: Tolerance
     """The forced-mixing search returns a basis whose first vector mixes
     and prints, as its support, the T of one of the strata of _flats."""
     result = sparsest_basis(M, blocks, "forceMixing", tol)
-    strata = [_members(t) for t, _ in _flats(M, tol, blocks)[1]]
+    strata = [_members(t) for t in _flats(M[None], tol, blocks)[1].T.tolist()]
     assert result.mixing_flags[0]
     assert result.vectors[0].mask.members in strata
     assert result.cost == sum(v.support_size for v in result.vectors)
@@ -952,7 +1103,7 @@ def test_not_attained_example_returns_its_stratum():
 def test_singular_optimum_coefficients_are_internal_error(monkeypatch):
     """A B* whose coefficient matrix is singular (its first vector n times)
     raises InternalError, not numpy's LinAlgError."""
-    monkeypatch.setattr(basis, "_independent", lambda values, n, tol: [0] * n)
+    monkeypatch.setattr(basis, "_independent", lambda values, n, tol: [[0] * k for k in n])
     M = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     with pytest.raises(InternalError, match="singular"):
         sparsest_basis(M, BlockSpec((1, 1)), "forceMixing")
@@ -1877,9 +2028,9 @@ def test_flats_equal_the_two_subset_loops(case):
     tol = Tolerance()
     expected = _vector_bytes(reference_minimal_supports(M, tol))
     assert _vector_bytes(minimal_supports(M, tol)) == expected
-    ground, strata = _flats(M, tol, blocks)
+    ground, strata = _flats_of_one(M, tol, blocks)
     assert _vector_bytes(ground.vectors()) == expected
-    assert _flats(M, tol)[0].bits.tolist() == ground.bits.tolist()
+    assert _flats_of_one(M, tol)[0].bits.tolist() == ground.bits.tolist()
     strata = [(_members(t), N) for t, N in strata]
     for reference in (reference_mixing_strata(M, blocks, tol), reference_vector_flats(M, tol, blocks)[1]):
         assert [t for t, _ in strata] == [t for t, _ in reference]
@@ -1931,7 +2082,7 @@ def reference_flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = No
             first = np.sort(first[fresh])
             T, N = open_[first] @ bit, N[first]
             if k == n - 1:
-                found.append(_normalize(M, N[:, :, 0], tol, V[first, :, 0])[1])
+                found.append(_normalize(V[first, :, 0], N[:, :, 0], thr, tol)[1])
             if blocks is not None:
                 mixing = _touches(np.abs(N).max(axis=2), blocks, tol).sum(axis=1) > 1
                 strata.update(zip(T[mixing].tolist(), N[mixing]))
@@ -1966,6 +2117,16 @@ def _skip_cases(draw):
             M *= 10.0 ** rng.integers(-4, 5, (m, 1))
     cut = draw(st.integers(1, n - 1))
     return M, BlockSpec((cut, n - cut))
+
+
+def _flats_of_one(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
+    """_flats of the stack of M alone, its strata as the list of (T
+    bitmask, null basis) that the reference passes return."""
+    (ground,), strata = _flats(M[None], tol, blocks)
+    if strata is None:
+        return ground, None
+    rows = zip(strata.T.tolist(), strata.N, strata.widths.tolist())
+    return ground, [(t, np.ascontiguousarray(N[:, :w])) for t, N, w in rows]
 
 
 def _flats_outcome(flats, M, blocks):
@@ -2007,7 +2168,7 @@ def test_skipping_subsets_inside_accepted_flats_keeps_every_byte(case):
     without."""
     M, blocks = case
     for b in (blocks, None):
-        assert _flats_outcome(_flats, M, b) == _flats_outcome(reference_flats, M, b)
+        assert _flats_outcome(_flats_of_one, M, b) == _flats_outcome(reference_flats, M, b)
 
 
 def test_no_subset_inside_an_accepted_flat_is_eliminated(monkeypatch):
@@ -2022,15 +2183,16 @@ def test_no_subset_inside_an_accepted_flat_is_eliminated(monkeypatch):
     eliminated = []  # (level, row bitmask)
     eliminate = basis.null_space_many
 
-    def recorded(stack, thr, width=None):
+    def recorded(stack, thr, width=None, with_free=False):
         if stack.shape[2] == n:
             eliminated.extend((len(S), sum(1 << row[r.tobytes()] for r in S)) for S in stack)
-        return eliminate(stack, thr, width)
+        return eliminate(stack, thr, width, with_free)
 
     monkeypatch.setattr(basis, "null_space_many", recorded)
     sparsity_gap(M, blocks)
     monkeypatch.undo()
-    strata = [(t, n - N.shape[1]) for t, N in _flats(M, Tolerance(), blocks)[1]]
+    strata = _flats(M[None], Tolerance(), blocks)[1]
+    strata = list(zip(strata.T.tolist(), (n - strata.widths).tolist()))
     assert strata and all(R & t for k, R in eliminated for t, level in strata if level > k)
     assert 0 < len(eliminated) < sum(math.comb(m, k) for k in range(n))
 
@@ -2060,12 +2222,9 @@ def test_drops_equal_the_rank_test_per_position(case):
     M, blocks = case
     tol = Tolerance()
     m, n = M.shape
-    ground, strata = _flats(M, tol, blocks)
-    optimum = ground.take(_independent(ground.values, n, tol))
-    N = np.zeros((len(strata), n, max(null.shape[1] for _, null in strata)))
-    for s, (_, null) in enumerate(strata):
-        N[s, :, : null.shape[1]] = null
-    reps, failed = _representatives(M, blocks, N, tol)
+    (ground,), strata = _flats(M[None], tol, blocks)
+    optimum = ground.take(_independent([ground.values], [n], tol)[0])
+    reps, failed = _representatives(M, blocks, strata.N, tol)
     assert not failed.any()
     expected = reference_drops(optimum, reps, m, n, tol)
     assert _drops(optimum.coeffs, reps.coeffs, tol).tolist() == expected.tolist()
@@ -2244,7 +2403,7 @@ def test_normalize_equals_per_vector_products(case):
     stacked = np.matmul(M[None], C[:, :, None])[:, :, 0]
     assert all(stacked[i].tobytes() == (M @ C[i]).tobytes() for i in range(len(C)))
     expected = [reference_normalized_vector(M, c, tol) for c in C]
-    alive, found = _normalize(M, C, tol)
+    alive, found = _normalize(_image(M, C), C, tol.matrix_threshold(M), tol)
     assert alive.tolist() == [v is not None for v in expected]
     assert _vector_bytes(found.vectors()) == _vector_bytes([v for v in expected if v is not None])
 
