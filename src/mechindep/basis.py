@@ -383,9 +383,9 @@ def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
     columns, and then attains T, the complement of its closure: by core's
     closure rule, the union of the _printed supports of M N's columns.  Each
     distinct (slice, T), one np.unique over the keys slice << m | T, keeps
-    its first subset's N.  At level n-1 the first vector of each support,
-    filtered to the inclusion-minimal supports and sorted by (size, rows),
-    is the slice's ground set, as _Vectors.  With blocks the pass goes on
+    its first subset's N.  At level n-1 that N is one vector, whose support
+    is T; those of the inclusion-minimal supports, sorted by (size, rows),
+    are the slice's ground set, as _Vectors.  With blocks the pass goes on
     down to level 0: T is a mixing stratum iff the rows of its coefficient
     null space touch more than one block (_touches of their largest
     entries): it then cannot be covered by the finitely many block
@@ -439,13 +439,9 @@ def _flats(M: np.ndarray, tol: Tolerance, blocks: BlockSpec | None = None):
             levels.append(tuple(map(np.concatenate, zip(*parts))))
     of, vectors = np.concatenate([s for s, _ in found]), _Vectors.concat([v for _, v in found])
     found = None
-    key, first = np.unique(of << m | vectors.bits, return_index=True)
-    edges = np.searchsorted(key >> m, range(P + 1)).tolist()  # slice p's keys: edges[p]..edges[p+1]
-    bits = vectors.bits[first]
-    keep = first[np.concatenate([_inclusion_minimal(bits[a:b], m) for a, b in zip(edges, edges[1:])])]
-    keep = keep[_order(vectors.bits[keep], m, of[keep])]
-    edges = np.searchsorted(of[keep], range(P + 1)).tolist()
-    grounds = [vectors.take(keep[a:b]) for a, b in zip(edges, edges[1:])]
+    order = _order(vectors.bits, m, of)
+    slices = np.split(order, np.searchsorted(of[order], range(1, P)))  # each slice's vectors, in order
+    grounds = [vectors.take(k[_inclusion_minimal(vectors.bits[k], m)]) for k in slices]
     if blocks is None:
         return grounds, None
     T = np.concatenate([T for T, _ in levels] or [bit[:0]])

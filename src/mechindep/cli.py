@@ -262,7 +262,10 @@ def _parse_tol(text: str) -> Tolerance:
 
 
 def _parse_criteria(text: str) -> tuple:
-    return tuple(c.strip() for c in text.split(",") if c.strip())
+    codes = tuple(c.strip() for c in text.split(",") if c.strip())
+    if not codes:
+        raise argparse.ArgumentTypeError(f"criteria must name at least one criterion: {text!r}")
+    return codes
 
 
 @functools.cache  # one parser per process; --help reads COLUMNS when printed

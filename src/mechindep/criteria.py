@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     SizeError,
 )
-from .graphs import adjacency, adjacency_graph, components, finest_rank_additive_partition
+from .graphs import _groups, adjacency, finest_rank_additive_partition
 
 RHO_MINUS_NOTE = (
     "rhoMinus from stratified search: every mixing-minimal support stratum is "
@@ -106,7 +106,7 @@ def _first_split(cols):
             yield part_a, [c for c in cols if c not in set(part_a)]
 
 
-def _component_split(cols, adjacent: np.ndarray, kind: str) -> list | None:
+def _component_split(cols, adjacent: np.ndarray) -> list | None:
     """The first column 2-partition of a block with no edge across it, in
     _first_split's order, as 1-based [A, rest]; None when there is none.
 
@@ -117,7 +117,7 @@ def _component_split(cols, adjacent: np.ndarray, kind: str) -> list | None:
     found by size is that component against the rest, and there is none iff
     the block is connected: O(len(cols)^2) instead of 2^(len(cols)-1) - 1
     splits."""
-    first = components(adjacency_graph(kind, adjacent))[0]
+    first = _groups(len(adjacent), np.argwhere(np.triu(adjacent, 1)))[0]
     if len(first) == len(cols):
         return None
     part_a = [cols[v - 1] for v in first]
@@ -357,7 +357,7 @@ def check_type_h_irreducible(
             inputs_digest=digest,
         )
     witness: dict = {"block": block_index}
-    split = _component_split(cols, within, f"H{n}")
+    split = _component_split(cols, within)
     if split:
         witness["split"] = split
     return Certificate(
@@ -482,7 +482,7 @@ def check_type_m_irreducible(
         return _holds("M-irreducible", {"block": block_index}, ONE_DIMENSIONAL_NOTE, digest)
     nested = adjacency(M, "M", tol.matrix_threshold(M))[np.ix_(cols, cols)]
     witness: dict = {"block": block_index}
-    split = _component_split(cols, nested, "M")
+    split = _component_split(cols, nested)
     if split:
         witness["split"] = split
     return Certificate(

@@ -38,31 +38,35 @@ def _read_cells(path) -> np.ndarray:
     width = None
     with open(path, newline="") as fh:
         reader, end = csv.reader(fh), 0
-        for record in reader:
-            # a record starts on the line after the previous record's last
-            lineno, end = end + 1, reader.line_num
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            parsed = []
-            for colno, cell in enumerate(record, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
+        try:
+            for record in reader:
+                # a record starts on the line after the previous record's last
+                lineno, end = end + 1, reader.line_num
+                if not record or all(not cell.strip() for cell in record):
+                    continue
+                parsed = []
+                for colno, cell in enumerate(record, start=1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise InvalidInput(
+                            f"{path}: line {lineno}, column {colno}: not a number: {cell!r}"
+                        )
+                    if not math.isfinite(value):
+                        raise InvalidInput(
+                            f"{path}: line {lineno}, column {colno}: non-finite value"
+                        )
+                    parsed.append(value)
+                if width is None:
+                    width = len(parsed)
+                elif len(parsed) != width:
                     raise InvalidInput(
-                        f"{path}: line {lineno}, column {colno}: not a number: {cell!r}"
+                        f"{path}: line {lineno}: expected {width} columns, got {len(parsed)}"
                     )
-                if not math.isfinite(value):
-                    raise InvalidInput(
-                        f"{path}: line {lineno}, column {colno}: non-finite value"
-                    )
-                parsed.append(value)
-            if width is None:
-                width = len(parsed)
-            elif len(parsed) != width:
-                raise InvalidInput(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(parsed)}"
-                )
-            rows.append(parsed)
+                rows.append(parsed)
+        except csv.Error as exc:
+            # a record csv cannot read, such as one with a cell past csv's field size limit
+            raise InvalidInput(f"{path}: line {end + 1}: {exc}") from None
     if not rows:
         raise InvalidInput(f"{path}: no data rows")
     return np.array(rows, dtype=float)

@@ -81,6 +81,19 @@ def test_matrix_csv_diagnostics(tmp_path):
         read_matrix_csv(path)
 
 
+def test_over_long_csv_cell_exits_two_naming_its_line(tmp_path, capsys):
+    """A cell past csv's field size limit (131,072 characters) is invalid
+    input naming the line on which its record starts, not csv.Error."""
+    path = tmp_path / "long.csv"
+    path.write_text('1,2\n"3\n",4\n5,' + "7" * 200_000 + "\n")
+    message = f"{path}: line 4: field larger than field limit (131072)"
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        read_matrix_csv(path)
+    assert main(["analyze", "--criteria", "d", "--blocks", "1,1", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"mechindep: error: {message}\n"
+
+
 def test_tensor_json_round_trip(tmp_path):
     T = np.arange(12.0).reshape(2, 2, 3)
     path = tmp_path / "t.json"
@@ -464,6 +477,23 @@ def test_batch_mode_stable_order(workdir, capsys):
     assert code == 0
     doc = json.loads(out)
     assert [f["input"] for f in doc["files"]] == ["aa.csv", "mm.csv", "zz.csv"]
+
+
+@pytest.mark.parametrize("criteria", ["", ",", " , "])
+@pytest.mark.parametrize("mode", [[], ["--batch"]])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_empty_criteria_list_exits_two(workdir, capsys, criteria, mode, fmt):
+    """A --criteria naming no criterion is a usage error in every mode and
+    format, before any input is read."""
+    batch = workdir / "batch"
+    batch.mkdir()
+    write_matrix_csv(batch / "d.csv", np.array(GOLDEN["D"]["matrix"], float))
+    path = batch if mode else batch / "d.csv"
+    argv = ["analyze", "--criteria", criteria, "--blocks", "2,2", "--format", fmt, *mode, str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --criteria: criteria must name at least one criterion: {criteria!r}" in captured.err
 
 
 def test_reports_are_byte_identical(workdir, capsys):

@@ -1109,15 +1109,42 @@ def test_singular_optimum_coefficients_are_internal_error(monkeypatch):
         sparsest_basis(M, BlockSpec((1, 1)), "forceMixing")
 
 
+def reference_component_counts(stack, thr) -> np.ndarray:
+    """graphs.component_counts as reachability by boolean squaring, the
+    counter the union-find replaced, verbatim.
+
+    Two columns are adjacent iff their supports share a row.  Adjacency plus
+    the identity, squared ceil(log2 n) times as a boolean matrix, is
+    reachability; a column is its component's representative iff it is the
+    first column it reaches.  The products are float: on stacks of small
+    slices numpy's float matmul is about ten times as fast as its boolean
+    one.
+    """
+    S = (np.abs(stack) > np.asarray(thr, dtype=float)[..., None, None]).astype(float)
+    n = S.shape[2]
+    reach = (S.transpose(0, 2, 1) @ S > 0) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        walk = reach.astype(float)
+        reach = walk @ walk > 0
+    return np.count_nonzero(reach.argmax(axis=2) == np.arange(n), axis=1)
+
+
 @st.composite
 def _graph_stacks(draw):
     """(B, m, n) stacks of sparse integers with all-zero columns and all-zero
-    slices, a slice whose columns form a path in shuffled order (the longest
-    walk the squarings must cover), and a tolerance whose per-slice
+    slices, a slice whose columns form a path in shuffled order (the widest
+    component a slice can have), and a tolerance whose per-slice
     thresholds can exceed an entry of magnitude 1 in one slice and not in
-    another."""
+    another.  Half the stacks go on with 100-400 seeded slices of the same
+    entries, route d's chunk sizes, whose columns are vertices at large
+    offsets in the union-find."""
     B, m, n = draw(st.integers(1, 20)), draw(st.integers(1, 12)), draw(st.integers(1, 8))
     S = draw(arrays(np.int64, (B, m, n), elements=_ENTRY, fill=st.nothing())).astype(float)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        more = rng.choice([0, 0, 0, 1, -1, 2, -2], size=(draw(st.integers(100, 400)), m, n))
+        S = np.concatenate([S, more])
+        B = len(S)
     if draw(st.booleans()):
         b, order = draw(st.integers(0, B - 1)), draw(st.permutations(range(n)))
         S[b] = 0.0
@@ -1134,9 +1161,13 @@ def _graph_stacks(draw):
 @PINNED
 @given(_graph_stacks())
 def test_component_counts_equal_graph_components(case):
+    """The union-find counts equal the squaring reference's and those of
+    each slice's graph."""
     S, tol = case
+    thr = tol.stack_thresholds(S)
     expected = [len(components(build_graph(C, "D", tol))) for C in S]
-    assert component_counts(S, tol.stack_thresholds(S)).tolist() == expected
+    assert component_counts(S, thr).tolist() == expected
+    assert reference_component_counts(S, thr).tolist() == expected
 
 
 @st.composite
