@@ -57,13 +57,15 @@ def _blockspec(args: argparse.Namespace) -> BlockSpec:
     return BlockSpec(args.blocks)
 
 
-def _analyze_one(path: str, args: argparse.Namespace) -> list:
+def _analyze_one(path: str, args: argparse.Namespace, tensors: dict) -> list:
+    """The certificates of one CSV.  tensors holds the request's --hessian
+    and --third tensors, read into it at its first CSV (after that CSV and
+    the blocks, so errors come in that order) and reused for the rest."""
     M = read_matrix_csv(path)
     blocks = _blockspec(args)
-    tensors = {
-        "hessian": read_tensor_json(args.hessian_path) if args.hessian_path else None,
-        "third": read_tensor_json(args.third_path) if args.third_path else None,
-    }
+    if not tensors:
+        tensors["hessian"] = read_tensor_json(args.hessian_path) if args.hessian_path else None
+        tensors["third"] = read_tensor_json(args.third_path) if args.third_path else None
     certs = []
     for code in args.criteria:
         if code not in CRITERIA:
@@ -89,7 +91,7 @@ def _run_analyze(args: argparse.Namespace):
     }
     header.update(_tol_header(args.tol))
     if not args.batch:
-        certs = _analyze_one(args.input_path, args)
+        certs = _analyze_one(args.input_path, args, {})
         body = emit_report(certs, args.fmt, header)
         return (0 if all(c.holds for c in certs) else 1), body
     directory = Path(args.input_path)
@@ -98,7 +100,8 @@ def _run_analyze(args: argparse.Namespace):
     files = sorted(p for p in directory.iterdir() if p.suffix == ".csv")
     if not files:
         raise InvalidInput(f"no .csv files in {directory}")
-    sections = [(str(p.name), _analyze_one(str(p), args)) for p in files]
+    tensors = {}
+    sections = [(str(p.name), _analyze_one(str(p), args, tensors)) for p in files]
     all_hold = all(c.holds for _, certs in sections for c in certs)
     payload = {
         "files": [

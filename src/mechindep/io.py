@@ -1,12 +1,14 @@
 """File formats and report rendering: CSV matrices, JSON tensors and grid
-regions, and certificate reports in JSON or text."""
+regions, and certificate reports in JSON or text.
+
+A matrix CSV of plain numbers is read in one C parse (np.loadtxt); any other
+CSV is read cell by cell, which names the first bad cell, row or byte."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -14,26 +16,36 @@ from .errors import InvalidInput
 from .topology import GridRegion, _check_dims
 
 
+# digits, signs, points, exponents, commas, blanks and line ends
+_PLAIN = b"0123456789+-.eE, \t\r\n"
+
+
 def read_matrix_csv(path) -> np.ndarray:
-    """Plain CSV of numbers: one np.fromiter over the nonblank rows' cells as
-    csv.reader reads them (it parses a str as float() does), or, when that
-    fails, _read_cells, which raises what the first bad line raises."""
-    widths = []  # of the nonblank rows, as fromiter reaches them
-    try:
-        with open(path, newline="") as fh:
-            rows = (r for r in csv.reader(fh) if r and not all(not c.strip() for c in r))
-            M = np.fromiter(chain.from_iterable(widths.append(len(r)) or r for r in rows), float)
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc)
-    except (csv.Error, ValueError):
-        return _read_cells(path)
-    if len(set(widths)) == 1 and np.isfinite(M).all():
-        return M.reshape(len(widths), widths[0])
+    """CSV of numbers: each nonblank row's cells as csv.reader splits them
+    and float() parses them, finite and as many in every row.  A file of
+    _PLAIN bytes with no line past csv's field size limit is one np.loadtxt
+    over its lines, split at CR, LF and CRLF as csv splits them; its parser
+    (PyOS_string_to_double) reads a plain cell as float() does.  Any other
+    file, and one loadtxt rejects (1_0) or reads as non-finite, goes to
+    _read_cells, which raises what the first bad line raises."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.translate(None, _PLAIN):
+        lines = data.decode("ascii").splitlines()
+        # blank lines only are no data, which loadtxt warns of; a cell fits its line
+        if any(lines) and max(map(len, lines)) <= csv.field_size_limit():
+            try:
+                M = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(M).all():
+                    return M
     return _read_cells(path)
 
 
 def _read_cells(path) -> np.ndarray:
-    """read_matrix_csv cell by cell: the first bad cell or row raises."""
+    """read_matrix_csv cell by cell: the first bad cell, row or byte raises."""
     rows = []
     width = None
     with open(path, newline="") as fh:
@@ -67,6 +79,8 @@ def _read_cells(path) -> np.ndarray:
         except csv.Error as exc:
             # a record csv cannot read, such as one with a cell past csv's field size limit
             raise InvalidInput(f"{path}: line {end + 1}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc)
     if not rows:
         raise InvalidInput(f"{path}: no data rows")
     return np.array(rows, dtype=float)

@@ -8,11 +8,13 @@ import json
 import locale
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from mechindep import basis, topology
+from mechindep import basis, cli, topology
+from mechindep import io as mechindep_io
 from mechindep.basis import BlockSpec
 from mechindep.cli import _build_parser, main, run
 from mechindep.criteria import check_type_d, check_type_m, check_type_s
@@ -92,6 +94,60 @@ def test_over_long_csv_cell_exits_two_naming_its_line(tmp_path, capsys):
     assert main(["analyze", "--criteria", "d", "--blocks", "1,1", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"mechindep: error: {message}\n"
+    # a finite cell as long, in a file of plain bytes only
+    path.write_text("1,2\n3,0." + "0" * 200_000 + "1\n")
+    with pytest.raises(InvalidInput, match=re.escape(f"{path}: line 2: field larger than field limit")):
+        read_matrix_csv(path)
+
+
+def _counted_cells(monkeypatch):
+    """A list that io._read_cells, the cell loop, appends each path it reads to."""
+    paths, read_cells = [], mechindep_io._read_cells
+
+    def counted(path):
+        paths.append(path)
+        return read_cells(path)
+
+    monkeypatch.setattr(mechindep_io, "_read_cells", counted)
+    return paths
+
+
+def test_plain_csv_is_one_parse_without_csv(tmp_path, monkeypatch):
+    """A file of plain bytes (digits, + - . e E, commas, blanks and CR, LF
+    or CRLF line ends) is read without csv.reader and without the cell
+    loop."""
+    cells = _counted_cells(monkeypatch)
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(mechindep_io.csv, "reader", no_reader)
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1.5, -2e3\r\n\n+.25,\t0\r-0,1E-3\n")
+    M = read_matrix_csv(path)
+    assert M.tobytes() == np.array([[1.5, -2e3], [0.25, 0.0], [-0.0, 1e-3]]).tobytes()
+    assert cells == []
+
+
+@pytest.mark.parametrize("text, last", [('1,"2"\n3,4\n', 4.0), ("1,2\n3,1_0\n", 10.0)])
+def test_csv_off_the_plain_parse_reads_cell_by_cell(tmp_path, monkeypatch, text, last):
+    """A quoted cell (a byte off the plain alphabet) and 1_0 (plain bytes
+    that float() reads and the C parse does not) are read by the cell loop."""
+    cells = _counted_cells(monkeypatch)
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    assert read_matrix_csv(path).tolist() == [[1.0, 2.0], [3.0, last]]
+    assert cells == [path]
+
+
+def test_blank_csv_has_no_data_rows_and_no_warning(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_bytes(b"\n\r\n\r\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInput, match=re.escape(f"{path}: no data rows")):
+            read_matrix_csv(path)
+    assert caught == []
 
 
 def test_tensor_json_round_trip(tmp_path):
@@ -772,4 +828,29 @@ def test_stdout_bytes_and_exit_codes_pinned(workdir, monkeypatch, capsysbinary, 
         assert main(SYNTH.split()) == 0
         capsysbinary.readouterr()
     assert main(line.split()) == code
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest()[:32] == digest
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [("text", "386a7bf13a56553f30cd6b4c8f2b3847"), ("json", "3b8e6792398fd942eedf2c423e98d69d")],
+)
+def test_batch_reads_each_tensor_once(workdir, monkeypatch, capsysbinary, fmt, digest):
+    """analyze --batch over three CSVs reads --hessian and --third once per
+    request, not once per CSV.  The report digests were recorded while each
+    CSV read both tensors again."""
+    monkeypatch.chdir(workdir)
+    monkeypatch.delenv("MECHINDEP_TOL", raising=False)
+    _pinned_fixtures(workdir)
+    write_matrix_csv(workdir / "batch" / "three.csv", np.array(GOLDEN["D"]["matrix"], float)[::-1])
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_tensor_json(path)
+
+    monkeypatch.setattr(cli, "read_tensor_json", counted)
+    line = f"analyze --criteria d,h2,h3 --blocks 2,2 --hessian h.json --third t3.json --format {fmt} --batch batch"
+    assert main(line.split()) == 1
+    assert reads == ["h.json", "t3.json"]
     assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest()[:32] == digest

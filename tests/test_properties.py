@@ -3336,9 +3336,74 @@ def _csv_texts(draw):
 def test_matrix_csv_reader_equals_the_cell_loop(tmp_path_factory, text):
     """The same matrix bytes, or the same error: the bad cell before a
     ragged row and the ragged row before a bad cell each raise first."""
+    _assert_reads_as_the_cell_loop(tmp_path_factory, text)
+
+
+def _assert_reads_as_the_cell_loop(tmp_path_factory, text):
+    """read_matrix_csv and the reference give the same matrix bytes or the
+    same error.  The reference lets csv's own error out (a field past csv's
+    field size limit); read_matrix_csv raises it as InvalidInput naming the
+    line its record starts on, which test_cli pins."""
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     path.write_bytes(text.encode())
-    assert _converted(read_matrix_csv, path) == _converted(reference_read_matrix_csv, path)
+    new, ref = _converted(read_matrix_csv, path), _converted(reference_read_matrix_csv, path)
+    if ref[0] == "Error":
+        line = rf"{re.escape(str(path))}: line \d+: {re.escape(ref[1])}"
+        assert new[0] == "InvalidInput" and re.fullmatch(line, new[1]), (new, ref)
+    else:
+        assert new == ref
+
+
+# zeros of both signs, subnormals, the smallest normal and the largest doubles
+_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+# plain cells in numpy's and Python's other spellings
+_PLAIN_CELLS = ["+1", ".5", "5.", "1E-3", "-0", "1e-400", " 1 ", "\t2", "3 \t"]
+# a cell with bytes off the plain alphabet: a quote pair and a no-break
+# space, which float() reads, a letter, which it does not, and nan, which is
+# not finite
+_LATE_BYTES = ['"{}"', "{}\xa0", "{}x", "nan"]
+
+
+@st.composite
+def _plain_csv_texts(draw):
+    """CSV text of a 1-300 by 1-40 matrix: repr'd doubles of every scale,
+    with zeros, the range's ends and plain cells of other spellings mixed
+    in, each line ended by LF, CRLF or CR, at times a blank or whitespace-
+    only last row, and at times one byte off the plain alphabet in one of
+    the last rows."""
+    shape = draw(st.integers(1, 300)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    values[rng.random(shape) < 0.3] = 0.0
+    edges = rng.random(shape) < 0.02
+    values[edges] = rng.choice(_EDGE_VALUES, edges.sum())
+    cells = np.array([repr(v) for v in values.ravel().tolist()], dtype=object).reshape(shape)
+    spelled = rng.random(shape) < 0.02
+    cells[spelled] = rng.choice(_PLAIN_CELLS, spelled.sum())
+    late = draw(st.sampled_from([None] * 4 + _LATE_BYTES))
+    if late is not None:
+        row = shape[0] - 1 - int(rng.integers(0, max(1, shape[0] // 10)))
+        cells[row, -1] = late.format(cells[row, -1])
+    lines = [",".join(row) for row in cells.tolist()]
+    lines += draw(st.sampled_from([[]] * 4 + [[""], [" "], ["\t"], [" , "]]))
+    ends = rng.choice(["\n", "\r\n", "\r"], len(lines))
+    return "".join(line + end for line, end in zip(lines, ends.tolist()))
+
+
+@settings(PINNED, max_examples=100)
+@given(_plain_csv_texts())
+@example("1,2\n3," + "0." + "0" * 200_000 + "1\n")
+@example("1,2\r\n1e400,4\r\n")
+@example("1,2\r\n1e-400,4\r\n")
+@example("\n\r\n\r\r\n")
+def test_plain_matrix_csv_reader_equals_the_cell_loop(tmp_path_factory, text):
+    """Files at the benchmark's shapes, on the one C parse or, past a field
+    limit, a non-finite value or a byte off the plain alphabet, on the cell
+    loop: the same matrix bytes, or the same error."""
+    _assert_reads_as_the_cell_loop(tmp_path_factory, text)
 
 
 @PINNED
