@@ -686,23 +686,11 @@ def _gap_key(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
     return M.shape, M.tobytes(), blocks.sizes, tol
 
 
-def _respecting(M: np.ndarray, blocks: BlockSpec, tol: Tolerance):
-    """All a gap runs before its forced-mixing search: M checked
-    (_search_input) and its cheapest block-respecting basis, run once per
-    request (_once) under the gap's key, tagged."""
-
-    def search():
-        checked = _search_input(M, blocks, tol)
-        return checked, sparsest_basis(checked, blocks, "blockRespecting", tol)
-
-    return _once(("respecting", *_gap_key(M, blocks, tol)), search)
-
-
 def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResult:
     """rho+ (cheapest block-respecting basis) vs rho- (cheapest basis forced to
-    mix); the factors are Type S independent iff rho+ < rho-.  M and each
-    block are checked for full column rank once, for both searches.  Within
-    a request (one_request) each gap is searched once (_gap_key)."""
+    mix); the factors are Type S independent iff rho+ < rho-.  M is checked
+    once (_search_input) for both searches, and a request (one_request)
+    searches each gap (_gap_key) and each block (_block_bases) once."""
     tol = tol or Tolerance.default()
     blocks = BlockSpec.coerce(blocks)
     if blocks.K < 2:
@@ -710,7 +698,8 @@ def sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) -> GapResul
     M = as_matrix(M)
 
     def search():
-        checked, respecting = _respecting(M, blocks, tol)
+        checked = _search_input(M, blocks, tol)
+        respecting = sparsest_basis(checked, blocks, "blockRespecting", tol)
         mixing = sparsest_basis(checked, blocks, "forceMixing", tol)
         return GapResult(
             rho_plus=respecting.cost,
@@ -732,10 +721,11 @@ def pairwise_sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) ->
     of the pair's columns plus the other blocks' block-respecting optima is
     a mixing basis of M, as the block subspaces form a direct sum, so
     rho- <= rho-(pair) + w(others), while rho+ = rho+(pair) + w(others).
-    The table never starts the whole gap's search.  A pair it decides still
-    runs what its gap runs before mixing (_respecting), so it raises the
-    input errors its search would; with K = 2 that is the whole gap's, read
-    from the request."""
+    The table never starts the whole gap's search.  A pair it decides runs
+    only its input check (_search_input), the one step of its search that
+    can raise: its blocks are the whole gap's (same bytes and thresholds;
+    zero padding never wins a pivot), of full column rank and searched.
+    With K = 2 the one pair's gap is the whole gap, read from the request."""
     tol = tol or Tolerance.default()
     M = as_matrix(M)
     blocks = BlockSpec.covering(blocks, M.shape[1])
@@ -743,13 +733,13 @@ def pairwise_sparsity_gap(M, blocks: BlockSpec, tol: Tolerance | None = None) ->
         raise InvalidInput("pairwise gaps need at least two blocks")
     ranges, K = blocks.ranges(), blocks.K
     whole = _found(_gap_key(M, blocks, tol))
-    decided = whole is not None and whole.independent
+    decided = K > 2 and whole is not None and whole.independent
     table = [[True] * K for _ in range(K)]
     for i, j in combinations(range(K), 2):
         pair = BlockSpec((blocks.sizes[i], blocks.sizes[j]))
         sub = M[:, ranges[i] + ranges[j]]
         if decided:
-            _respecting(sub, pair, tol)
+            _search_input(sub, pair, tol)
         else:
             table[i][j] = table[j][i] = sparsity_gap(sub, pair, tol).independent
     return table

@@ -9,6 +9,7 @@ import locale
 import re
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -351,6 +352,32 @@ def test_gaps_of_one_request_share_each_block_search(tmp_path, monkeypatch, caps
     assert main(argv) == code
     assert capsys.readouterr().out == out
     assert len(calls) == 2 + 2 + 3 * 2
+
+
+def test_a_decided_pair_runs_only_its_input_check(tmp_path, monkeypatch, capsys):
+    """gap --pairwise on an independent K = 3 instance searches the full
+    gap's two sides once each; each of the three pairs it decides runs its
+    input check (_search_input) and no basis search."""
+    M, _, _ = gen_overlap_jacobian(OverlapTemplate(K=3, slot_dim=2, slot_out=3, seed=1))
+    path = tmp_path / "k3.csv"
+    write_matrix_csv(path, M)
+    searches, checks = Counter(), []
+    sparsest, search_input = basis.sparsest_basis, basis._search_input
+
+    def counted_search(M, blocks, mode, tol=None):
+        searches[mode] += 1
+        return sparsest(M, blocks, mode, tol)
+
+    def counted_check(M, blocks, tol):
+        checks.append(M.shape)
+        return search_input(M, blocks, tol)
+
+    monkeypatch.setattr(basis, "sparsest_basis", counted_search)
+    monkeypatch.setattr(basis, "_search_input", counted_check)
+    assert main(["gap", "--pairwise", "--blocks", "2,2,2", "--format", "json", str(path)]) == 0
+    assert [c["holds"] for c in json.loads(capsys.readouterr().out)["certificates"]] == [True, True]
+    assert searches == {"blockRespecting": 1, "forceMixing": 1}
+    assert checks == [M.shape] + [(M.shape[0], 4)] * 3
 
 
 def test_dependent_full_gap_searches_every_pair(tmp_path, monkeypatch, capsys):
