@@ -95,7 +95,12 @@ class GridRegion:
     as key: each cell's row-major index in the grid, coords @ the axis
     strides, an (N,) strictly increasing array.  The strides and keys are
     int64 when the grid's volume fits int64 and Python integers in object
-    arrays when it does not, so that no key wraps."""
+    arrays when it does not, so that no key wraps.
+
+    A grid of volume at most K·N also has _index, each grid cell's position
+    in coords or -1, so that it holds no more entries than coords; neighbours
+    and slices are then looked up in it and counted by bincount.  Any other
+    grid, sparse or wider than int64, has _index None and searches the keys."""
 
     def __init__(self, dims, cells):
         self._build(dims, cells, 0, "cells")
@@ -155,21 +160,37 @@ class GridRegion:
         return frozenset(map(tuple, self.coords.tolist()))
 
     @cached_property
+    def _index(self) -> np.ndarray | None:
+        """Each grid cell's position in coords, by key, or -1 if unoccupied;
+        None when the grid's volume exceeds K·N."""
+        volume = math.prod(self.dims)
+        if volume > self.K * len(self.coords):
+            return None
+        index = np.full(volume, -1)
+        index[self.key] = np.arange(len(self.key))
+        return index
+
+    @cached_property
     def _axis_edges(self) -> list:
         """For each axis, the (lo, hi) int32 index pairs into coords of the
         cells adjacent along it, lo < hi.
 
         The cell one step up axis a from a cell below the axis's last
-        coordinate has the key key + strides[a], and one searchsorted in the
-        sorted keys finds it if it is occupied.  O(N log N) in the N occupied
-        cells, whatever the grid's volume."""
-        key = self.key
+        coordinate has the key key + strides[a].  With _index, its entry there
+        is its position, or -1; without, one searchsorted in the sorted keys
+        finds it if it is occupied, O(N log N) in the N occupied cells,
+        whatever the grid's volume."""
+        key, index = self.key, self._index
         edges = []
         for axis in range(self.K):
             lo = np.flatnonzero(self.coords[:, axis] < self.dims[axis] - 1)
             up = key[lo] + self._strides[axis]
-            hi = np.searchsorted(key, up)
-            hit = key[np.minimum(hi, len(key) - 1)] == up
+            if index is None:
+                hi = np.searchsorted(key, up)
+                hit = key[np.minimum(hi, len(key) - 1)] == up
+            else:
+                hi = index[up]
+                hit = hi >= 0
             edges.append((lo[hit].astype(np.int32), hi[hit].astype(np.int32)))
         return edges
 
@@ -324,10 +345,12 @@ def slices_connected(region: GridRegion, k: int) -> SliceReport:
     A k-slice picks k axes to stay free and one coordinate for each of the
     other axes; its cells inherit orthogonal adjacency in the free axes.
     Slices come in order of their free axes, then of their fixed coordinates.
-    Each free-axis set takes one np.unique of the cells' keys in the fixed
-    axes, which groups and orders its slices, and counts each slice's
-    components as the roots that fall in it.  The report holds the result
-    as arrays (SliceReport); each order's report is computed once per region.
+    Each free-axis set numbers each cell's slice by the row-major index of
+    its fixed coordinates, which orders the slices.  With the region's _index
+    two bincounts over the fixed axes' sub-grid, and without it one np.unique
+    and a searchsorted, group them and count each slice's components as the
+    roots that fall in it.  The report holds the result as arrays
+    (SliceReport); each order's report is computed once per region.
     """
     if not len(region.coords):
         raise InvalidInput("empty region")
@@ -339,18 +362,27 @@ def slices_connected(region: GridRegion, k: int) -> SliceReport:
         return region._reports[k]
     coords = region.coords
     cells = np.arange(len(coords))
+    dense = region._index is not None
     groups = []
     for free in combinations(range(K), k):
         fixed_axes = [a for a in range(K) if a not in free]
-        # the key of the cells' fixed coordinates alone orders the slices by
-        # those coordinates, as the key orders the cells
-        fixed = coords[:, fixed_axes] @ region._strides[fixed_axes]
-        keys, first, sizes = np.unique(fixed, return_index=True, return_counts=True)
         # edges along the free axes never leave a slice, so each slice's
         # component count is the number of roots among its cells
         roots = region._roots_along(free) == cells
-        comps = np.bincount(np.searchsorted(keys, fixed[roots]), minlength=len(keys))
-        groups.append((free, fixed_axes, coords[first][:, fixed_axes], comps == 1, sizes))
+        if dense:
+            shape = [region.dims[a] for a in fixed_axes]
+            fixed = np.ravel_multi_index(coords[:, fixed_axes].T, shape)
+            sizes = np.bincount(fixed, minlength=math.prod(shape))
+            comps = np.bincount(fixed[roots], minlength=len(sizes))
+            keys = np.flatnonzero(sizes)
+            sizes, comps = sizes[keys], comps[keys]
+            at = np.column_stack(np.unravel_index(keys, shape))
+        else:
+            fixed = coords[:, fixed_axes] @ region._strides[fixed_axes]
+            keys, first, sizes = np.unique(fixed, return_index=True, return_counts=True)
+            comps = np.bincount(np.searchsorted(keys, fixed[roots]), minlength=len(keys))
+            at = coords[first][:, fixed_axes]
+        groups.append((free, fixed_axes, at, comps == 1, sizes))
     all_ok = all(g[3].all() for g in groups)
     region._reports[k] = SliceReport(k=k, all_connected=all_ok, groups=tuple(groups))
     return region._reports[k]

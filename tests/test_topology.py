@@ -416,8 +416,9 @@ def test_huge_grid_runs_on_occupied_cells_only():
 # The sort-based grid kernels the cell key replaced, verbatim but for their
 # names, most docstrings and comments, and _axis_edges as a function of a
 # region, and now the only copy of that code: the reference for the key's
-# dedupe and order, its searchsorted neighbours, its one-unique slice
-# grouping and its warm-started components, on every grid.
+# dedupe and order, its neighbours and slice grouping on both paths (the grid
+# index and bincount, or searchsorted and np.unique) and its warm-started
+# components, on every grid.
 def reference_inside_sorted(arr: np.ndarray, dims, base: int) -> np.ndarray:
     """The cells of arr, with coordinates counted from base, 0-based in
     lexicographic order and each once; a cell outside the grid is InvalidInput."""
@@ -509,7 +510,10 @@ def _cell_lists(draw):
     """(dims, cells, base): K = 1..6 axes, cells listed in random order with
     repeats, counted from base 0 or 1.  A third of the grids have a volume
     beyond int64 (K >= 2, axes up to 2^62) with their cells in a window of a
-    few cells per axis at a random offset, so that they have neighbours."""
+    few cells per axis at a random offset, so that they have neighbours.  A
+    third of the others are near-full boxes, up to 30 % of their cells
+    missing, so that the grids of volume at most K·N (GridRegion._index)
+    and those beyond it come about equally often."""
     K = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if K >= 2 and draw(st.integers(0, 2)) == 0:
@@ -518,11 +522,17 @@ def _cell_lists(draw):
         assert math.prod(dims) > 2**63 - 1
     else:
         dims = [int(d) for d in rng.integers(1, 6, size=K)]
+    base = draw(st.integers(0, 1))
+    if math.prod(dims) <= 2**63 - 1 and draw(st.integers(0, 2)) == 0:
+        box = np.indices(dims).reshape(K, -1).T
+        kept = box[rng.random(len(box)) >= rng.uniform(0, 0.3)]
+        kept = kept if len(kept) else box[:1]
+        cells = np.concatenate([kept, kept[rng.integers(0, len(kept), size=len(kept) // 4)]])
+        return dims, (rng.permutation(cells) + base).tolist(), base
     window = np.minimum(dims, rng.integers(1, 5, size=K))
     offset = [int(rng.integers(0, d - w + 1)) for d, w in zip(dims, window.tolist())]
     count = draw(st.integers(1, 3 * int(np.prod(window))))
     cells = rng.integers(0, window, size=(count, K)) + np.array(offset, dtype=np.int64)
-    base = draw(st.integers(0, 1))
     return dims, (cells + base).tolist(), base
 
 
@@ -531,18 +541,25 @@ def _cell_lists(draw):
 @example(([2**40, 2**40, 3], [[1, 1, 1], [1, 1, 2], [2**40, 2**40, 3]], 1))
 @example(([1], [[0]], 0))
 @example(([3, 1, 2, 1, 2, 3], [[2, 0, 1, 0, 1, 2], [0, 0, 0, 0, 0, 0], [2, 0, 1, 0, 1, 2]], 0))
+# volume K·N, the largest with an index, and K·N + 1, the smallest without
+@example(([4, 2], [[0, 0], [1, 0], [1, 1], [3, 1], [1, 0]], 0))
+@example(([3, 3], [[1, 1], [1, 2], [2, 1], [3, 3], [1, 1]], 1))
+@example(([2, 2, 3], [[0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]], 0))
+@example(([2, 2, 4], [[1, 1, 1], [1, 1, 2], [1, 2, 2], [2, 2, 2], [2, 2, 4]], 1))
 def test_cell_key_kernels_equal_the_sort_kernels(case):
     """The key's cells, edge sets, connectivity, every slice verdict of every
     order (asked in the order a topology request asks them, then again from
     a fresh region, order K-1 first) and premise digest equal the sort-based
     kernels'; the key is each cell's row-major index, in Python integers
-    beyond int64."""
+    beyond int64; and the region has an index exactly when its volume is at
+    most K·N."""
     dims, cells, base = case
     arr = np.array(cells, dtype=np.int64)
     ref = ReferenceRegion(dims, arr, base)
     build = GridRegion.from_occupied if base else GridRegion
     r = build(dims, cells)
     assert r.coords.tolist() == ref.coords.tolist()
+    assert (r._index is None) == (math.prod(dims) > len(dims) * len(r.coords))
     assert r.key.dtype == (object if math.prod(dims) > 2**63 - 1 else np.int64)
     strides = [math.prod(dims[a + 1 :]) for a in range(len(dims))]
     assert r.key.tolist() == [sum(map(operator.mul, c, strides)) for c in ref.coords.tolist()]
